@@ -202,7 +202,7 @@ fn main() {
     for note in report
         .notes
         .iter()
-        .filter(|n| n.starts_with("fuzz") || n.starts_with("bmc") || n.starts_with("portfolio"))
+        .filter(|n| n.starts_with("fuzz") || n.starts_with("bmc"))
     {
         println!("    | {note}");
     }

@@ -18,7 +18,9 @@ use rand::{Rng, SeedableRng};
 
 use csl_certify::{check_certificate, check_witness, CertKind, Rejection, Witness};
 use csl_hdl::{Aig, Design, Init};
-use csl_mc::{check_safety, CheckOptions, PrepareConfig, SafetyCheck, Trace, Verdict};
+use csl_mc::{
+    check_safety, Candidate, CheckOptions, ExecMode, PrepareConfig, SafetyCheck, Trace, Verdict,
+};
 
 /// A random small sequential design with enough variety to hit every
 /// engine: a gated counter (live logic) racing a fixed target, a latch
@@ -85,41 +87,84 @@ fn task(seed: u64) -> SafetyCheck {
     }
 }
 
+/// [`task`] with Houdini candidates: the property itself plus every
+/// latch held at its reset value — the frozen latch survives, so the
+/// proofs run on a strengthened instance.
+fn task_with_candidates(seed: u64) -> SafetyCheck {
+    let aig = random_design(seed);
+    let mut candidates = vec![Candidate {
+        name: "not_bad".into(),
+        bit: aig.bads()[0].bit.not(),
+    }];
+    for (i, latch) in aig.latches().iter().enumerate() {
+        let bit = match latch.init {
+            Init::Zero => latch.output.not(),
+            _ => latch.output,
+        };
+        candidates.push(Candidate {
+            name: format!("reset{i}"),
+            bit,
+        });
+    }
+    SafetyCheck { aig, candidates }
+}
+
 const SEEDS: u64 = 24;
 
+/// Every seed runs plain and, with Houdini candidates, in both execution
+/// modes, so certificates of proofs on strengthened instances are
+/// audited too.
 #[test]
 fn every_decided_verdict_carries_accepted_evidence() {
     let mut proofs = 0usize;
     let mut attacks = 0usize;
+    let mut strengthened = 0usize;
     for seed in 0..SEEDS {
-        let task = task(seed);
-        let report = check_safety(&task, &opts());
-        match &report.verdict {
-            Verdict::Proof(engine) => {
-                proofs += 1;
-                let cert = report.certificate.as_ref().unwrap_or_else(|| {
-                    panic!("seed {seed}: proof ({engine:?}) must carry a certificate")
-                });
-                let check = check_certificate(&task, cert);
-                let check = check.unwrap_or_else(|e| {
-                    panic!("seed {seed}: certificate must validate ({engine:?}): {e:?}")
-                });
-                assert!(
-                    check.sat_calls > 0,
-                    "seed {seed}: validation must query SAT"
-                );
+        let inputs = [
+            ("plain", task(seed), opts()),
+            ("sequential+candidates", task_with_candidates(seed), opts()),
+            (
+                "portfolio+candidates",
+                task_with_candidates(seed),
+                opts().portfolio(),
+            ),
+        ];
+        for (input, task, opts) in inputs {
+            let report = check_safety(&task, &opts);
+            match &report.verdict {
+                Verdict::Proof(engine) => {
+                    proofs += 1;
+                    let cert = report.certificate.as_ref().unwrap_or_else(|| {
+                        panic!("seed {seed} {input}: proof ({engine:?}) must carry a certificate")
+                    });
+                    let check = check_certificate(&task, cert);
+                    let check = check.unwrap_or_else(|e| {
+                        panic!("seed {seed} {input}: certificate must validate ({engine:?}): {e:?}")
+                    });
+                    assert!(
+                        check.sat_calls > 0,
+                        "seed {seed} {input}: validation must query SAT"
+                    );
+                    if opts.mode == ExecMode::Sequential && !cert.survivors.is_empty() {
+                        strengthened += 1;
+                    }
+                }
+                Verdict::Attack(trace) => {
+                    attacks += 1;
+                    let check = check_witness(&task.aig, &Witness::new((**trace).clone()));
+                    assert!(
+                        check.is_ok(),
+                        "seed {seed} {input}: witness must replay: {check:?}"
+                    );
+                }
+                other => panic!("seed {seed} {input}: tiny instance failed to decide: {other:?}"),
             }
-            Verdict::Attack(trace) => {
-                attacks += 1;
-                let check = check_witness(&task.aig, &Witness::new((**trace).clone()));
-                assert!(check.is_ok(), "seed {seed}: witness must replay: {check:?}");
-            }
-            other => panic!("seed {seed}: tiny instance failed to decide: {other:?}"),
         }
     }
     // Both outcomes must occur, or half the property went unexercised.
     assert!(proofs > 0, "no seed produced a proof");
     assert!(attacks > 0, "no seed produced an attack");
+    assert!(strengthened > 0, "no sequential proof leaned on survivors");
 }
 
 /// Mutations whose rejection is semantically forced, applied to every

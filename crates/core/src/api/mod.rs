@@ -242,13 +242,13 @@ impl Verifier {
     /// the plan's campaign runs on the 64-way bit-parallel simulator as
     /// one more attack-finding engine. In portfolio mode it races the
     /// solver lanes — a concrete leak is decisive and cancels them — and
-    /// in sequential mode it runs first. Findings come back as ordinary
-    /// attack traces (replayable, lifted to raw-netlist vocabulary) and
-    /// the campaign statistics land in the report's `fuzz` block.
+    /// in sequential mode it runs in its own stage ahead of BMC. Findings
+    /// come back as ordinary attack traces (replayable, lifted to
+    /// raw-netlist vocabulary) and the campaign statistics land in the
+    /// report's `fuzz` block.
     ///
-    /// Fuzzing applies to the engine-pipeline schemes (`Shadow`,
-    /// `Baseline`); the LEAVE and UPEC scheme runners have fixed engine
-    /// scripts and ignore it.
+    /// Fuzzing applies to the Shadow and Baseline schemes; LEAVE and
+    /// UPEC run fixed engine schedules and ignore it.
     pub fn fuzz(mut self, plan: FuzzPlan) -> Verifier {
         self.fuzz = Some(plan);
         self

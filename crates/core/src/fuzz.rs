@@ -17,20 +17,20 @@
 //! # Architecture
 //!
 //! A [`FuzzPlan`] describes a campaign (trials, cycles, seed, scalar or
-//! 64-way bit-parallel execution). Three ways to run one:
+//! 64-way bit-parallel execution). Two ways to run one:
 //!
-//! * **Portfolio lane** — [`FuzzBackend`] implements [`csl_mc::Backend`],
-//!   so a fuzzing lane races BMC / k-induction / PDR inside
-//!   `check_safety`: a concrete leak is a decisive verdict that cancels
-//!   the solver lanes, and the campaign statistics land in
-//!   [`csl_mc::CheckReport::fuzz`] like any lane's. Register it via
-//!   [`fuzz_lane`] on [`csl_mc::CheckOptions::extra_lanes`], or one
-//!   level up with `api::Verifier::fuzz(plan)`.
+//! * **Engine lane** — [`FuzzBackend`] implements [`csl_mc::Backend`],
+//!   so a fuzzing lane joins the schedule of `check_safety`: in
+//!   portfolio mode it races BMC / k-induction / PDR, and a concrete
+//!   leak is a decisive verdict that cancels the solver lanes; in
+//!   sequential mode it runs in its own stage ahead of BMC. The
+//!   campaign statistics land in [`csl_mc::CheckReport::fuzz`] like any
+//!   lane's counters. Register it via [`fuzz_lane`] on
+//!   [`csl_mc::CheckOptions::extra_lanes`], or one level up with
+//!   `api::Verifier::fuzz(plan)`.
 //! * **Direct** — [`run_fuzz`] drives a campaign against any
 //!   instrumented netlist under a [`Budget`] and returns the typed
 //!   [`FuzzReport`].
-//! * **Deprecated shim** — [`fuzz_design`] keeps the pre-backend free
-//!   function compiling for one release.
 //!
 //! Findings are expressed in the shared counterexample vocabulary: every
 //! [`FuzzFinding`] carries a [`Trace`] that replays through
@@ -46,7 +46,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csl_cover::{BatchCoverage, Corpus, CorpusEntry, CoverageMap, RejectionFilter, ScalarCoverage};
@@ -55,7 +55,8 @@ use csl_isa::progen::{self, OpMix, StimulusPair};
 use csl_isa::IsaConfig;
 use csl_mc::{
     BatchSim, BatchState, CoverageStats, EngineOutcome, ExchangeItem, FuzzStats,
-    InconclusiveReason, Lane, LaneFactory, SharedContext, Sim, SimState, Trace, TransitionSystem,
+    InconclusiveReason, Lane, LaneFactory, LaneRun, SharedContext, Sim, SimState, Trace,
+    TransitionSystem,
 };
 use csl_sat::Budget;
 
@@ -884,49 +885,31 @@ fn corpus_key(aig: &Aig, plan: &FuzzPlan) -> u64 {
 }
 
 /// The fuzzing lane of the engine portfolio: a [`csl_mc::Backend`] that
-/// runs a [`FuzzPlan`] against whatever instance the race is deciding.
+/// runs a [`FuzzPlan`] against whatever instance its stage is deciding.
 /// A validated leak reports as [`EngineOutcome::Attack`] — decisive, so
 /// it cancels the solver lanes; an exhausted campaign is
-/// [`InconclusiveReason::FuzzExhausted`]. Campaign statistics surface
-/// through [`csl_mc::Backend::fuzz_stats`] into the lane result and the
-/// check report.
+/// [`InconclusiveReason::FuzzExhausted`]. Campaign statistics and
+/// coverage ride along in the returned [`LaneRun`] into the check
+/// report.
 pub struct FuzzBackend {
     isa: IsaConfig,
     plan: FuzzPlan,
-    stats: Mutex<Option<FuzzStats>>,
-    coverage: Mutex<Option<CoverageStats>>,
 }
 
 impl FuzzBackend {
     pub fn new(isa: IsaConfig, plan: FuzzPlan) -> FuzzBackend {
-        FuzzBackend {
-            isa,
-            plan,
-            stats: Mutex::new(None),
-            coverage: Mutex::new(None),
-        }
+        FuzzBackend { isa, plan }
     }
 }
 
 impl csl_mc::Backend for FuzzBackend {
-    fn name(&self) -> &'static str {
-        "fuzz"
-    }
-
     fn lane(&self) -> Lane {
         Lane::Fuzz
     }
 
-    fn run(
-        &self,
-        ts: &Arc<TransitionSystem>,
-        budget: Budget,
-        ctx: &mut csl_mc::SharedContext,
-    ) -> EngineOutcome {
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
         let report = run_fuzz_shared(ts.aig(), &self.isa, &self.plan, &budget, ctx);
-        *self.stats.lock().unwrap() = Some(report.stats.clone());
-        *self.coverage.lock().unwrap() = report.coverage;
-        match report.outcome {
+        let outcome = match report.outcome {
             FuzzOutcome::Leak(finding) => {
                 // The Backend contract: validate counterexamples before
                 // reporting them decisive.
@@ -946,15 +929,13 @@ impl csl_mc::Backend for FuzzBackend {
                     EngineOutcome::Inconclusive(InconclusiveReason::FuzzExhausted { trials })
                 }
             }
+        };
+        LaneRun {
+            outcome,
+            solver: None,
+            fuzz: Some(report.stats),
+            coverage: report.coverage,
         }
-    }
-
-    fn fuzz_stats(&self) -> Option<FuzzStats> {
-        self.stats.lock().unwrap().clone()
-    }
-
-    fn coverage_stats(&self) -> Option<CoverageStats> {
-        *self.coverage.lock().unwrap()
     }
 }
 

@@ -1,10 +1,11 @@
 //! The top-level verification API: scheme × design × contract → verdict.
 //!
 //! Dispatches to the four verification schemes the paper compares
-//! (Table 2):
+//! (Table 2). They differ only in the instance they build and the
+//! [`csl_mc::Schedule`] the engine driver runs on it:
 //!
 //! * [`Scheme::Shadow`] — Contract Shadow Logic (this paper): the
-//!   two-machine instance plus the full engine pipeline (BMC attack
+//!   two-machine instance plus the full engine schedule (BMC attack
 //!   search, Houdini lemmas, k-induction, PDR).
 //! * [`Scheme::Baseline`] — the four-machine instance of §4.1, same
 //!   engines.
@@ -16,15 +17,7 @@
 //!   assumed away), and unbounded proofs only come from the 1-cycle
 //!   induction that UPEC's conservative-defence invariant admits.
 
-use std::time::Instant;
-
-use csl_mc::prepare::run_prepared;
-use csl_mc::{
-    bmc, check_safety, houdini, k_induction, BmcResult, CertKind, Certificate, CheckOptions,
-    CheckReport, HoudiniResult, InconclusiveReason, KindOptions, KindResult, ProofEngine,
-    SafetyCheck, Sim, TransitionSystem, Verdict,
-};
-use csl_sat::Budget;
+use csl_mc::{check_schedule, CheckOptions, CheckReport, SafetyCheck, Schedule, Step, Undecided};
 
 use crate::harness::{ExcludeRule, InstanceConfig};
 
@@ -80,188 +73,22 @@ pub(crate) fn instance_for(scheme: Scheme, cfg: &InstanceConfig) -> SafetyCheck 
 }
 
 /// Runs a scheme to a verdict (internal form; the public surface is
-/// `api::Query::run`).
+/// `api::Query::run`). LEAVE and UPEC ignore the execution mode and the
+/// extra lanes.
 pub(crate) fn run_scheme(scheme: Scheme, cfg: &InstanceConfig, opts: &CheckOptions) -> CheckReport {
     let task = instance_for(scheme, cfg);
-    match scheme {
-        Scheme::Shadow | Scheme::Baseline => check_safety(&task, opts),
-        Scheme::Leave => run_leave(&task, opts),
-        Scheme::Upec => run_upec(&task, opts),
-    }
-}
-
-/// LEAVE: Houdini-filtered relational invariants or bust. Like
-/// `check_safety`, the engine runs on the prepared (reduced) instance
-/// and the report is lifted back to raw-netlist vocabulary.
-fn run_leave(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
-    run_prepared(task, &opts.prepare, opts.keep_probes, |t| {
-        run_leave_prepared(t, opts)
-    })
-}
-
-fn run_leave_prepared(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
-    let start = Instant::now();
-    let deadline = start + opts.total_budget;
-    let budget = Budget::until(deadline);
-    let ts = TransitionSystem::shared(task.aig.clone(), opts.keep_probes);
-    let mut notes = vec![format!("netlist: {}", ts.summary())];
-    match houdini(&ts, &task.candidates, budget) {
-        HoudiniResult::Done(out) => {
-            notes.push(format!(
-                "houdini: {}/{} candidates survive after {} rounds ({} dropped at init)",
-                out.survivors.len(),
-                task.candidates.len(),
-                out.rounds,
-                out.dropped_at_init,
-            ));
-            let (verdict, certificate) = if out.proves_safety {
-                let cert = opts.certify.then(|| Certificate {
-                    restored: Vec::new(),
-                    survivors: out.survivors.clone(),
-                    kind: CertKind::Inductive {
-                        blocked: Vec::new(),
-                    },
-                });
-                (
-                    Verdict::Proof(ProofEngine::Houdini {
-                        invariants: out.survivors.len(),
-                    }),
-                    cert,
-                )
-            } else {
-                (
-                    Verdict::Unknown {
-                        reason: InconclusiveReason::InvariantsInsufficient {
-                            survivors: out.survivors.len(),
-                        },
-                    },
-                    None,
-                )
-            };
-            CheckReport {
-                verdict,
-                elapsed: start.elapsed(),
-                notes,
-                exchange: Vec::new(),
-                prepare: Vec::new(),
-                fuzz: None,
-                coverage: None,
-                solver: Vec::new(),
-                certificate,
-            }
+    let schedule = match scheme {
+        Scheme::Shadow | Scheme::Baseline => Schedule::for_options(&task, opts),
+        // Houdini-filtered relational invariants or bust: survivors that
+        // do not imply safety mean UNKNOWN ("false counterexamples").
+        Scheme::Leave => {
+            Schedule::new(Undecided::InvariantsInsufficient).stage([Step::Houdini { tail: false }])
         }
-        HoudiniResult::Timeout => CheckReport {
-            verdict: Verdict::Timeout,
-            elapsed: start.elapsed(),
-            notes,
-            exchange: Vec::new(),
-            prepare: Vec::new(),
-            fuzz: None,
-            coverage: None,
-            solver: Vec::new(),
-            certificate: None,
-        },
-    }
-}
-
-/// UPEC approximation: BMC with the branch-only speculation assumption;
-/// proofs only via 1-step induction. Runs on the prepared instance with
-/// the report lifted back, like the other schemes.
-fn run_upec(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
-    run_prepared(task, &opts.prepare, opts.keep_probes, |t| {
-        run_upec_prepared(t, opts)
-    })
-}
-
-fn run_upec_prepared(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
-    let start = Instant::now();
-    let deadline = start + opts.total_budget;
-    let budget = || Budget::until(deadline);
-    let ts = TransitionSystem::shared(task.aig.clone(), opts.keep_probes);
-    let mut notes = vec![format!("netlist: {}", ts.summary())];
-    match bmc(&ts, opts.bmc_depth, budget()) {
-        BmcResult::Cex(trace) => {
-            let (ok, bad) = Sim::new(ts.aig()).replay(&trace);
-            notes.push(format!("cex replay: assumes={ok} bad={bad}"));
-            return CheckReport {
-                verdict: Verdict::Attack(trace),
-                elapsed: start.elapsed(),
-                notes,
-                exchange: Vec::new(),
-                prepare: Vec::new(),
-                fuzz: None,
-                coverage: None,
-                solver: Vec::new(),
-                certificate: None,
-            };
-        }
-        BmcResult::Clean { depth_checked } => {
-            notes.push(format!("bmc clean to depth {depth_checked}"));
-        }
-        BmcResult::Timeout { .. } => {
-            return CheckReport {
-                verdict: Verdict::Timeout,
-                elapsed: start.elapsed(),
-                notes,
-                exchange: Vec::new(),
-                prepare: Vec::new(),
-                fuzz: None,
-                coverage: None,
-                solver: Vec::new(),
-                certificate: None,
-            };
-        }
-    }
-    match k_induction(
-        &ts,
-        KindOptions {
-            max_k: 1,
-            unique_states: false,
-            budget: budget(),
-        },
-    ) {
-        KindResult::Proof { k } => CheckReport {
-            verdict: Verdict::Proof(ProofEngine::KInduction { k }),
-            elapsed: start.elapsed(),
-            notes,
-            exchange: Vec::new(),
-            prepare: Vec::new(),
-            fuzz: None,
-            coverage: None,
-            solver: Vec::new(),
-            // A fresh k-induction session with no exchange bus: its
-            // closing k is certificate material as-is.
-            certificate: opts.certify.then(|| Certificate {
-                restored: Vec::new(),
-                survivors: Vec::new(),
-                kind: CertKind::KInduction { k },
-            }),
-        },
-        KindResult::Timeout => CheckReport {
-            verdict: Verdict::Timeout,
-            elapsed: start.elapsed(),
-            notes,
-            exchange: Vec::new(),
-            prepare: Vec::new(),
-            fuzz: None,
-            coverage: None,
-            solver: Vec::new(),
-            certificate: None,
-        },
-        _ => CheckReport {
-            // UPEC's conservative-defence invariant shape admits only
-            // 1-cycle induction; an unclosed step is an induction gap.
-            verdict: Verdict::Unknown {
-                reason: InconclusiveReason::InductionGap { max_k: 1 },
-            },
-            elapsed: start.elapsed(),
-            notes,
-            exchange: Vec::new(),
-            prepare: Vec::new(),
-            fuzz: None,
-            coverage: None,
-            solver: Vec::new(),
-            certificate: None,
-        },
-    }
+        // Attack search, then only the 1-cycle induction UPEC's
+        // conservative-defence invariant shape admits.
+        Scheme::Upec => Schedule::new(Undecided::InductionGap { max_k: 1 })
+            .stage([Step::Bmc])
+            .stage([Step::KInduction { max_k: 1 }]),
+    };
+    check_schedule(&task, opts, &schedule)
 }

@@ -1,5 +1,5 @@
 //! The fuzzing backend inside the session API: portfolio racing,
-//! sequential phase 0, trace lifting through instance preparation, and
+//! the sequential fuzz stage, trace lifting through instance preparation, and
 //! cache-key sensitivity.
 
 use std::time::Duration;
@@ -64,7 +64,7 @@ fn fuzz_lane_decides_the_portfolio_race() {
     assert_eq!(parsed, report);
 }
 
-/// Sequential mode runs the fuzzing lane as phase 0 ahead of BMC.
+/// Sequential mode runs the fuzzing lane in its own stage ahead of BMC.
 #[test]
 fn fuzz_phase_zero_decides_sequential_checks() {
     let report = insecure_verifier()
@@ -86,7 +86,7 @@ fn fuzz_phase_zero_decides_sequential_checks() {
         report
             .notes
             .iter()
-            .any(|n| n.contains("fuzz found attack at depth")),
+            .any(|n| n.starts_with("fuzz [") && n.contains("attack at depth")),
         "{:?}",
         report.notes
     );

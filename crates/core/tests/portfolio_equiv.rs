@@ -13,8 +13,10 @@
 use std::time::{Duration, Instant};
 
 use csl_contracts::Contract;
-use csl_core::api::{Budget, Mode, Report, Verifier};
+use csl_core::api::{Budget, Lane, Mode, Report, Verifier};
 use csl_core::{DesignKind, Scheme};
+use csl_cpu::Defense;
+use csl_mc::{InconclusiveReason, Verdict};
 
 fn single_cycle(scheme: Scheme, mode: Mode) -> Report {
     Verifier::new()
@@ -99,4 +101,57 @@ fn campaign_wall_clock_no_worse_than_sequential_loop() {
         seq_wall,
         limit
     );
+}
+
+/// LEAVE and UPEC ignore the execution mode, so each reports the same
+/// typed Unknown reason in both: LEAVE's ten SimpleOoO survivors do not
+/// exclude the bad states, and UPEC's 1-cycle induction does not close
+/// on the single-cycle design.
+#[test]
+fn leave_and_upec_report_typed_unknown_reasons_in_both_modes() {
+    let cells = [
+        (
+            Scheme::Leave,
+            DesignKind::SimpleOoo(Defense::None),
+            InconclusiveReason::InvariantsInsufficient { survivors: 10 },
+        ),
+        (
+            Scheme::Upec,
+            DesignKind::SingleCycle,
+            InconclusiveReason::InductionGap { max_k: 1 },
+        ),
+    ];
+    for (scheme, design, reason) in cells {
+        for mode in [Mode::Sequential, Mode::Portfolio] {
+            let report = Verifier::new()
+                .design(design)
+                .contract(Contract::Sandboxing)
+                .scheme(scheme)
+                .mode(mode)
+                .budget(Budget::wall(Duration::from_secs(120)))
+                .bmc_depth(2)
+                .query()
+                .expect("design and contract are set")
+                .run();
+            assert_eq!(
+                report.verdict,
+                Verdict::Unknown {
+                    reason: reason.clone()
+                },
+                "{}/{mode:?}: {:?}",
+                scheme.name(),
+                report.notes
+            );
+        }
+    }
+}
+
+/// UPEC runs the same BMC and k-induction lanes as the other schemes, so
+/// its reports carry their solver counters.
+#[test]
+fn upec_reports_carry_bmc_and_kind_solver_counters() {
+    let report = single_cycle(Scheme::Upec, Mode::Sequential);
+    let lanes: Vec<Lane> = report.solver.iter().map(|s| s.lane).collect();
+    assert_eq!(lanes, [Lane::Bmc, Lane::KInduction], "{:?}", report.notes);
+    assert!(report.solver.iter().all(|s| s.propagations > 0));
 }

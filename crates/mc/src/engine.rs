@@ -1,4 +1,4 @@
-//! Verification engine orchestration.
+//! The engine driver.
 //!
 //! [`check_safety`] is the "push-button model checker" entry point the
 //! schemes in `csl-core` call: it mirrors the paper's JasperGold workflow
@@ -8,11 +8,26 @@
 //! 7-day timeout, and reports one of the paper's three outcomes: a
 //! counterexample (attack), an unbounded proof, or a timeout.
 //!
-//! Two execution modes share identical verdict semantics
-//! ([`ExecMode`]): the classic sequential pipeline (BMC → Houdini →
-//! k-induction → PDR, each inheriting the remaining wall clock) and the
-//! portfolio mode of [`crate::portfolio`], which races the same engines
-//! on threads and cancels the losers as soon as one lane is decisive.
+//! The four schemes of Table 2 differ only in the instance they build
+//! and the [`Schedule`] they run on it. A schedule is a list of stages;
+//! the lanes of a stage race through [`crate::portfolio::race`] under the
+//! enclosing budget, and one merge rule applies after every stage: an
+//! attack beats a proof beats a global timeout beats going on. One
+//! function, `drive`, runs every schedule and builds the
+//! [`CheckReport`] from the lane runs:
+//!
+//! * sequential ([`ExecMode::Sequential`]): each extra lane in its own
+//!   stage, then `[BMC] → [Houdini] → [k-induction] → [PDR]`, Houdini
+//!   survivors strengthening the instance for the later stages;
+//! * portfolio ([`ExecMode::Portfolio`]): one stage racing every engine,
+//!   the Houdini lane running [`Schedule::houdini_tail`] as a nested
+//!   schedule on its own thread;
+//! * LEAVE: `[Houdini]` alone; UPEC: `[BMC] → [k-induction with k ≤ 1]`
+//!   (built in `csl-core` and run through [`check_schedule`]).
+//!
+//! Every attack replays on the unstrengthened instance before it counts
+//! (BMC's count regardless, with the failure noted), and a proof on a
+//! strengthened instance carries the survivors in its certificate.
 
 use std::time::{Duration, Instant};
 
@@ -20,21 +35,18 @@ use csl_hdl::xform::PassStats;
 use csl_hdl::Aig;
 use csl_sat::Budget;
 
-use crate::bmc::{BmcResult, BmcSession};
-use crate::cert::{CertKind, Certificate};
-use crate::exchange::{ExchangeConfig, ExchangeStats, SharedContext};
-use crate::houdini::{houdini, Candidate, HoudiniResult};
-use crate::kind::{KindResult, KindSession};
+use crate::cert::Certificate;
+use crate::exchange::{Exchange, ExchangeConfig, ExchangeStats, SharedContext};
+use crate::houdini::Candidate;
 use crate::lane::{Lane, LanePlan};
-use crate::pdr::{pdr_with_stats, PdrOptions, PdrResult};
 use crate::portfolio::{
-    race, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneSpec, PdrBackend,
+    race, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneResult,
+    LaneSpec, PdrBackend,
 };
-use crate::prepare::{run_prepared, PrepareConfig};
+use crate::prepare::{prepare, PrepareConfig};
 use crate::sim::Sim;
 use crate::trace::Trace;
-use crate::ts::TransitionSystem;
-use crate::warm::{LaneSolverStats, WarmPool};
+use crate::warm::LaneSolverStats;
 
 /// Which engine completed an unbounded proof.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -227,15 +239,15 @@ impl Verdict {
     }
 }
 
-/// How [`check_safety`] schedules its engines.
+/// Which [`Schedule`] [`check_safety`] runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One engine at a time: BMC, then Houdini, then k-induction, then
+    /// One lane per stage: BMC, then Houdini, then k-induction, then
     /// PDR, each inheriting whatever wall clock remains.
     #[default]
     Sequential,
-    /// All engines race on threads; the first decisive lane (attack or
-    /// proof) cancels the rest through the shared stop flag.
+    /// One stage: every engine races on its own thread, and the first
+    /// decisive lane (attack or proof) cancels the rest.
     Portfolio,
 }
 
@@ -256,14 +268,14 @@ pub struct CheckOptions {
     pub pdr_max_frames: usize,
     /// Keep probe logic alive (larger encodings, readable traces).
     pub keep_probes: bool,
-    /// Sequential pipeline or thread-racing portfolio.
+    /// Sequential or portfolio schedule.
     pub mode: ExecMode,
     /// Per-lane budget shaping (wall caps, BMC depth schedule, exchange
     /// opt-outs). The empty default leaves every lane on the shared
     /// clock.
     pub lanes: LanePlan,
-    /// The cross-lane clause/lemma exchange bus (portfolio mode only;
-    /// disabled by default — the isolated-lane race of v1).
+    /// The cross-lane clause/lemma exchange bus (portfolio lanes only;
+    /// disabled by default — the isolated-lane race).
     pub exchange: ExchangeConfig,
     /// Instance preparation: the netlist reduction pipeline every engine
     /// runs behind (default on; `PrepareConfig::off()` hands the engines
@@ -272,7 +284,7 @@ pub struct CheckOptions {
     pub prepare: PrepareConfig,
     /// Reuse solver sessions across engine calls: BMC unrollings and
     /// k-induction base/step pairs that end undecided are parked in the
-    /// process-wide [`WarmPool`] and resumed by the next check on a
+    /// process-wide [`crate::WarmPool`] and resumed by the next check on a
     /// structurally identical netlist, so depth/budget escalations and
     /// repeated queries skip the re-encode/re-learn cost. Verdicts are
     /// unaffected (see `crate::warm` for the soundness argument); the
@@ -284,8 +296,8 @@ pub struct CheckOptions {
     /// other caller-supplied [`crate::Backend`]) joins the check. In
     /// portfolio mode each factory's backend races the solver lanes
     /// (a concrete leak is decisive and cancels them); in sequential
-    /// mode the extra lanes run first, as phase 0 of the pipeline,
-    /// under their [`LanePlan`] budgets. Empty by default.
+    /// mode each runs in its own stage ahead of BMC, under its
+    /// [`LanePlan`] budget. Empty by default.
     pub extra_lanes: Vec<LaneFactory>,
     /// Attach a checkable [`Certificate`] to every proof verdict (on by
     /// default; capturing the material is free — no extra SAT calls).
@@ -395,729 +407,422 @@ pub struct CheckReport {
     pub certificate: Option<Certificate>,
 }
 
-/// Folds a lane-run's stats into `acc`: merged into an existing entry
-/// for the same lane (sequential mode can run one lane several times —
-/// e.g. BMC phase 1 plus the PDR counterexample reconstruction), pushed
-/// otherwise. Keeps `acc` in stable pipeline order for byte-stable
-/// reports.
-fn record_solver_stats(acc: &mut Vec<LaneSolverStats>, stats: LaneSolverStats) {
-    match acc.iter_mut().find(|s| s.lane == stats.lane) {
-        Some(existing) => existing.absorb(&stats),
-        None => acc.push(stats),
-    }
-    acc.sort_by_key(|s| Lane::ALL.iter().position(|l| *l == s.lane));
+/// One lane of a [`Schedule`] stage: which engine runs. The driver
+/// builds each step into a fresh [`Backend`] when its stage starts, from
+/// the check's options and the prepared instance's candidates.
+#[derive(Clone, Debug)]
+pub enum Step {
+    /// BMC to [`CheckOptions::bmc_depth`], walking the lane plan's depth
+    /// schedule when it has one.
+    Bmc,
+    /// k-induction for `k = 1..=max_k`.
+    KInduction { max_k: usize },
+    /// IC3/PDR under [`CheckOptions::pdr_max_frames`].
+    Pdr,
+    /// Houdini over the instance's candidates. Survivors that do not
+    /// imply safety alone strengthen the instance for the later stages;
+    /// with `tail` the lane itself goes on to run the strengthened
+    /// [`Schedule::houdini_tail`] as a nested schedule.
+    Houdini { tail: bool },
+    /// A caller-supplied lane from [`CheckOptions::extra_lanes`].
+    Extra(LaneFactory),
 }
 
-fn remaining_budget(deadline: Instant) -> Budget {
-    Budget::until(deadline)
+impl Step {
+    fn backend(&self, candidates: &[Candidate], opts: &CheckOptions) -> Box<dyn Backend> {
+        match self {
+            Step::Bmc => Box::new(
+                BmcBackend::new(opts.bmc_depth)
+                    .schedule(opts.lanes.get(Lane::Bmc).depth_schedule.clone())
+                    .warm(opts.warm_start),
+            ),
+            Step::KInduction { max_k } => Box::new(KindBackend::new(*max_k).warm(opts.warm_start)),
+            Step::Pdr => {
+                Box::new(PdrBackend::new(opts.pdr_max_frames, opts.bmc_depth).warm(opts.warm_start))
+            }
+            Step::Houdini { tail: false } => Box::new(HoudiniBackend::new(candidates.to_vec())),
+            Step::Houdini { tail: true } => {
+                Box::new(HoudiniBackend::new(candidates.to_vec()).tail(opts))
+            }
+            Step::Extra(factory) => factory.build(),
+        }
+    }
 }
 
-/// Checks out a warm session or builds a cold one, with `(hits, misses)`
-/// warm-start accounting (both zero when `warm` is off).
-fn checkout_or_build<S>(
-    warm: bool,
-    checkout: impl FnOnce() -> Option<S>,
-    build: impl FnOnce() -> S,
-) -> (S, u64, u64) {
-    if !warm {
-        return (build(), 0, 0);
+/// What a schedule that decides nothing reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Undecided {
+    /// [`InconclusiveReason::AllInconclusive`].
+    AllInconclusive,
+    /// Attack-only hunts: [`InconclusiveReason::NoAttackWithinDepth`] at
+    /// the depth BMC proved clean — a timeout unless BMC finished clean.
+    NoAttack,
+    /// LEAVE: [`InconclusiveReason::InvariantsInsufficient`] with
+    /// Houdini's survivor count.
+    InvariantsInsufficient,
+    /// UPEC: [`InconclusiveReason::InductionGap`] at this bound.
+    InductionGap { max_k: usize },
+    /// The portfolio's Houdini lane: a Houdini stage that proves no
+    /// invariant ends the schedule with
+    /// [`InconclusiveReason::NoInvariants`] (the later stages would only
+    /// repeat the lanes racing beside it); otherwise `AllInconclusive`.
+    NoInvariants,
+}
+
+/// An engine schedule: stages run one after another, the lanes of a
+/// stage race concurrently. After every stage one merge rule applies —
+/// an attack beats a proof beats a global timeout beats going on to the
+/// next stage — and a schedule that runs out of stages reports
+/// [`Schedule::undecided`]. A lane whose own wall cap fired before the
+/// shared deadline timed out locally; the schedule goes on.
+#[derive(Clone, Debug)]
+pub struct Schedule {
+    pub stages: Vec<Vec<Step>>,
+    pub undecided: Undecided,
+    /// Attach the lanes to the exchange bus (when
+    /// [`CheckOptions::exchange`] enables it). Only portfolio lanes do.
+    pub bus: bool,
+}
+
+impl Schedule {
+    /// An empty schedule off the bus.
+    pub fn new(undecided: Undecided) -> Schedule {
+        Schedule {
+            stages: Vec::new(),
+            undecided,
+            bus: false,
+        }
     }
-    match checkout() {
-        Some(s) => (s, 1, 0),
-        None => (build(), 0, 1),
+
+    /// Appends a stage racing `lanes` (builder style).
+    pub fn stage(mut self, lanes: impl IntoIterator<Item = Step>) -> Schedule {
+        self.stages.push(lanes.into_iter().collect());
+        self
+    }
+
+    /// The Baseline/Shadow schedule of [`CheckOptions::mode`]:
+    ///
+    /// * sequential — each extra lane in its own stage, then
+    ///   `[BMC] → [Houdini] → [k-induction] → [PDR]`;
+    /// * portfolio — one stage racing BMC, the extra lanes, k-induction,
+    ///   PDR and a Houdini lane running [`Schedule::houdini_tail`].
+    ///
+    /// Attack-only checks keep the attack-finding lanes alone. Houdini
+    /// joins only when the task has candidates.
+    pub fn for_options(task: &SafetyCheck, opts: &CheckOptions) -> Schedule {
+        let undecided = if opts.attack_only {
+            Undecided::NoAttack
+        } else {
+            Undecided::AllInconclusive
+        };
+        let houdini = !opts.attack_only && !task.candidates.is_empty();
+        let extras = opts.extra_lanes.iter().cloned().map(Step::Extra);
+        match opts.mode {
+            ExecMode::Sequential => {
+                let mut schedule = Schedule::new(undecided);
+                for extra in extras {
+                    schedule = schedule.stage([extra]);
+                }
+                schedule = schedule.stage([Step::Bmc]);
+                if !opts.attack_only {
+                    schedule.stages.extend(proof_stages(opts, houdini));
+                }
+                schedule
+            }
+            ExecMode::Portfolio => {
+                let mut lanes: Vec<Step> = std::iter::once(Step::Bmc).chain(extras).collect();
+                if !opts.attack_only {
+                    lanes.extend(proof_stages(opts, false).into_iter().flatten());
+                }
+                if houdini {
+                    lanes.push(Step::Houdini { tail: true });
+                }
+                Schedule {
+                    bus: true,
+                    ..Schedule::new(undecided).stage(lanes)
+                }
+            }
+        }
+    }
+
+    /// The portfolio Houdini lane's nested schedule:
+    /// `[Houdini] → [k-induction] → [PDR]`, the proof engines on the
+    /// strengthened instance.
+    pub fn houdini_tail(opts: &CheckOptions) -> Schedule {
+        Schedule {
+            stages: proof_stages(opts, true),
+            ..Schedule::new(Undecided::NoInvariants)
+        }
     }
 }
 
-/// Runs the engine pipeline, sequentially or as a portfolio race
-/// depending on [`CheckOptions::mode`]. Both modes produce the same
-/// verdict kinds: an attack beats a proof, a proof beats a timeout, and
-/// Houdini survivors strengthen the unbounded-proof engines.
+/// `[Houdini] → [k-induction] → [PDR]`, each stage when configured.
+fn proof_stages(opts: &CheckOptions, houdini: bool) -> Vec<Vec<Step>> {
+    let mut stages = Vec::new();
+    if houdini {
+        stages.push(vec![Step::Houdini { tail: false }]);
+    }
+    if opts.kind_max_k > 0 {
+        stages.push(vec![Step::KInduction {
+            max_k: opts.kind_max_k,
+        }]);
+    }
+    if opts.use_pdr {
+        stages.push(vec![Step::Pdr]);
+    }
+    stages
+}
+
+/// Runs the Baseline/Shadow engine schedule of [`CheckOptions::mode`]
+/// ([`Schedule::for_options`]).
 ///
 /// The instance is prepared first (see [`CheckOptions::prepare`]): every
-/// engine — both modes, every portfolio lane — runs on the reduced
-/// netlist, and any attack trace is lifted back to the input netlist's
-/// latch/input indices before the report is returned.
+/// engine runs on the reduced netlist, and any attack trace or proof
+/// certificate is lifted back to the input netlist's vocabulary before
+/// the report is returned.
 pub fn check_safety(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
-    run_prepared(task, &opts.prepare, opts.keep_probes, |t| {
-        check_safety_engines(t, opts)
-    })
+    check_schedule(task, opts, &Schedule::for_options(task, opts))
 }
 
-fn check_safety_engines(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
-    match opts.mode {
-        ExecMode::Sequential => check_safety_sequential(task, opts),
-        ExecMode::Portfolio => check_safety_portfolio(task, opts),
+/// [`check_safety`] with an explicit schedule — how the LEAVE and UPEC
+/// schemes run their own engine sets.
+pub fn check_schedule(task: &SafetyCheck, opts: &CheckOptions, schedule: &Schedule) -> CheckReport {
+    let solve = |t: &SafetyCheck| {
+        let budget = Budget::until(Instant::now() + opts.total_budget);
+        drive(t, schedule, opts, &budget, None)
+    };
+    if !opts.prepare.enabled {
+        return solve(task);
     }
-}
-
-/// Portfolio mode: one lane per engine, racing under the shared budget.
-fn check_safety_portfolio(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
+    // Preparation is linear in netlist size — milliseconds against
+    // multi-second SAT budgets — so it runs outside the budget, but its
+    // wall time counts in the report.
     let start = Instant::now();
-    let deadline = start + opts.total_budget;
-    // Summarize from the raw netlist: every lane builds its own
-    // cone-of-influence-reduced TransitionSystem, so building one here
-    // too would only delay the race start.
-    let mut notes = vec![format!(
-        "netlist: {} ands, {} latches, {} inputs, {} assumes, {} bads",
-        task.aig.num_ands(),
-        task.aig.num_latches(),
-        task.aig.num_inputs(),
-        task.aig.assumes().len(),
-        task.aig.bads().len()
-    )];
-
-    let lane_spec = |backend: Box<dyn crate::portfolio::Backend>| {
-        let lane = backend.lane();
-        let xc = opts.lanes.get(lane).exchange;
-        LaneSpec::new(backend, opts.lanes.deadline_for(lane, start, deadline))
-            .exchange(xc.import, xc.export)
-    };
-    let mut engines: Vec<LaneSpec> = vec![lane_spec(Box::new(
-        BmcBackend::new(opts.bmc_depth)
-            .schedule(opts.lanes.get(Lane::Bmc).depth_schedule.clone())
-            .warm(opts.warm_start),
-    ))];
-    // Extra attack-finding lanes (fuzzing) race in every mode, including
-    // attack-only: like BMC they hunt counterexamples, never proofs.
-    for factory in &opts.extra_lanes {
-        engines.push(lane_spec(factory.build()));
-    }
-    if !opts.attack_only {
-        if opts.kind_max_k > 0 {
-            engines.push(lane_spec(Box::new(
-                KindBackend::new(opts.kind_max_k).warm(opts.warm_start),
-            )));
-        }
-        if opts.use_pdr {
-            engines.push(lane_spec(Box::new(PdrBackend::new(
-                opts.pdr_max_frames,
-                opts.bmc_depth,
-            ))));
-        }
-        if !task.candidates.is_empty() {
-            engines.push(lane_spec(Box::new(
-                HoudiniBackend::new(
-                    task.candidates.clone(),
-                    task.aig.clone(),
-                    opts.keep_probes,
-                    opts.kind_max_k,
-                    if opts.use_pdr { opts.pdr_max_frames } else { 0 },
-                    opts.bmc_depth,
-                )
-                .warm(opts.warm_start),
-            )));
-        }
-    }
-    notes.push(format!(
-        "portfolio: racing {} engines ({} exchange)",
-        engines.len(),
-        if opts.exchange.enabled { "with" } else { "no" }
-    ));
-
-    let report = race(engines, &task.aig, opts.keep_probes, &opts.exchange);
-    let exchange = if opts.exchange.enabled {
-        report.exchange_stats()
-    } else {
-        Vec::new()
-    };
-
-    // Merge lane outcomes under the sequential precedence: an attack beats
-    // a proof beats a timeout beats inconclusive. Lanes canceled by the
-    // winner report Timeout and only contribute notes.
-    let mut attack: Option<Box<Trace>> = None;
-    let mut proof: Option<ProofEngine> = None;
-    let mut certificate: Option<Certificate> = None;
-    let mut timed_out = false;
-    let mut fuzz: Option<FuzzStats> = None;
-    let mut coverage: Option<CoverageStats> = None;
-    let mut solver: Vec<LaneSolverStats> = Vec::new();
-    for lane in report.lanes {
-        if fuzz.is_none() {
-            fuzz = lane.fuzz.clone();
-        }
-        if coverage.is_none() {
-            coverage = lane.coverage;
-        }
-        if let Some(s) = lane.solver {
-            record_solver_stats(&mut solver, s);
-        }
-        let traffic = if opts.exchange.enabled {
-            format!(" (imports {}, exports {})", lane.imports, lane.exports)
-        } else {
-            String::new()
-        };
-        notes.push(format!(
-            "{} [{:.2}s]: {}{traffic}",
-            lane.engine,
-            lane.elapsed.as_secs_f64(),
-            match &lane.outcome {
-                EngineOutcome::Attack(t) => format!("attack at depth {}", t.depth()),
-                EngineOutcome::Proof(p, _) => format!("proof {p:?}"),
-                EngineOutcome::Inconclusive(reason) => reason.to_string(),
-                EngineOutcome::Timeout => "timeout/canceled".into(),
-            }
-        ));
-        match lane.outcome {
-            EngineOutcome::Attack(t) => {
-                // Keep the shallowest counterexample for readability.
-                if attack.as_ref().is_none_or(|a| t.depth() < a.depth()) {
-                    attack = Some(t);
-                }
-            }
-            EngineOutcome::Proof(p, cert) => {
-                // First decisive proof wins; later ones add nothing.
-                if proof.is_none() {
-                    proof = Some(p);
-                    certificate = cert.map(|c| *c);
-                }
-            }
-            EngineOutcome::Timeout => {
-                // A lane whose wall cap shortened its deadline below the
-                // shared one timed out locally, not globally — unless it
-                // was the only meaningful lane (attack-only mode), where
-                // the sequential pipeline also reports a global timeout.
-                let local_cap = !opts.attack_only && lane.deadline < deadline;
-                if !local_cap {
-                    timed_out = true;
-                }
-            }
-            EngineOutcome::Inconclusive(_) => {}
-        }
-    }
-    let verdict = if let Some(trace) = attack {
-        certificate = None;
-        Verdict::Attack(trace)
-    } else if let Some(p) = proof {
-        Verdict::Proof(p)
-    } else if opts.attack_only && !timed_out {
-        Verdict::Unknown {
-            reason: InconclusiveReason::NoAttackWithinDepth {
-                depth: opts.bmc_depth,
-            },
-        }
-    } else if timed_out {
-        Verdict::Timeout
-    } else {
-        Verdict::Unknown {
-            reason: InconclusiveReason::AllInconclusive,
-        }
-    };
-    CheckReport {
-        verdict,
-        elapsed: start.elapsed(),
-        notes,
-        exchange,
-        prepare: Vec::new(),
-        fuzz,
-        coverage,
-        solver,
-        certificate: if opts.certify { certificate } else { None },
-    }
-}
-
-/// The classic one-engine-at-a-time pipeline. The thin wrapper exists so
-/// the extra-lane (fuzzing) statistics collected by phase 0 land on
-/// whichever report the pipeline eventually returns.
-fn check_safety_sequential(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
-    let mut fuzz = None;
-    let mut coverage = None;
-    let mut solver = Vec::new();
-    let mut report =
-        check_safety_sequential_inner(task, opts, &mut fuzz, &mut coverage, &mut solver);
-    report.fuzz = fuzz;
-    report.coverage = coverage;
-    report.solver = solver;
+    let prepared = prepare(task, &opts.prepare, opts.keep_probes);
+    let mut report = prepared.finalize_report(&task.aig, solve(&prepared.task));
+    report.elapsed = start.elapsed();
     report
 }
 
-fn check_safety_sequential_inner(
+/// The engine driver: runs `schedule` on `task` under `budget` and builds
+/// the report from the lane runs. `outer` is the bus handle of the lane
+/// a nested schedule runs inside: a stage lane of the same kind keeps
+/// it, so the nested Houdini filter still streams its lemmas to the
+/// enclosing race.
+pub(crate) fn drive(
     task: &SafetyCheck,
+    schedule: &Schedule,
     opts: &CheckOptions,
-    fuzz: &mut Option<FuzzStats>,
-    coverage: &mut Option<CoverageStats>,
-    solver: &mut Vec<LaneSolverStats>,
+    budget: &Budget,
+    outer: Option<&SharedContext>,
 ) -> CheckReport {
     let start = Instant::now();
-    let deadline = start + opts.total_budget;
-    let mut notes = Vec::new();
-
-    let ts = TransitionSystem::shared(task.aig.clone(), opts.keep_probes);
-    notes.push(format!("netlist: {}", ts.summary()));
-
-    // A lane's phase runs until its own wall cap (if any), clipped to the
-    // shared deadline; a timeout that only exhausted the lane cap skips
-    // the phase instead of ending the check.
-    let lane_budget = |lane: Lane| Budget::until(opts.lanes.deadline_for(lane, start, deadline));
-    let lane_cap_fired = |lane: Lane| opts.lanes.is_capped(lane) && Instant::now() < deadline;
-
-    // ---- phase 0: extra attack-finding lanes (fuzzing) ---------------------
-    // Sequential counterpart of the portfolio's extra lanes: each runs to
-    // completion under its lane budget before the solvers start. A leak
-    // is an attack like any other; an exhausted campaign is a note.
-    for factory in &opts.extra_lanes {
-        let backend = factory.build();
-        let lane = backend.lane();
-        let mut quiet = SharedContext::disabled(lane);
-        let outcome = backend.run(&ts, lane_budget(lane), &mut quiet);
-        if fuzz.is_none() {
-            *fuzz = backend.fuzz_stats();
-        }
-        if coverage.is_none() {
-            *coverage = backend.coverage_stats();
-        }
-        if let Some(s) = backend.solver_stats() {
-            record_solver_stats(solver, s);
-        }
-        match outcome {
-            EngineOutcome::Attack(trace) => {
-                notes.push(format!(
-                    "{} found attack at depth {}",
-                    backend.name(),
-                    trace.depth()
-                ));
-                return CheckReport {
-                    verdict: Verdict::Attack(trace),
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate: None,
-                };
-            }
-            EngineOutcome::Proof(p, cert) => {
-                return CheckReport {
-                    verdict: Verdict::Proof(p),
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate: if opts.certify { cert.map(|c| *c) } else { None },
-                };
-            }
-            EngineOutcome::Inconclusive(reason) => {
-                notes.push(format!("{}: {reason}", backend.name()));
-            }
-            EngineOutcome::Timeout => {
-                if lane_cap_fired(lane) {
-                    notes.push(format!("{} lane cap exhausted; continuing", backend.name()));
-                } else if Instant::now() >= deadline {
-                    notes.push(format!("{} timeout", backend.name()));
-                    return CheckReport {
-                        verdict: Verdict::Timeout,
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate: None,
-                    };
-                } else {
-                    notes.push(format!("{} stopped early; continuing", backend.name()));
-                }
-            }
-        }
-    }
-
-    // ---- phase 1: attack search (BMC) -------------------------------------
-    let bmc_depth = opts
-        .lanes
-        .get(Lane::Bmc)
-        .depth_schedule
-        .last()
-        .copied()
-        .unwrap_or(opts.bmc_depth);
-    let pool = WarmPool::global();
-    let (mut bmc_session, bmc_hits, bmc_misses) = checkout_or_build(
-        opts.warm_start,
-        || pool.checkout_bmc(ts.fingerprint()),
-        || BmcSession::new(&ts),
-    );
-    let bmc_snapshot = bmc_session.solver_stats();
-    let bmc_result = bmc_session.run_to(
-        bmc_depth,
-        lane_budget(Lane::Bmc),
-        &mut SharedContext::disabled(Lane::Bmc),
-    );
-    {
-        let mut st = LaneSolverStats::delta(Lane::Bmc, bmc_snapshot, bmc_session.solver_stats());
-        st.warm_hits = bmc_hits;
-        st.warm_misses = bmc_misses;
-        record_solver_stats(solver, st);
-    }
-    if opts.warm_start && !matches!(bmc_result, BmcResult::Cex(_)) {
-        pool.park_bmc(bmc_session);
-    }
-    match bmc_result {
-        BmcResult::Cex(trace) => {
-            let (assumes_ok, bad) = Sim::new(ts.aig()).replay(&trace);
-            if !(assumes_ok && bad) {
-                notes.push("WARNING: counterexample failed simulation replay".into());
-            } else {
-                notes.push(format!(
-                    "cex validated by replay at depth {}",
-                    trace.depth()
-                ));
-            }
-            return CheckReport {
-                verdict: Verdict::Attack(trace),
-                elapsed: start.elapsed(),
-                notes,
-                exchange: Vec::new(),
-                prepare: Vec::new(),
-                fuzz: None,
-                coverage: None,
-                solver: Vec::new(),
-                certificate: None,
-            };
-        }
-        BmcResult::Clean { depth_checked } => {
-            notes.push(format!("bmc clean to depth {depth_checked}"));
-        }
-        BmcResult::Timeout { depth_checked } => {
-            if lane_cap_fired(Lane::Bmc) && !opts.attack_only {
-                notes.push(format!(
-                    "bmc lane cap exhausted (clean to {depth_checked:?}); continuing"
-                ));
-            } else {
-                notes.push(format!("bmc timeout (clean to {depth_checked:?})"));
-                return CheckReport {
-                    verdict: Verdict::Timeout,
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate: None,
-                };
-            }
-        }
-    }
-    if opts.attack_only {
-        return CheckReport {
-            verdict: Verdict::Unknown {
-                reason: InconclusiveReason::NoAttackWithinDepth {
-                    depth: opts.bmc_depth,
-                },
-            },
-            elapsed: start.elapsed(),
-            notes,
-            exchange: Vec::new(),
-            prepare: Vec::new(),
-            fuzz: None,
-            coverage: None,
-            solver: Vec::new(),
-            certificate: None,
-        };
-    }
-
-    // ---- phase 2: Houdini lemmas -------------------------------------------
-    let mut proof_aig = task.aig.clone();
-    // Surviving candidate indices, remembered so later proof phases can
-    // fold them into their certificates (the survivors become assumes of
-    // `proof_aig`, so any later invariant is relative to them).
-    let mut survivors: Vec<usize> = Vec::new();
-    if !task.candidates.is_empty() {
-        match houdini(&ts, &task.candidates, lane_budget(Lane::Houdini)) {
-            HoudiniResult::Done(out) => {
-                notes.push(format!(
-                    "houdini: {}/{} candidates survive after {} rounds",
-                    out.survivors.len(),
-                    task.candidates.len(),
-                    out.rounds
-                ));
-                if out.proves_safety {
-                    let certificate = opts.certify.then(|| Certificate {
-                        restored: Vec::new(),
-                        survivors: out.survivors.clone(),
-                        kind: CertKind::Inductive {
-                            blocked: Vec::new(),
-                        },
-                    });
-                    return CheckReport {
-                        verdict: Verdict::Proof(ProofEngine::Houdini {
-                            invariants: out.survivors.len(),
-                        }),
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate,
-                    };
-                }
-                // Conjoin surviving invariants as constraints for the
-                // remaining engines — sound because they are inductive.
-                for &i in &out.survivors {
-                    proof_aig.add_assume(task.candidates[i].bit);
-                }
-                survivors = out.survivors;
-            }
-            HoudiniResult::Timeout => {
-                if lane_cap_fired(Lane::Houdini) {
-                    notes.push("houdini lane cap exhausted; continuing unstrengthened".into());
-                } else {
-                    notes.push("houdini timeout".into());
-                    return CheckReport {
-                        verdict: Verdict::Timeout,
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate: None,
-                    };
-                }
-            }
-        }
-    }
-    let proof_ts = TransitionSystem::shared(proof_aig, opts.keep_probes);
-
-    // ---- phase 3: k-induction ----------------------------------------------
-    if opts.kind_max_k > 0 {
-        let (mut kind_session, kind_hits, kind_misses) = checkout_or_build(
-            opts.warm_start,
-            || pool.checkout_kind(proof_ts.fingerprint(), false),
-            || KindSession::new(&proof_ts, false),
-        );
-        let kind_snapshot = kind_session.solver_stats();
-        let kind_result = kind_session.run_to(
-            opts.kind_max_k,
-            lane_budget(Lane::KInduction),
-            &mut SharedContext::disabled(Lane::KInduction),
-        );
-        {
-            let mut st = LaneSolverStats::delta(
-                Lane::KInduction,
-                kind_snapshot,
-                kind_session.solver_stats(),
-            );
-            st.warm_hits = kind_hits;
-            st.warm_misses = kind_misses;
-            record_solver_stats(solver, st);
-        }
-        // A warm session checked out of the pool may carry facts a
-        // previous (exchange-enabled) run imported — such a proof is not
-        // self-contained, so it ships without a certificate.
-        let kind_imports = kind_session.imported_facts();
-        // Parking discipline (see crate::warm): Unknown outcomes only.
-        if opts.warm_start && matches!(kind_result, KindResult::Unknown { .. }) {
-            pool.park_kind(kind_session);
-        }
-        match kind_result {
-            KindResult::Proof { k } => {
-                let certificate = (opts.certify && kind_imports == 0).then(|| Certificate {
-                    restored: Vec::new(),
-                    survivors: survivors.clone(),
-                    kind: CertKind::KInduction { k },
-                });
-                return CheckReport {
-                    verdict: Verdict::Proof(ProofEngine::KInduction { k }),
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate,
-                };
-            }
-            KindResult::Cex(trace) => {
-                // Deeper than the BMC bound: a real attack. Validate on the
-                // original (lemma-free) netlist.
-                let (assumes_ok, bad) = Sim::new(ts.aig()).replay(&trace);
-                if assumes_ok && bad {
-                    notes.push(format!(
-                        "k-induction base found cex at depth {}",
-                        trace.depth()
-                    ));
-                    return CheckReport {
-                        verdict: Verdict::Attack(trace),
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate: None,
-                    };
-                }
-                notes.push("k-induction base cex failed replay; ignoring".into());
-            }
-            KindResult::Unknown { max_k_tried } => {
-                notes.push(format!("k-induction inconclusive to k={max_k_tried}"));
-            }
-            KindResult::Timeout => {
-                if lane_cap_fired(Lane::KInduction) {
-                    notes.push("k-induction lane cap exhausted; continuing".into());
-                } else {
-                    notes.push("k-induction timeout".into());
-                    return CheckReport {
-                        verdict: Verdict::Timeout,
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate: None,
-                    };
-                }
-            }
-        }
-    }
-
-    // ---- phase 4: PDR --------------------------------------------------------
-    if opts.use_pdr {
-        let (pdr_result, pdr_raw) = pdr_with_stats(
-            &proof_ts,
-            PdrOptions {
-                max_frames: opts.pdr_max_frames,
-                budget: lane_budget(Lane::Pdr),
-            },
-            &mut SharedContext::disabled(Lane::Pdr),
-        );
-        record_solver_stats(solver, LaneSolverStats::cold(Lane::Pdr, pdr_raw));
-        match pdr_result {
-            PdrResult::Proof {
-                frames,
-                invariant_clauses,
-                fixpoint_level,
-                invariant,
-            } => {
-                let certificate = opts.certify.then(|| Certificate {
-                    restored: Vec::new(),
-                    survivors: survivors.clone(),
-                    kind: CertKind::Inductive { blocked: invariant },
-                });
-                return CheckReport {
-                    verdict: Verdict::Proof(ProofEngine::Pdr {
-                        frames,
-                        clauses: invariant_clauses,
-                        fixpoint_level,
-                    }),
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate,
-                };
-            }
-            PdrResult::Cex { depth_hint } => {
-                notes.push(format!("pdr reports cex near depth {depth_hint}"));
-                // Regenerate a concrete trace with BMC beyond the earlier
-                // bound — on the warm path this resumes the phase-1
-                // session (parked clean at `bmc_depth`) instead of
-                // re-unrolling from frame 0.
-                let deep = depth_hint.max(opts.bmc_depth + 1) + 8;
-                let (mut deep_session, deep_hits, deep_misses) = checkout_or_build(
-                    opts.warm_start,
-                    || pool.checkout_bmc(ts.fingerprint()),
-                    || BmcSession::new(&ts),
-                );
-                let deep_snapshot = deep_session.solver_stats();
-                let deep_result = deep_session.run_to(
-                    deep,
-                    remaining_budget(deadline),
-                    &mut SharedContext::disabled(Lane::Bmc),
-                );
-                {
-                    let mut st = LaneSolverStats::delta(
-                        Lane::Bmc,
-                        deep_snapshot,
-                        deep_session.solver_stats(),
-                    );
-                    st.warm_hits = deep_hits;
-                    st.warm_misses = deep_misses;
-                    record_solver_stats(solver, st);
-                }
-                if opts.warm_start && !matches!(deep_result, BmcResult::Cex(_)) {
-                    pool.park_bmc(deep_session);
-                }
-                if let BmcResult::Cex(trace) = deep_result {
-                    let (assumes_ok, bad) = Sim::new(ts.aig()).replay(&trace);
-                    if assumes_ok && bad {
-                        return CheckReport {
-                            verdict: Verdict::Attack(trace),
-                            elapsed: start.elapsed(),
-                            notes,
-                            exchange: Vec::new(),
-                            prepare: Vec::new(),
-                            fuzz: None,
-                            coverage: None,
-                            solver: Vec::new(),
-                            certificate: None,
-                        };
-                    }
-                }
-                notes.push("bmc could not reconstruct pdr cex in budget".into());
-                return CheckReport {
-                    verdict: Verdict::Timeout,
-                    elapsed: start.elapsed(),
-                    notes,
-                    exchange: Vec::new(),
-                    prepare: Vec::new(),
-                    fuzz: None,
-                    coverage: None,
-                    solver: Vec::new(),
-                    certificate: None,
-                };
-            }
-            PdrResult::Timeout => {
-                if lane_cap_fired(Lane::Pdr) {
-                    notes.push("pdr lane cap exhausted".into());
-                } else {
-                    notes.push("pdr timeout".into());
-                    return CheckReport {
-                        verdict: Verdict::Timeout,
-                        elapsed: start.elapsed(),
-                        notes,
-                        exchange: Vec::new(),
-                        prepare: Vec::new(),
-                        fuzz: None,
-                        coverage: None,
-                        solver: Vec::new(),
-                        certificate: None,
-                    };
-                }
-            }
-            PdrResult::FrameLimit { frames } => {
-                notes.push(format!("pdr frame limit at {frames}"));
-            }
-        }
-    }
-
-    CheckReport {
-        verdict: Verdict::Unknown {
-            reason: InconclusiveReason::AllInconclusive,
-        },
-        elapsed: start.elapsed(),
-        notes,
+    let aig = &task.aig;
+    let mut report = CheckReport {
+        verdict: Verdict::Timeout,
+        elapsed: Duration::ZERO,
+        notes: vec![format!(
+            "netlist: {} ands, {} latches, {} inputs, {} assumes, {} bads",
+            aig.num_ands(),
+            aig.num_latches(),
+            aig.num_inputs(),
+            aig.assumes().len(),
+            aig.bads().len()
+        )],
         exchange: Vec::new(),
         prepare: Vec::new(),
         fuzz: None,
         coverage: None,
         solver: Vec::new(),
         certificate: None,
+    };
+    let (verdict, certificate) = run_stages(task, schedule, opts, budget, outer, &mut report);
+    report.verdict = verdict;
+    report.certificate = certificate.filter(|_| opts.certify);
+    report.elapsed = start.elapsed();
+    report
+}
+
+fn run_stages(
+    task: &SafetyCheck,
+    schedule: &Schedule,
+    opts: &CheckOptions,
+    budget: &Budget,
+    outer: Option<&SharedContext>,
+    report: &mut CheckReport,
+) -> (Verdict, Option<Certificate>) {
+    let start = Instant::now();
+    let deadline = budget.deadline.expect("schedules run under a deadline");
+    let bus = (schedule.bus && opts.exchange.enabled).then(|| Exchange::new(opts.exchange.clone()));
+    // The instance the stages run on: the task's, strengthened by the
+    // Houdini survivors once a Houdini stage has found some.
+    let mut strengthened: Option<Aig> = None;
+    let mut survivors: Vec<usize> = Vec::new();
+    let mut bmc_clean = None;
+    for stage in &schedule.stages {
+        let lanes = stage
+            .iter()
+            .map(|step| {
+                let backend = step.backend(&task.candidates, opts);
+                let lane = backend.lane();
+                let ctx = match (&bus, outer) {
+                    (Some(bus), _) => {
+                        let xc = opts.lanes.get(lane).exchange;
+                        SharedContext::attached(bus.clone(), lane, xc.import, xc.export)
+                    }
+                    (None, Some(outer)) if outer.lane() == lane => outer.clone(),
+                    _ => SharedContext::disabled(lane),
+                };
+                LaneSpec::new(backend, opts.lanes.deadline_for(lane, start, deadline)).context(ctx)
+            })
+            .collect();
+        let mut attack: Option<Box<Trace>> = None;
+        let mut proof = None;
+        let mut invariants = None;
+        let mut timed_out = false;
+        let instance = strengthened.as_ref().unwrap_or(&task.aig);
+        for mut lane in race(lanes, instance, opts.keep_probes, budget).lanes {
+            // Every attack must replay on the unstrengthened instance.
+            // BMC's still count when they do not (the failure is noted).
+            let mut replay_failed = false;
+            if let EngineOutcome::Attack(trace) = &lane.run.outcome {
+                let (assumes_ok, bad) = Sim::new(&task.aig).replay(trace);
+                replay_failed = !(assumes_ok && bad);
+                if replay_failed && lane.lane != Lane::Bmc {
+                    lane.run.outcome =
+                        EngineOutcome::Inconclusive(InconclusiveReason::ReplayFailed {
+                            engine: lane.engine.to_string(),
+                        });
+                }
+            }
+            record(
+                report,
+                &mut lane,
+                bus.is_some(),
+                replay_failed,
+                task.candidates.len(),
+            );
+            match lane.run.outcome {
+                EngineOutcome::Attack(trace) => {
+                    // Keep the shallowest counterexample for readability.
+                    if attack.as_ref().is_none_or(|a| trace.depth() < a.depth()) {
+                        attack = Some(trace);
+                    }
+                }
+                EngineOutcome::Proof(engine, cert) => {
+                    proof.get_or_insert((engine, cert));
+                }
+                EngineOutcome::Invariants(found) => invariants = Some(found),
+                EngineOutcome::Inconclusive(InconclusiveReason::BoundedClean { depth })
+                    if lane.lane == Lane::Bmc =>
+                {
+                    bmc_clean = Some(depth);
+                }
+                EngineOutcome::Inconclusive(_) => {}
+                EngineOutcome::Timeout => timed_out |= lane.deadline >= deadline,
+            }
+        }
+        if let Some(trace) = attack {
+            return (Verdict::Attack(trace), None);
+        }
+        if let Some((engine, cert)) = proof {
+            // A proof on the strengthened instance stands on the plain one
+            // together with the survivors.
+            let cert = cert.map(|mut c| {
+                if !survivors.is_empty() {
+                    c.survivors = survivors.clone();
+                }
+                *c
+            });
+            return (Verdict::Proof(engine), cert);
+        }
+        if timed_out {
+            return (Verdict::Timeout, None);
+        }
+        match invariants {
+            Some(found) if found.is_empty() && schedule.undecided == Undecided::NoInvariants => {
+                let reason = InconclusiveReason::NoInvariants;
+                return (Verdict::Unknown { reason }, None);
+            }
+            Some(found) => {
+                if !found.is_empty() {
+                    // Sound: the survivors are inductive invariants.
+                    let mut aig = task.aig.clone();
+                    for &i in &found {
+                        aig.add_assume(task.candidates[i].bit);
+                    }
+                    strengthened = Some(aig);
+                }
+                survivors = found;
+            }
+            None => {}
+        }
+    }
+    let reason = match schedule.undecided {
+        Undecided::NoAttack => match bmc_clean {
+            Some(depth) => InconclusiveReason::NoAttackWithinDepth { depth },
+            None => return (Verdict::Timeout, None),
+        },
+        Undecided::InvariantsInsufficient => InconclusiveReason::InvariantsInsufficient {
+            survivors: survivors.len(),
+        },
+        Undecided::InductionGap { max_k } => InconclusiveReason::InductionGap { max_k },
+        Undecided::AllInconclusive | Undecided::NoInvariants => InconclusiveReason::AllInconclusive,
+    };
+    (Verdict::Unknown { reason }, None)
+}
+
+/// Folds one lane run into the report: its note line (the one format
+/// every scheme and mode shares), bus traffic, and counters. Solver
+/// stats merge per lane (a lane can run in several stages) and stay in
+/// [`Lane::ALL`] order for byte-stable reports.
+fn record(
+    report: &mut CheckReport,
+    lane: &mut LaneResult,
+    bus: bool,
+    replay_failed: bool,
+    candidates: usize,
+) {
+    let outcome = match &lane.run.outcome {
+        EngineOutcome::Attack(t) if replay_failed => {
+            format!("attack at depth {} (replay failed)", t.depth())
+        }
+        EngineOutcome::Attack(t) => format!("attack at depth {}", t.depth()),
+        EngineOutcome::Proof(p, _) => format!("proof {p:?}"),
+        EngineOutcome::Invariants(found) => {
+            format!("{}/{candidates} candidates survive", found.len())
+        }
+        EngineOutcome::Inconclusive(reason) => reason.to_string(),
+        EngineOutcome::Timeout => "timeout/canceled".into(),
+    };
+    let traffic = if bus {
+        report.exchange.push(lane.exchange);
+        format!(
+            " (imports {}, exports {})",
+            lane.exchange.imports, lane.exchange.exports
+        )
+    } else {
+        String::new()
+    };
+    report.notes.push(format!(
+        "{} [{:.2}s]: {outcome}{traffic}",
+        lane.engine,
+        lane.elapsed.as_secs_f64()
+    ));
+    if let Some(stats) = lane.run.solver {
+        match report.solver.iter_mut().find(|s| s.lane == stats.lane) {
+            Some(existing) => existing.absorb(&stats),
+            None => report.solver.push(stats),
+        }
+        report
+            .solver
+            .sort_by_key(|s| Lane::ALL.iter().position(|l| *l == s.lane));
+    }
+    if report.fuzz.is_none() {
+        report.fuzz = lane.run.fuzz.take();
+    }
+    if report.coverage.is_none() {
+        report.coverage = lane.run.coverage;
     }
 }
 
@@ -1218,7 +923,7 @@ mod tests {
         );
     }
 
-    /// Portfolio mode must agree with the sequential pipeline on verdict
+    /// Portfolio mode must agree with the sequential schedule on verdict
     /// kind for every scenario the sequential tests above cover.
     #[test]
     fn portfolio_matches_sequential_verdicts() {
@@ -1326,6 +1031,73 @@ mod tests {
                 report.notes
             );
         }
+    }
+
+    /// Attack-only checks report the depth BMC actually proved clean —
+    /// with a depth schedule, its last step rather than `bmc_depth`.
+    #[test]
+    fn attack_only_reports_the_depth_bmc_checked() {
+        use crate::lane::{Lane, LaneBudget, LanePlan};
+        let task = counter_task(4, 6, false);
+        for mode in [ExecMode::Sequential, ExecMode::Portfolio] {
+            let opts = CheckOptions {
+                bmc_depth: 2,
+                attack_only: true,
+                lanes: LanePlan::new().with(Lane::Bmc, LaneBudget::depths(&[2, 4, 8])),
+                mode,
+                ..Default::default()
+            };
+            let report = check_safety(&task, &opts);
+            assert_eq!(
+                report.verdict,
+                Verdict::Unknown {
+                    reason: InconclusiveReason::NoAttackWithinDepth { depth: 8 }
+                },
+                "{mode:?}: {:?}",
+                report.notes
+            );
+        }
+    }
+
+    /// Houdini candidates that all die (one false at reset, one not
+    /// inductive) leave the instance unstrengthened: the sequential
+    /// schedule goes on and k-induction proves the plain counter.
+    #[test]
+    fn sequential_check_with_dead_candidates_still_proves_by_k_induction() {
+        let mut task = counter_task(4, 6, false);
+        let r: Vec<_> = task.aig.latches().iter().map(|l| l.output).collect();
+        task.candidates = vec![
+            // r[0] is low at reset.
+            Candidate {
+                name: "r0".into(),
+                bit: r[0],
+            },
+            // r[1] is low at reset but rises at r = 2.
+            Candidate {
+                name: "not_r1".into(),
+                bit: r[1].not(),
+            },
+        ];
+        let report = check_safety(&task, &CheckOptions::default());
+        assert!(
+            matches!(
+                report.verdict,
+                Verdict::Proof(ProofEngine::KInduction { .. })
+            ),
+            "{:?} {:?}",
+            report.verdict,
+            report.notes
+        );
+        assert!(
+            report
+                .notes
+                .iter()
+                .any(|n| n.starts_with("houdini [") && n.contains("0/2 candidates survive")),
+            "{:?}",
+            report.notes
+        );
+        let cert = report.certificate.expect("the proof carries a certificate");
+        assert!(cert.survivors.is_empty());
     }
 
     /// The exchange bus only ships implied facts, so switching it on must

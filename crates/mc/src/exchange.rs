@@ -249,24 +249,8 @@ pub struct ExchangeStats {
     pub adaptive: bool,
 }
 
-impl ExchangeStats {
-    /// Stats with zero traffic and detached-bus policy fields, as lanes
-    /// without a live bus report them.
-    pub fn empty(lane: Lane) -> ExchangeStats {
-        ExchangeStats {
-            lane,
-            imports: 0,
-            exports: 0,
-            obligations: 0,
-            policy_len: 0,
-            policy_lbd: 0,
-            adaptive: false,
-        }
-    }
-}
-
-/// The shared bus. Create one per portfolio race with [`Exchange::new`]
-/// and hand each lane a [`SharedContext`] via
+/// The shared bus. The driver creates one per portfolio schedule with
+/// [`Exchange::new`] and hands each lane a [`SharedContext`] via
 /// [`SharedContext::attached`].
 #[derive(Debug)]
 pub struct Exchange {
@@ -414,6 +398,9 @@ impl ClauseExporter {
 /// One lane's handle on the bus: publish survivors/clauses, poll foreign
 /// items, and count traffic for the reports. A disabled context (no bus)
 /// makes every operation a cheap no-op, so engine code is written once.
+/// A clone is a second handle on the same lane: it shares the traffic
+/// counters and keeps its own poll cursor.
+#[derive(Clone)]
 pub struct SharedContext {
     bus: Option<Arc<Exchange>>,
     lane: Lane,

@@ -1,23 +1,20 @@
-//! Per-lane budget shaping for the engine portfolio.
+//! Per-lane budget shaping.
 //!
 //! The paper's JasperGold workflow gives every engine the same 7-day
-//! clock; the ROADMAP's "portfolio-aware budget shaping" item asks for
-//! finer control: give the attack-finding BMC lane a *depth schedule*
-//! (sweep shallow depths on a short fuse before committing to the deep
-//! search) and a wall-clock cap, while PDR keeps the full clock. A
-//! [`LanePlan`] captures that: one optional [`LaneBudget`] per [`Lane`],
-//! threaded through [`crate::CheckOptions::lanes`] into both execution
-//! modes of [`crate::check_safety`]:
+//! clock; finer control gives the attack-finding BMC lane a *depth
+//! schedule* (sweep shallow depths on a short fuse before committing to
+//! the deep search) and a wall-clock cap, while PDR keeps the full
+//! clock. A [`LanePlan`] captures that: one optional [`LaneBudget`] per
+//! [`Lane`], threaded through [`crate::CheckOptions::lanes`] into every
+//! [`crate::Schedule`] the driver runs. Whatever stage a lane runs in,
+//! its deadline is the earlier of the shared deadline and its own wall
+//! cap (measured from the start of the check), and a lane that exhausts
+//! *its own* cap timed out locally: the schedule goes on instead of
+//! timing out the whole check. The BMC lane walks its depth schedule
+//! instead of a single full-depth pass.
 //!
-//! * **portfolio** — each racing lane's deadline is the earlier of the
-//!   shared deadline and its own wall cap; the BMC lane walks its depth
-//!   schedule instead of a single full-depth pass;
-//! * **sequential** — each phase is capped by its lane wall, and a phase
-//!   that exhausts *its own* cap (rather than the global clock) is
-//!   skipped with a note instead of timing out the whole check.
-//!
-//! The default plan is empty (no caps, no schedule) and reproduces the
-//! previous behaviour exactly.
+//! The default plan is empty (no caps, no schedule): every lane runs on
+//! the shared clock.
 
 use std::time::{Duration, Instant};
 
@@ -194,12 +191,6 @@ impl LanePlan {
             None => deadline,
         }
     }
-
-    /// Whether a timeout in this lane can be local (its own cap fired
-    /// while the shared clock still runs).
-    pub fn is_capped(&self, lane: Lane) -> bool {
-        self.get(lane).wall.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +205,6 @@ mod tests {
         let deadline = start + Duration::from_secs(10);
         for lane in Lane::ALL {
             assert_eq!(plan.deadline_for(lane, start, deadline), deadline);
-            assert!(!plan.is_capped(lane));
         }
     }
 

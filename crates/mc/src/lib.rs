@@ -14,21 +14,21 @@
 //!   invariants (the mechanism behind the LEAVE comparison scheme),
 //! * [`pdr`] — IC3/property-directed reachability (unbounded proofs; the
 //!   paper's `Mp`/`AM` engine role),
-//! * [`engine::check_safety`] — the orchestrated pipeline producing the
-//!   paper's three outcomes: attack counterexample, unbounded proof, or
-//!   timeout,
-//! * [`portfolio`] — the [`portfolio::Backend`] trait (API v2) and the
-//!   thread-racing scheduler behind `check_safety`'s portfolio mode: all
-//!   backends run concurrently, the first decisive lane cancels the rest
-//!   through a stop flag shared via `csl_sat::Budget`, and every backend
-//!   holds a handle on the exchange bus,
+//! * [`engine::check_safety`] — the engine driver producing the paper's
+//!   three outcomes (attack counterexample, unbounded proof, or
+//!   timeout) by running a [`Schedule`]: stages of lanes, one merge rule,
+//! * [`portfolio`] — the [`portfolio::Backend`] trait, the engine lanes,
+//!   and the race that runs one stage: the lanes run concurrently, the
+//!   first decisive lane cancels the rest through a stop flag shared via
+//!   `csl_sat::Budget`, and every lane holds a handle on the exchange
+//!   bus,
 //! * [`exchange`] — the cross-lane lemma/clause [`Exchange`] bus: BMC
 //!   publishes learnt clauses at conflict boundaries, Houdini streams
 //!   survivor lemmas at its consecution fixpoint, and k-induction/PDR
 //!   import both into their running solvers between SAT queries,
 //! * [`lane`] — per-lane budget shaping ([`LanePlan`]): wall caps, BMC
 //!   depth schedules and exchange opt-outs threaded through
-//!   [`CheckOptions::lanes`] into both execution modes,
+//!   [`CheckOptions::lanes`] into every schedule,
 //! * [`prepare`] — instance preparation: the `csl_hdl::xform` reduction
 //!   pipeline (cone-of-influence, constant sweep + cross-copy re-strash,
 //!   dead-latch elimination, compaction) every engine runs behind, with
@@ -74,8 +74,8 @@ pub mod warm;
 pub use bmc::{bmc, bmc_with, BmcResult, BmcSession, BusMemory};
 pub use cert::{CertKind, Certificate};
 pub use engine::{
-    check_safety, CheckOptions, CheckReport, CoverageStats, ExecMode, FuzzStats,
-    InconclusiveReason, ProofEngine, SafetyCheck, Verdict,
+    check_safety, check_schedule, CheckOptions, CheckReport, CoverageStats, ExecMode, FuzzStats,
+    InconclusiveReason, ProofEngine, SafetyCheck, Schedule, Step, Undecided, Verdict,
 };
 pub use exchange::{
     Exchange, ExchangeConfig, ExchangeItem, ExchangeStats, SharedClause, SharedContext,
@@ -87,7 +87,7 @@ pub use lane::{Lane, LaneBudget, LaneExchange, LanePlan};
 pub use pdr::{pdr, pdr_with, pdr_with_stats, Cube, PdrOptions, PdrResult};
 pub use portfolio::{
     race, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneResult,
-    LaneSpec, PdrBackend, RaceReport,
+    LaneRun, LaneSpec, PdrBackend, RaceReport,
 };
 pub use prepare::{prepare, PrepareConfig, PrepareStats, PreparedInstance};
 pub use sim::{

@@ -1,32 +1,28 @@
-//! Portfolio execution: verification backends racing on threads, with a
-//! shared lemma/clause exchange bus.
+//! Engine lanes and the race that runs one schedule stage.
 //!
-//! The paper's JasperGold workflow (§6) runs an attack-finding engine and
-//! several proof engines against the same instrumented design under one
-//! wall-clock budget. The sequential pipeline in [`crate::engine`] burns
-//! that budget one engine at a time; this module instead races every
-//! backend on its own `std::thread` worker — first decisive verdict wins —
-//! with cooperative cancellation: the shared [`AtomicBool`] stop flag is
-//! threaded through [`csl_sat::Budget`], so the losers' in-flight SAT
-//! queries abort at their next conflict boundary instead of running to
-//! their own timeouts.
+//! A lane is a [`Backend`]: a named engine that checks a transition
+//! system under a cancellable [`Budget`] and returns a [`LaneRun`] — its
+//! [`EngineOutcome`] plus whatever counters it keeps (solver activity,
+//! fuzzing campaign, coverage). The built-in lanes are the paper's
+//! engines: [`BmcBackend`] (attack finding, their `Ht`),
+//! [`KindBackend`] and [`PdrBackend`] (unbounded proofs, their
+//! `Mp`/`AM`) and [`HoudiniBackend`] (relational invariants, LEAVE's
+//! mechanism); callers add more through [`LaneFactory`].
 //!
-//! **Backend API v2:** a lane is a [`Backend`], whose `run` receives a
-//! [`SharedContext`] handle on the [`crate::exchange`] bus in addition to
-//! the transition system and budget. With the bus enabled
-//! ([`ExchangeConfig::enabled`]), the BMC lane publishes learnt clauses at
+//! [`race`] runs the lanes of one stage of a [`crate::Schedule`], one
+//! `std::thread` each. The first decisive outcome (attack or proof)
+//! raises the race's stop flag, which every lane's budget carries into
+//! its SAT calls, so the losers abort at their next conflict boundary
+//! instead of running to their deadlines. A race nested inside another
+//! race's lane forwards the enclosing stop flag into its own, so a
+//! decisive sibling of the enclosing lane cancels the nested lanes too.
+//!
+//! Each lane holds a [`SharedContext`] handle on the [`crate::exchange`]
+//! bus. With the bus on, the BMC lane publishes learnt clauses at
 //! conflict boundaries, the Houdini lane streams survivor lemmas the
 //! moment its consecution fixpoint lands, and k-induction/PDR poll the
-//! bus between SAT queries to strengthen their *running* solvers in
-//! place. With the bus disabled every context is inert and the race is
-//! the isolated-lane portfolio of v1.
-//!
-//! Verdict semantics match the sequential pipeline: an attack
-//! counterexample beats a proof, a proof beats a timeout, and Houdini
-//! survivors still strengthen k-induction/PDR — over the bus when it is
-//! on, and through the lane's own strengthened re-runs either way (the
-//! re-runs stay as insurance for proof engines that finished before the
-//! lemmas arrived).
+//! bus between SAT queries to strengthen their running solvers in
+//! place. Off the bus every context is inert.
 //!
 //! Proof outcomes carry optional [`Certificate`] material (the engine's
 //! inductive invariant / closing `k`) so the report layer can attach a
@@ -34,20 +30,23 @@
 //! its proof without one, since those facts are not self-contained.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csl_hdl::Aig;
-use csl_sat::Budget;
+use csl_sat::{Budget, SolverStats};
 
-use crate::bmc::{bmc, BmcResult, BmcSession};
+use crate::bmc::{BmcResult, BmcSession};
 use crate::cert::{CertKind, Certificate};
-use crate::engine::{CoverageStats, FuzzStats, InconclusiveReason, ProofEngine};
-use crate::exchange::{Exchange, ExchangeConfig, ExchangeStats, SharedContext};
+use crate::engine::{
+    drive, CheckOptions, CoverageStats, FuzzStats, InconclusiveReason, ProofEngine, SafetyCheck,
+    Schedule, Verdict,
+};
+use crate::exchange::{ExchangeStats, SharedContext};
 use crate::houdini::{houdini_with, Candidate, HoudiniResult};
 use crate::kind::{KindResult, KindSession};
-use crate::lane::Lane;
+use crate::lane::{Lane, LanePlan};
 use crate::pdr::{pdr_with_stats, PdrOptions, PdrResult};
 use crate::sim::Sim;
 use crate::trace::Trace;
@@ -59,11 +58,15 @@ use crate::warm::{LaneSolverStats, WarmPool};
 /// race and cancels the other lanes.
 #[derive(Debug)]
 pub enum EngineOutcome {
-    /// A replay-validated counterexample.
+    /// A counterexample (replay-validated by every lane but BMC).
     Attack(Box<Trace>),
     /// An unbounded proof, with its checkable certificate material when
     /// the proof is self-contained (no exchange-bus imports).
     Proof(ProofEngine, Option<Box<Certificate>>),
+    /// Houdini's surviving candidates (indices) when they are inductive
+    /// but do not imply safety alone: no verdict, but the later stages
+    /// of the schedule run on the instance they strengthen.
+    Invariants(Vec<usize>),
     /// Finished inside the budget without a verdict (bounded-clean BMC,
     /// induction that never closed, PDR frame cap, …).
     Inconclusive(InconclusiveReason),
@@ -77,60 +80,59 @@ impl EngineOutcome {
     }
 }
 
-/// One lane of the portfolio, v2: a named engine that checks a
-/// transition system under a (cancellable) budget, publishing to and
-/// importing from the exchange bus through `ctx`. Implementations must
-/// validate their own counterexamples (replay on the concrete simulator)
-/// before reporting [`EngineOutcome::Attack`], and must only publish
-/// facts implied by the shared instance (see [`crate::exchange`] for the
-/// soundness rules the built-in backends follow).
+/// One backend run: the outcome plus the counters the lane keeps, which
+/// the driver folds into [`crate::CheckReport`].
+#[derive(Debug)]
+pub struct LaneRun {
+    pub outcome: EngineOutcome,
+    /// Solver activity and warm-start accounting (SAT lanes).
+    pub solver: Option<LaneSolverStats>,
+    /// Campaign statistics (fuzzing lanes).
+    pub fuzz: Option<FuzzStats>,
+    /// Coverage accounting (coverage-guided fuzzing lanes).
+    pub coverage: Option<CoverageStats>,
+}
+
+impl From<EngineOutcome> for LaneRun {
+    /// A run that kept no counters.
+    fn from(outcome: EngineOutcome) -> LaneRun {
+        LaneRun {
+            outcome,
+            solver: None,
+            fuzz: None,
+            coverage: None,
+        }
+    }
+}
+
+/// One engine lane: checks a transition system under a (cancellable)
+/// budget, publishing to and importing from the exchange bus through
+/// `ctx`. Implementations must validate their own counterexamples
+/// (replay on the concrete simulator) before reporting
+/// [`EngineOutcome::Attack`] — a decisive outcome cancels the sibling
+/// lanes — and must only publish facts implied by the shared instance
+/// (see [`crate::exchange`] for the soundness rules the built-in
+/// backends follow).
 pub trait Backend: Send {
-    fn name(&self) -> &'static str;
     /// The budget/exchange lane this backend occupies.
     fn lane(&self) -> Lane;
+    /// The label of the lane's note line (the lane's own name unless a
+    /// backend says otherwise).
+    fn name(&self) -> &'static str {
+        self.lane().name()
+    }
     /// The system arrives behind an [`Arc`] so a backend can park its
     /// solver session (which owns a clone of the `Arc`) in the
     /// [`WarmPool`] when its run ends undecided.
-    fn run(
-        &self,
-        ts: &Arc<TransitionSystem>,
-        budget: Budget,
-        ctx: &mut SharedContext,
-    ) -> EngineOutcome;
-
-    /// Campaign statistics for fuzzing lanes, read *after* `run` returns
-    /// (implementations record them internally). Solver lanes keep the
-    /// default `None`; the race copies the value into its
-    /// [`LaneResult`] so the stats reach [`crate::CheckReport::fuzz`].
-    fn fuzz_stats(&self) -> Option<FuzzStats> {
-        None
-    }
-
-    /// Solver activity of the last `run`, read *after* it returns —
-    /// the SAT-lane counterpart of [`Backend::fuzz_stats`]. Non-solver
-    /// lanes keep the default `None`; the race copies the value into
-    /// [`LaneResult::solver`] so it reaches
-    /// [`crate::CheckReport::solver`].
-    fn solver_stats(&self) -> Option<LaneSolverStats> {
-        None
-    }
-
-    /// Coverage accounting of the last `run`, read *after* it returns —
-    /// populated only by coverage-guided fuzzing lanes. The race copies
-    /// the value into [`LaneResult::coverage`] so it reaches
-    /// [`crate::CheckReport::coverage`].
-    fn coverage_stats(&self) -> Option<CoverageStats> {
-        None
-    }
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun;
 }
 
 /// A cloneable constructor for caller-supplied lanes, registered through
 /// [`crate::CheckOptions::extra_lanes`]. `CheckOptions` must stay
 /// `Clone`, and a `Box<dyn Backend>` is not — so options carry factories
-/// and each check (each portfolio race, each sequential phase 0) builds
-/// a fresh backend. The label identifies the lane configuration in
-/// session cache keys, so it must change whenever the produced backend's
-/// behaviour does.
+/// and each stage that runs the lane builds a fresh backend. The label
+/// identifies the lane configuration in session cache keys, so it must
+/// change whenever the produced backend's behaviour does.
 #[derive(Clone)]
 pub struct LaneFactory {
     label: String,
@@ -167,13 +169,13 @@ impl std::fmt::Debug for LaneFactory {
 
 /// Checks out a warm session with `checkout`, or builds one with
 /// `build`; returns the session plus its `(warm_hits, warm_misses)`
-/// accounting. `enabled = false` builds cold and counts nothing.
-fn warm_or_build<S>(
-    enabled: bool,
+/// accounting. `warm = false` builds cold and counts nothing.
+fn checkout_or_build<S>(
+    warm: bool,
     checkout: impl FnOnce() -> Option<S>,
     build: impl FnOnce() -> S,
 ) -> (S, u64, u64) {
-    if !enabled {
+    if !warm {
         return (build(), 0, 0);
     }
     match checkout() {
@@ -204,7 +206,8 @@ fn validated_attack(ts: &TransitionSystem, trace: Box<Trace>, engine: &str) -> E
 /// instead of re-encoding from frame 0. With [`BmcBackend::warm`] the
 /// session additionally comes from / returns to the global
 /// [`WarmPool`], surviving into the next engine call on the same
-/// netlist.
+/// netlist. Its counterexamples are not replayed here: the driver
+/// replays them and counts them as attacks even when the replay fails.
 pub struct BmcBackend {
     pub depth: usize,
     /// Progressive depth schedule from the lane plan: each step gets an
@@ -213,7 +216,6 @@ pub struct BmcBackend {
     /// ends the walk. Empty = one pass at `depth`.
     pub schedule: Vec<usize>,
     warm: bool,
-    stats: Mutex<Option<LaneSolverStats>>,
 }
 
 impl BmcBackend {
@@ -223,7 +225,6 @@ impl BmcBackend {
             depth,
             schedule: Vec::new(),
             warm: false,
-            stats: Mutex::new(None),
         }
     }
 
@@ -239,41 +240,27 @@ impl BmcBackend {
         self
     }
 
-    fn drive(
+    fn walk(
         &self,
         session: &mut BmcSession,
         budget: Budget,
         ctx: &mut SharedContext,
     ) -> EngineOutcome {
-        if self.schedule.is_empty() {
-            return match session.run_to(self.depth, budget, ctx) {
-                // The sequential pipeline reports a BMC cex as an attack even
-                // if the replay check fails (with a warning note); mirror that
-                // here so the two modes cannot diverge on verdict kind.
-                BmcResult::Cex(trace) => EngineOutcome::Attack(trace),
-                BmcResult::Clean { depth_checked } => {
-                    EngineOutcome::Inconclusive(InconclusiveReason::BoundedClean {
-                        depth: depth_checked,
-                    })
-                }
-                BmcResult::Timeout { .. } => EngineOutcome::Timeout,
-            };
-        }
-        let lane_deadline = budget.deadline;
+        let steps = if self.schedule.is_empty() {
+            std::slice::from_ref(&self.depth)
+        } else {
+            &self.schedule
+        };
         let mut clean_to: Option<usize> = None;
-        for (i, &depth) in self.schedule.iter().enumerate() {
+        for (i, &depth) in steps.iter().enumerate() {
             // Split the remaining lane clock evenly over the remaining
             // steps; the final step always gets everything that is left.
-            let step_budget = match lane_deadline {
+            let step_budget = match budget.deadline {
                 Some(dl) => {
                     let now = Instant::now();
-                    if now >= dl {
-                        return EngineOutcome::Timeout;
-                    }
-                    let steps_left = (self.schedule.len() - i) as u32;
-                    let step_deadline = now + (dl - now) / steps_left;
+                    let steps_left = (steps.len() - i) as u32;
                     Budget {
-                        deadline: Some(step_deadline),
+                        deadline: Some(now + dl.saturating_duration_since(now) / steps_left),
                         ..budget.clone()
                     }
                 }
@@ -286,7 +273,7 @@ impl BmcBackend {
                     clean_to = depth_checked.or(clean_to);
                     // A step timeout only ends the lane when its *lane*
                     // clock (not just the step slice) is gone.
-                    if budget.out_of_time() || budget.stop_requested() {
+                    if budget.out_of_time() {
                         return EngineOutcome::Timeout;
                     }
                 }
@@ -300,40 +287,29 @@ impl BmcBackend {
 }
 
 impl Backend for BmcBackend {
-    fn name(&self) -> &'static str {
-        "bmc"
-    }
-
     fn lane(&self) -> Lane {
         Lane::Bmc
     }
 
-    fn run(
-        &self,
-        ts: &Arc<TransitionSystem>,
-        budget: Budget,
-        ctx: &mut SharedContext,
-    ) -> EngineOutcome {
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
         let pool = WarmPool::global();
-        let (mut session, hits, misses) = warm_or_build(
+        let (mut session, hits, misses) = checkout_or_build(
             self.warm,
             || pool.checkout_bmc(ts.fingerprint()),
             || BmcSession::new(ts),
         );
         let snapshot = session.solver_stats();
-        let outcome = self.drive(&mut session, budget, ctx);
+        let outcome = self.walk(&mut session, budget, ctx);
         let mut stats = LaneSolverStats::delta(Lane::Bmc, snapshot, session.solver_stats());
         stats.warm_hits = hits;
         stats.warm_misses = misses;
-        *self.stats.lock().unwrap() = Some(stats);
         if self.warm && !outcome.is_decisive() {
             pool.park_bmc(session);
         }
-        outcome
-    }
-
-    fn solver_stats(&self) -> Option<LaneSolverStats> {
-        *self.stats.lock().unwrap()
+        LaneRun {
+            solver: Some(stats),
+            ..outcome.into()
+        }
     }
 }
 
@@ -345,17 +321,12 @@ impl Backend for BmcBackend {
 pub struct KindBackend {
     pub max_k: usize,
     warm: bool,
-    stats: Mutex<Option<LaneSolverStats>>,
 }
 
 impl KindBackend {
     /// A cold lane sweeping `k = 1..=max_k`.
     pub fn new(max_k: usize) -> KindBackend {
-        KindBackend {
-            max_k,
-            warm: false,
-            stats: Mutex::new(None),
-        }
+        KindBackend { max_k, warm: false }
     }
 
     /// Enables cross-call session reuse through [`WarmPool::global`].
@@ -366,22 +337,13 @@ impl KindBackend {
 }
 
 impl Backend for KindBackend {
-    fn name(&self) -> &'static str {
-        "k-induction"
-    }
-
     fn lane(&self) -> Lane {
         Lane::KInduction
     }
 
-    fn run(
-        &self,
-        ts: &Arc<TransitionSystem>,
-        budget: Budget,
-        ctx: &mut SharedContext,
-    ) -> EngineOutcome {
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
         let pool = WarmPool::global();
-        let (mut session, hits, misses) = warm_or_build(
+        let (mut session, hits, misses) = checkout_or_build(
             self.warm,
             || pool.checkout_kind(ts.fingerprint(), false),
             || KindSession::new(ts, false),
@@ -391,7 +353,6 @@ impl Backend for KindBackend {
         let mut stats = LaneSolverStats::delta(Lane::KInduction, snapshot, session.solver_stats());
         stats.warm_hits = hits;
         stats.warm_misses = misses;
-        *self.stats.lock().unwrap() = Some(stats);
         // A certificate is only self-contained when neither this run nor
         // a warm predecessor baked foreign bus facts into the solvers.
         let imported = session.imported_facts();
@@ -401,7 +362,7 @@ impl Backend for KindBackend {
         if self.warm && matches!(result, KindResult::Unknown { .. }) {
             pool.park_kind(session);
         }
-        match result {
+        let outcome = match result {
             KindResult::Proof { k } => {
                 let cert = (imported == 0).then(|| {
                     Box::new(Certificate {
@@ -417,24 +378,25 @@ impl Backend for KindBackend {
                 EngineOutcome::Inconclusive(InconclusiveReason::InductionGap { max_k: max_k_tried })
             }
             KindResult::Timeout => EngineOutcome::Timeout,
+        };
+        LaneRun {
+            solver: Some(stats),
+            ..outcome.into()
         }
-    }
-
-    fn solver_stats(&self) -> Option<LaneSolverStats> {
-        *self.stats.lock().unwrap()
     }
 }
 
-/// IC3/PDR on the plain netlist; a cex depth hint is reconstructed into a
-/// concrete trace with a deeper BMC pass, as in the sequential pipeline.
-/// With the bus on it imports lemmas between frontier iterations. PDR's
-/// frame clauses are level-indexed and rebuilt per call, so this lane
-/// has no warm mode — only stats reporting.
+/// IC3/PDR on the plain netlist. A counterexample depth hint is rebuilt
+/// into a concrete trace by a BMC pass beyond the attack search's bound;
+/// a hint BMC cannot rebuild is a timeout. With the bus on it imports
+/// lemmas between frontier iterations. PDR's frame clauses are
+/// level-indexed and rebuilt per call, so only the rebuilding BMC pass
+/// uses the warm pool.
 pub struct PdrBackend {
     pub max_frames: usize,
     /// Reconstruction floor: the BMC pass hunts at least this deep.
     pub bmc_depth: usize,
-    stats: Mutex<Option<LaneSolverStats>>,
+    warm: bool,
 }
 
 impl PdrBackend {
@@ -442,26 +404,23 @@ impl PdrBackend {
         PdrBackend {
             max_frames,
             bmc_depth,
-            stats: Mutex::new(None),
+            warm: false,
         }
+    }
+
+    /// Lets the rebuilding BMC pass resume a warm session.
+    pub fn warm(mut self, warm: bool) -> PdrBackend {
+        self.warm = warm;
+        self
     }
 }
 
 impl Backend for PdrBackend {
-    fn name(&self) -> &'static str {
-        "pdr"
-    }
-
     fn lane(&self) -> Lane {
         Lane::Pdr
     }
 
-    fn run(
-        &self,
-        ts: &Arc<TransitionSystem>,
-        budget: Budget,
-        ctx: &mut SharedContext,
-    ) -> EngineOutcome {
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
         let (result, raw) = pdr_with_stats(
             ts,
             PdrOptions {
@@ -470,8 +429,8 @@ impl Backend for PdrBackend {
             },
             ctx,
         );
-        *self.stats.lock().unwrap() = Some(LaneSolverStats::cold(Lane::Pdr, raw));
-        match result {
+        let mut stats = LaneSolverStats::cold(Lane::Pdr, raw);
+        let outcome = match result {
             PdrResult::Proof {
                 frames,
                 invariant_clauses,
@@ -499,10 +458,16 @@ impl Backend for PdrBackend {
             }
             PdrResult::Cex { depth_hint } => {
                 let deep = depth_hint.max(self.bmc_depth + 1) + 8;
-                match bmc(ts, deep, budget) {
-                    BmcResult::Cex(trace) => validated_attack(ts, trace, "pdr"),
-                    // Sequential maps an unreconstructed PDR cex to Timeout;
-                    // keep the portfolio lane on the same mapping.
+                let rebuilt = BmcBackend::new(deep).warm(self.warm).run(
+                    ts,
+                    budget,
+                    &mut SharedContext::disabled(Lane::Bmc),
+                );
+                if let Some(s) = &rebuilt.solver {
+                    stats.absorb(s);
+                }
+                match rebuilt.outcome {
+                    EngineOutcome::Attack(trace) => validated_attack(ts, trace, "pdr"),
                     _ => EngineOutcome::Timeout,
                 }
             }
@@ -510,233 +475,140 @@ impl Backend for PdrBackend {
             PdrResult::FrameLimit { frames } => {
                 EngineOutcome::Inconclusive(InconclusiveReason::FrameCap { frames })
             }
+        };
+        LaneRun {
+            solver: Some(stats),
+            ..outcome.into()
         }
-    }
-
-    fn solver_stats(&self) -> Option<LaneSolverStats> {
-        *self.stats.lock().unwrap()
     }
 }
 
 /// The Houdini lane: filter candidate relational invariants to an
-/// inductive subset. Survivors stream onto the exchange bus the moment
-/// the consecution fixpoint lands. If they imply safety outright that is
-/// a proof (LEAVE's success mode); otherwise they are conjoined onto the
-/// netlist as assumptions and both proof engines re-run on the
-/// strengthened instance — insurance for racing proof lanes that ended
-/// before the lemmas reached the bus.
+/// inductive subset, streaming the survivors onto the exchange bus the
+/// moment the consecution fixpoint lands. If they imply safety outright
+/// that is a proof (LEAVE's success mode); otherwise the lane reports
+/// them as [`EngineOutcome::Invariants`] for the driver to strengthen
+/// the later stages with.
+///
+/// With [`HoudiniBackend::tail`] — the portfolio's Houdini lane — the
+/// lane instead runs [`Schedule::houdini_tail`] as a nested schedule on
+/// its own thread: the filter, then k-induction and PDR on the
+/// strengthened instance, while the plain lanes race beside it.
 pub struct HoudiniBackend {
     pub candidates: Vec<Candidate>,
-    /// The lemma-free netlist the strengthened instance is rebuilt from.
-    pub base_aig: Aig,
-    pub keep_probes: bool,
-    /// `max_k` for the strengthened k-induction pass (0 = skip).
-    pub kind_max_k: usize,
-    /// Frame cap for the strengthened PDR pass (0 = skip).
-    pub pdr_max_frames: usize,
-    /// Reconstruction floor for strengthened-PDR counterexamples.
-    pub bmc_depth: usize,
-    warm: bool,
-    stats: Mutex<Option<LaneSolverStats>>,
+    /// Options of the nested tail schedule, when this lane runs one.
+    tail: Option<CheckOptions>,
 }
 
 impl HoudiniBackend {
-    pub fn new(
-        candidates: Vec<Candidate>,
-        base_aig: Aig,
-        keep_probes: bool,
-        kind_max_k: usize,
-        pdr_max_frames: usize,
-        bmc_depth: usize,
-    ) -> HoudiniBackend {
+    /// A filter-only lane.
+    pub fn new(candidates: Vec<Candidate>) -> HoudiniBackend {
         HoudiniBackend {
             candidates,
-            base_aig,
-            keep_probes,
-            kind_max_k,
-            pdr_max_frames,
-            bmc_depth,
-            warm: false,
-            stats: Mutex::new(None),
+            tail: None,
         }
     }
 
-    /// Enables warm sessions for the strengthened re-run passes. The
-    /// strengthened netlist carries extra assumes and therefore its own
-    /// fingerprint, so those sessions never contaminate (or hit) the
-    /// plain-netlist lanes' pool entries.
-    pub fn warm(mut self, warm: bool) -> HoudiniBackend {
-        self.warm = warm;
+    /// Runs the strengthened tail under `opts` (builder style). The tail
+    /// lanes share this lane's clock: per-lane caps do not apply inside.
+    pub fn tail(mut self, opts: &CheckOptions) -> HoudiniBackend {
+        self.tail = Some(CheckOptions {
+            lanes: LanePlan::default(),
+            ..opts.clone()
+        });
         self
     }
 
-    fn run_inner(
+    fn filter(
         &self,
         ts: &Arc<TransitionSystem>,
         budget: Budget,
-        ctx: &mut SharedContext,
-        agg: &mut LaneSolverStats,
+        ctx: &SharedContext,
     ) -> EngineOutcome {
         let mut stream = |_: usize, c: &Candidate| {
             ctx.publish_lemma(c.name.clone(), c.bit);
         };
-        let out = match houdini_with(ts, &self.candidates, budget.clone(), Some(&mut stream)) {
-            HoudiniResult::Done(out) => out,
-            HoudiniResult::Timeout => return EngineOutcome::Timeout,
-        };
-        if out.proves_safety {
-            let cert = Box::new(Certificate {
-                restored: Vec::new(),
-                survivors: out.survivors.clone(),
-                kind: CertKind::Inductive {
-                    blocked: Vec::new(),
-                },
-            });
-            return EngineOutcome::Proof(
+        match houdini_with(ts, &self.candidates, budget, Some(&mut stream)) {
+            HoudiniResult::Timeout => EngineOutcome::Timeout,
+            HoudiniResult::Done(out) if out.proves_safety => EngineOutcome::Proof(
                 ProofEngine::Houdini {
                     invariants: out.survivors.len(),
                 },
-                Some(cert),
-            );
+                Some(Box::new(Certificate {
+                    restored: Vec::new(),
+                    survivors: out.survivors,
+                    kind: CertKind::Inductive {
+                        blocked: Vec::new(),
+                    },
+                })),
+            ),
+            HoudiniResult::Done(out) => EngineOutcome::Invariants(out.survivors),
         }
-        if out.survivors.is_empty() {
-            return EngineOutcome::Inconclusive(InconclusiveReason::NoInvariants);
-        }
-        // Strengthen: surviving invariants are inductive, so conjoining
-        // them as assumptions is sound.
-        let mut strengthened = self.base_aig.clone();
-        for &i in &out.survivors {
-            strengthened.add_assume(self.candidates[i].bit);
-        }
-        let sts = TransitionSystem::shared(strengthened, self.keep_probes);
-        let mut notes = vec![format!(
-            "houdini: {}/{} candidates survive after {} rounds",
-            out.survivors.len(),
-            self.candidates.len(),
-            out.rounds
-        )];
-        // The re-runs work a private instance already carrying the
-        // lemmas; they neither import nor re-export them.
-        let mut quiet = SharedContext::disabled(Lane::Houdini);
-        if self.kind_max_k > 0 {
-            let kind = KindBackend::new(self.kind_max_k).warm(self.warm);
-            let r = kind.run(&sts, budget.clone(), &mut quiet);
-            if let Some(s) = kind.solver_stats() {
-                agg.absorb(&s);
-            }
-            match r {
-                // A cex from the strengthened instance was already replayed
-                // on the *strengthened* netlist; re-validate on the original
-                // before trusting it (the lemmas could mask init states). A
-                // replay failure is not a verdict — fall through to the
-                // strengthened PDR pass, like the sequential pipeline does.
-                EngineOutcome::Attack(trace) => {
-                    match validated_attack(ts, trace, "houdini+k-induction") {
-                        EngineOutcome::Inconclusive(n) => notes.push(n.to_string()),
-                        decisive => return decisive,
-                    }
-                }
-                EngineOutcome::Proof(p, cert) => {
-                    // The sub-proof holds on the strengthened instance;
-                    // fold the survivors in so the certificate stands on
-                    // the plain netlist too.
-                    return EngineOutcome::Proof(
-                        p,
-                        cert.map(|mut c| {
-                            c.survivors = out.survivors.clone();
-                            c
-                        }),
-                    );
-                }
-                EngineOutcome::Inconclusive(n) => notes.push(n.to_string()),
-                EngineOutcome::Timeout => return EngineOutcome::Timeout,
-            }
-        }
-        if self.pdr_max_frames > 0 {
-            let pdr = PdrBackend::new(self.pdr_max_frames, self.bmc_depth);
-            let r = pdr.run(&sts, budget, &mut quiet);
-            if let Some(s) = pdr.solver_stats() {
-                agg.absorb(&s);
-            }
-            match r {
-                EngineOutcome::Attack(trace) => return validated_attack(ts, trace, "houdini+pdr"),
-                EngineOutcome::Proof(p, cert) => {
-                    return EngineOutcome::Proof(
-                        p,
-                        cert.map(|mut c| {
-                            c.survivors = out.survivors.clone();
-                            c
-                        }),
-                    );
-                }
-                EngineOutcome::Inconclusive(n) => notes.push(n.to_string()),
-                EngineOutcome::Timeout => return EngineOutcome::Timeout,
-            }
-        }
-        EngineOutcome::Inconclusive(InconclusiveReason::Other(notes.join("; ")))
     }
 }
 
 impl Backend for HoudiniBackend {
-    fn name(&self) -> &'static str {
-        "houdini"
-    }
-
     fn lane(&self) -> Lane {
         Lane::Houdini
     }
 
-    fn run(
-        &self,
-        ts: &Arc<TransitionSystem>,
-        budget: Budget,
-        ctx: &mut SharedContext,
-    ) -> EngineOutcome {
-        // The lane's stats aggregate its strengthened sub-runs (the
-        // Houdini filtering phase itself keeps its solvers private).
-        let mut agg = LaneSolverStats::delta(
-            Lane::Houdini,
-            csl_sat::SolverStats::default(),
-            csl_sat::SolverStats::default(),
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
+        let Some(opts) = &self.tail else {
+            return self.filter(ts, budget, ctx).into();
+        };
+        let task = SafetyCheck {
+            aig: ts.aig().clone(),
+            candidates: self.candidates.clone(),
+        };
+        let report = drive(
+            &task,
+            &Schedule::houdini_tail(opts),
+            opts,
+            &budget,
+            Some(&*ctx),
         );
-        let outcome = self.run_inner(ts, budget, ctx, &mut agg);
-        agg.lane = Lane::Houdini;
-        *self.stats.lock().unwrap() = Some(agg);
-        outcome
-    }
-
-    fn solver_stats(&self) -> Option<LaneSolverStats> {
-        *self.stats.lock().unwrap()
+        // The lane's counters aggregate its tail (the filter itself
+        // keeps its solvers private).
+        let mut solver = LaneSolverStats::cold(Lane::Houdini, SolverStats::default());
+        for s in &report.solver {
+            solver.absorb(s);
+        }
+        let outcome = match report.verdict {
+            Verdict::Attack(trace) => EngineOutcome::Attack(trace),
+            Verdict::Proof(p) => EngineOutcome::Proof(p, report.certificate.map(Box::new)),
+            Verdict::Timeout => EngineOutcome::Timeout,
+            Verdict::Unknown { reason } => EngineOutcome::Inconclusive(reason),
+        };
+        LaneRun {
+            solver: Some(solver),
+            ..outcome.into()
+        }
     }
 }
 
 /// One configured lane of a race: the backend, its deadline (per-lane
 /// wall caps from a [`crate::LanePlan`] arrive here as earlier
-/// deadlines), and its exchange participation.
+/// deadlines), and its handle on the exchange bus.
 pub struct LaneSpec {
     pub backend: Box<dyn Backend>,
     pub deadline: Instant,
-    /// Pull foreign items off the bus.
-    pub import: bool,
-    /// Publish this lane's clauses/lemmas.
-    pub export: bool,
+    pub ctx: SharedContext,
 }
 
 impl LaneSpec {
-    /// A lane participating fully in the exchange (when it is enabled).
+    /// A lane off the exchange bus.
     pub fn new(backend: Box<dyn Backend>, deadline: Instant) -> LaneSpec {
+        let ctx = SharedContext::disabled(backend.lane());
         LaneSpec {
             backend,
             deadline,
-            import: true,
-            export: true,
+            ctx,
         }
     }
 
-    /// Sets the exchange participation (builder style).
-    pub fn exchange(mut self, import: bool, export: bool) -> LaneSpec {
-        self.import = import;
-        self.export = export;
+    /// Sets the lane's bus handle (builder style).
+    pub fn context(mut self, ctx: SharedContext) -> LaneSpec {
+        self.ctx = ctx;
         self
     }
 }
@@ -746,32 +618,15 @@ impl LaneSpec {
 pub struct LaneResult {
     pub engine: &'static str,
     pub lane: Lane,
-    pub outcome: EngineOutcome,
+    pub run: LaneRun,
     pub elapsed: Duration,
-    /// The deadline this lane ran under — earlier than the race's shared
-    /// deadline exactly when a per-lane wall cap shortened it, which is
-    /// how the merge tells a lane-local timeout from a global one.
+    /// The deadline this lane ran under — earlier than the schedule's
+    /// shared deadline exactly when a per-lane wall cap shortened it,
+    /// which is how the driver tells a lane-local timeout from a global
+    /// one.
     pub deadline: Instant,
-    /// Exchange-bus items this lane applied to its solvers.
-    pub imports: usize,
-    /// Exchange-bus items this lane published.
-    pub exports: usize,
-    /// Fuzz-reached proof obligations among the imports.
-    pub obligations: usize,
-    /// Clause-export length threshold the lane ran under (0 = no bus).
-    pub policy_len: usize,
-    /// Clause-export LBD threshold the lane ran under (0 = no bus).
-    pub policy_lbd: u32,
-    /// Whether the export policy was adapted from bus traffic.
-    pub adaptive: bool,
-    /// Campaign statistics, when this lane was a fuzzing backend.
-    pub fuzz: Option<FuzzStats>,
-    /// Coverage accounting, when this lane was a coverage-guided fuzzing
-    /// backend.
-    pub coverage: Option<CoverageStats>,
-    /// Solver activity (and warm-start accounting), when this lane was
-    /// a SAT backend.
-    pub solver: Option<LaneSolverStats>,
+    /// The lane's exchange-bus traffic.
+    pub exchange: ExchangeStats,
 }
 
 /// Everything the race produced: per-lane results (in completion order)
@@ -785,96 +640,76 @@ pub struct RaceReport {
 impl RaceReport {
     /// Per-lane exchange traffic, in completion order.
     pub fn exchange_stats(&self) -> Vec<ExchangeStats> {
-        self.lanes
-            .iter()
-            .map(|l| ExchangeStats {
-                lane: l.lane,
-                imports: l.imports,
-                exports: l.exports,
-                obligations: l.obligations,
-                policy_len: l.policy_len,
-                policy_lbd: l.policy_lbd,
-                adaptive: l.adaptive,
-            })
-            .collect()
+        self.lanes.iter().map(|l| l.exchange).collect()
     }
 }
+
+/// How often a race waiting on its lanes checks the enclosing stop flag.
+const STOP_POLL: Duration = Duration::from_millis(2);
 
 /// Races `lanes` against each other, one thread per backend, until the
 /// first decisive outcome or each lane's deadline. Each lane builds its
 /// own [`TransitionSystem`] from a clone of `aig` (the build is cheap
-/// relative to any SAT query) and gets a budget carrying the shared stop
+/// relative to any SAT query) and gets a budget carrying the race's stop
 /// flag; when a lane reports a decisive outcome the flag is raised and
-/// every other lane aborts at its next conflict/cycle boundary.
-///
-/// When `exchange.enabled`, one [`Exchange`] bus is shared by every lane
-/// whose [`LaneSpec`] participates; otherwise every lane gets an inert
-/// context.
+/// every other lane aborts at its next conflict/cycle boundary. A stop
+/// requested on the `enclosing` budget — the budget of the lane this
+/// race runs inside, if any — is forwarded to the race's flag. A lone
+/// lane has no sibling to cancel: it runs on the calling thread under
+/// the enclosing stop flag.
 pub fn race(
-    lanes: Vec<LaneSpec>,
+    mut lanes: Vec<LaneSpec>,
     aig: &Aig,
     keep_probes: bool,
-    exchange: &ExchangeConfig,
+    enclosing: &Budget,
 ) -> RaceReport {
+    if lanes.len() == 1 {
+        let spec = lanes.pop().expect("one lane");
+        return RaceReport {
+            lanes: vec![run_lane(
+                spec,
+                aig.clone(),
+                keep_probes,
+                enclosing.stop.clone(),
+            )],
+            canceled_stragglers: false,
+        };
+    }
     let stop = Arc::new(AtomicBool::new(false));
-    let bus = exchange.enabled.then(|| Exchange::new(exchange.clone()));
     let (tx, rx) = mpsc::channel::<LaneResult>();
-    let total = lanes.len();
-    let mut handles = Vec::with_capacity(total);
+    let mut handles = Vec::with_capacity(lanes.len());
     for spec in lanes {
         let aig = aig.clone();
         let stop = stop.clone();
         let tx = tx.clone();
-        let lane = spec.backend.lane();
-        let mut ctx = match &bus {
-            Some(bus) => SharedContext::attached(bus.clone(), lane, spec.import, spec.export),
-            None => SharedContext::disabled(lane),
-        };
         handles.push(std::thread::spawn(move || {
-            let start = Instant::now();
-            let ts = TransitionSystem::shared(aig, keep_probes);
-            let budget = Budget::until(spec.deadline).with_stop(stop);
-            let outcome = spec.backend.run(&ts, budget, &mut ctx);
-            let xs = ctx.stats();
             // The receiver may be gone if the race was already decided.
-            let _ = tx.send(LaneResult {
-                engine: spec.backend.name(),
-                lane,
-                outcome,
-                elapsed: start.elapsed(),
-                deadline: spec.deadline,
-                imports: xs.imports,
-                exports: xs.exports,
-                obligations: xs.obligations,
-                policy_len: xs.policy_len,
-                policy_lbd: xs.policy_lbd,
-                adaptive: xs.adaptive,
-                fuzz: spec.backend.fuzz_stats(),
-                coverage: spec.backend.coverage_stats(),
-                solver: spec.backend.solver_stats(),
-            });
+            let _ = tx.send(run_lane(spec, aig, keep_probes, Some(stop)));
         }));
     }
     drop(tx);
 
-    let mut lanes = Vec::with_capacity(total);
+    let mut lanes = Vec::with_capacity(handles.len());
     let mut canceled_stragglers = false;
-    while lanes.len() < total {
-        match rx.recv() {
+    // Every lane sends exactly once, so the channel disconnects once all
+    // of them have reported (or died).
+    loop {
+        match rx.recv_timeout(STOP_POLL) {
             Ok(lane) => {
-                let decisive = lane.outcome.is_decisive();
-                lanes.push(lane);
-                if decisive && !canceled_stragglers {
+                if lane.run.outcome.is_decisive() && !canceled_stragglers {
                     stop.store(true, Ordering::Relaxed);
                     canceled_stragglers = true;
                 }
+                lanes.push(lane);
             }
-            Err(_) => break, // all senders gone
+            Err(RecvTimeoutError::Timeout) => {
+                if enclosing.stop_requested() {
+                    stop.store(true, Ordering::Relaxed);
+                }
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    // By here every lane has reported (the recv loop only exits at `total`
-    // results, or on Err — which requires every sender already dropped with
-    // an empty channel), so the joins are immediate.
     for h in handles {
         let _ = h.join();
     }
@@ -884,9 +719,34 @@ pub fn race(
     }
 }
 
+/// Runs one lane to its result under its deadline and `stop`.
+fn run_lane(
+    mut spec: LaneSpec,
+    aig: Aig,
+    keep_probes: bool,
+    stop: Option<Arc<AtomicBool>>,
+) -> LaneResult {
+    let start = Instant::now();
+    let ts = TransitionSystem::shared(aig, keep_probes);
+    let budget = Budget {
+        stop,
+        ..Budget::until(spec.deadline)
+    };
+    let run = spec.backend.run(&ts, budget, &mut spec.ctx);
+    LaneResult {
+        engine: spec.backend.name(),
+        lane: spec.backend.lane(),
+        run,
+        elapsed: start.elapsed(),
+        deadline: spec.deadline,
+        exchange: spec.ctx.stats(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::{Exchange, ExchangeConfig};
     use csl_hdl::{Design, Init};
 
     /// A 1-bit design with no bad states (backends under test ignore it).
@@ -922,17 +782,17 @@ mod tests {
             _ts: &Arc<TransitionSystem>,
             budget: Budget,
             _ctx: &mut SharedContext,
-        ) -> EngineOutcome {
+        ) -> LaneRun {
             let end = Instant::now() + self.delay;
             while Instant::now() < end {
                 if budget.stop_requested() {
                     self.saw_stop.store(true, Ordering::Relaxed);
-                    return EngineOutcome::Timeout;
+                    return EngineOutcome::Timeout.into();
                 }
                 std::thread::sleep(Duration::from_millis(1));
             }
             self.finished_naturally.store(true, Ordering::Relaxed);
-            (self.outcome)()
+            (self.outcome)().into()
         }
     }
 
@@ -975,7 +835,7 @@ mod tests {
             vec![LaneSpec::new(fast, deadline), LaneSpec::new(slow, deadline)],
             &trivial_aig(),
             false,
-            &ExchangeConfig::off(),
+            &Budget::unlimited(),
         );
         let wall = start.elapsed();
         // The fast proof decided the race and the slow lane was stopped
@@ -993,7 +853,7 @@ mod tests {
         let winner = report
             .lanes
             .iter()
-            .find(|l| l.outcome.is_decisive())
+            .find(|l| l.run.outcome.is_decisive())
             .expect("decisive lane");
         assert_eq!(winner.engine, "fast");
     }
@@ -1011,13 +871,79 @@ mod tests {
             vec![LaneSpec::new(a, deadline), LaneSpec::new(b, deadline)],
             &trivial_aig(),
             false,
-            &ExchangeConfig::off(),
+            &Budget::unlimited(),
         );
         assert!(!report.canceled_stragglers);
         assert!(a_fin.load(Ordering::Relaxed));
         assert!(b_fin.load(Ordering::Relaxed));
         assert!(!b_saw_stop.load(Ordering::Relaxed));
         assert_eq!(report.lanes.len(), 2);
+    }
+
+    /// A lane running a race of its own — a nested schedule — is
+    /// canceled with its siblings: a decisive sibling's stop reaches the
+    /// nested lanes, whether the nested stage races (stop forwarded) or
+    /// runs its lone lane inline (enclosing flag).
+    #[test]
+    fn decisive_sibling_cancels_a_nested_race() {
+        struct Nested {
+            lanes: usize,
+            saw_stop: Arc<AtomicBool>,
+        }
+        impl Backend for Nested {
+            fn lane(&self) -> Lane {
+                Lane::Houdini
+            }
+            fn run(
+                &self,
+                ts: &Arc<TransitionSystem>,
+                budget: Budget,
+                _ctx: &mut SharedContext,
+            ) -> LaneRun {
+                let deadline = Instant::now() + Duration::from_secs(60);
+                let inner = (0..self.lanes)
+                    .map(|_| {
+                        let slow = FakeBackend {
+                            name: "inner",
+                            delay: Duration::from_secs(30),
+                            outcome: || EngineOutcome::Timeout,
+                            saw_stop: self.saw_stop.clone(),
+                            finished_naturally: Arc::new(AtomicBool::new(false)),
+                        };
+                        LaneSpec::new(Box::new(slow), deadline)
+                    })
+                    .collect();
+                let mut report = race(inner, ts.aig(), false, &budget);
+                report.lanes.remove(0).run
+            }
+        }
+        for lanes in [1, 2] {
+            let (fast, _, _) = fake("fast", Duration::from_millis(10), || {
+                EngineOutcome::Proof(ProofEngine::KInduction { k: 1 }, None)
+            });
+            let saw_stop = Arc::new(AtomicBool::new(false));
+            let nested = Nested {
+                lanes,
+                saw_stop: saw_stop.clone(),
+            };
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let start = Instant::now();
+            let report = race(
+                vec![
+                    LaneSpec::new(fast, deadline),
+                    LaneSpec::new(Box::new(nested), deadline),
+                ],
+                &trivial_aig(),
+                false,
+                &Budget::unlimited(),
+            );
+            assert!(report.canceled_stragglers);
+            assert!(
+                start.elapsed() < Duration::from_secs(7),
+                "{lanes} nested lane(s): cancellation was not prompt"
+            );
+            assert!(saw_stop.load(Ordering::Relaxed), "{lanes} nested lane(s)");
+        }
     }
 
     #[test]
@@ -1038,7 +964,7 @@ mod tests {
             ],
             &trivial_aig(),
             false,
-            &ExchangeConfig::off(),
+            &Budget::unlimited(),
         );
         assert_eq!(report.lanes.len(), 3);
     }
@@ -1060,9 +986,9 @@ mod tests {
                 _ts: &Arc<TransitionSystem>,
                 _budget: Budget,
                 ctx: &mut SharedContext,
-            ) -> EngineOutcome {
+            ) -> LaneRun {
                 ctx.publish_lemma("lemma", csl_hdl::Bit::from_packed(2));
-                EngineOutcome::Inconclusive(InconclusiveReason::Other("done".into()))
+                EngineOutcome::Inconclusive(InconclusiveReason::Other("done".into())).into()
             }
         }
         struct Consumer;
@@ -1078,7 +1004,7 @@ mod tests {
                 _ts: &Arc<TransitionSystem>,
                 budget: Budget,
                 ctx: &mut SharedContext,
-            ) -> EngineOutcome {
+            ) -> LaneRun {
                 // Poll until the publisher's lemma arrives or time is up.
                 let end = Instant::now() + Duration::from_secs(5);
                 while Instant::now() < end && !budget.stop_requested() {
@@ -1089,18 +1015,20 @@ mod tests {
                     }
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                EngineOutcome::Inconclusive(InconclusiveReason::Other("done".into()))
+                EngineOutcome::Inconclusive(InconclusiveReason::Other("done".into())).into()
             }
         }
         let deadline = Instant::now() + Duration::from_secs(30);
+        let bus = Exchange::new(ExchangeConfig::on());
+        let attach = |lane| SharedContext::attached(bus.clone(), lane, true, true);
         let report = race(
             vec![
-                LaneSpec::new(Box::new(Publisher), deadline),
-                LaneSpec::new(Box::new(Consumer), deadline),
+                LaneSpec::new(Box::new(Publisher), deadline).context(attach(Lane::Houdini)),
+                LaneSpec::new(Box::new(Consumer), deadline).context(attach(Lane::KInduction)),
             ],
             &trivial_aig(),
             false,
-            &ExchangeConfig::on(),
+            &Budget::unlimited(),
         );
         let stats = report.exchange_stats();
         let publisher = stats.iter().find(|s| s.lane == Lane::Houdini).unwrap();

@@ -168,30 +168,6 @@ impl PreparedInstance {
     }
 }
 
-/// The standard prepare→solve→lift wrapper shared by `check_safety`
-/// and the csl-core scheme runners: with preparation disabled, `solve`
-/// runs directly on the borrowed task (no clone); otherwise the
-/// engines see the reduced instance and the report comes back in
-/// raw-netlist vocabulary with the preparation wall time *included* in
-/// `CheckReport::elapsed` (the pipeline is linear in netlist size —
-/// milliseconds against multi-second SAT budgets — and is therefore
-/// not itself budget-capped or cancellable).
-pub fn run_prepared(
-    task: &SafetyCheck,
-    cfg: &PrepareConfig,
-    keep_probes: bool,
-    solve: impl FnOnce(&SafetyCheck) -> CheckReport,
-) -> CheckReport {
-    if !cfg.enabled {
-        return solve(task);
-    }
-    let start = std::time::Instant::now();
-    let prepared = prepare(task, cfg, keep_probes);
-    let mut report = prepared.finalize_report(&task.aig, solve(&prepared.task));
-    report.elapsed = start.elapsed();
-    report
-}
-
 /// Runs the configured reduction pipeline over `task`. Candidate bits
 /// ride along as extra roots and come back remapped; with preparation
 /// disabled the result is a clone of `task` with an identity
