@@ -7,6 +7,25 @@
 //! configurable: with [`InitMode::Reset`] frame 0 respects latch init values
 //! (BMC); with [`InitMode::Free`] frame-0 latches are unconstrained
 //! (induction-step and Houdini-consecution queries).
+//!
+//! The encoder simplifies as it goes, so every engine that unrolls gets
+//! the smaller formula:
+//! * under [`InitMode::Reset`], a latch with a concrete init value *is*
+//!   the constant literal at frame 0 (no variable, no unit clause);
+//! * every AND gate goes through one helper that folds a constant, equal
+//!   or complementary operand pair, and otherwise looks the ordered
+//!   operand-literal pair up in a gate table shared by all frames, so a
+//!   gate some earlier frame — or an identical copy of the logic — already
+//!   encoded reuses that variable and adds no clauses.
+//!
+//! Each `(frame, node)` literal still equals that node's value at that
+//! frame in every model; several `(frame, node)` pairs may share one
+//! literal. The constant sweep in [`crate::prepare`] runs once, over the
+//! netlist, and folds only latches stuck at their reset value forever;
+//! the encoder folds each frame's own constants (a reset frame 0 and
+//! what it feeds forward) and shares the logic two machine copies
+//! compute identically from them. Free-initialised sessions have no
+//! frame-0 constants, so they still depend on the sweep.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,6 +70,10 @@ pub struct Unroller {
     pub solver: Solver,
     /// `frame_lits[t][node] = Some(lit)` once encoded.
     frame_lits: Vec<Vec<Option<Lit>>>,
+    /// Encoded AND gates by ordered operand-literal pair, shared by all
+    /// frames. Only ever looked up, never iterated, so the encoding (and
+    /// with it every solver counter) is deterministic.
+    gates: HashMap<(Lit, Lit), Lit>,
     /// Frames whose assume bits have been asserted.
     assumes_added: usize,
     /// Mirror of `assumes_added` readable from the export hook.
@@ -72,6 +95,7 @@ impl Unroller {
             ts: Arc::clone(ts),
             solver,
             frame_lits: Vec::new(),
+            gates: HashMap::new(),
             assumes_added: 0,
             assume_frames: Arc::new(AtomicUsize::new(0)),
             origins: None,
@@ -88,8 +112,9 @@ impl Unroller {
     }
 
     /// Records where a solver variable came from (first writer wins: an
-    /// aliased latch output keeps its previous-frame identity, which
-    /// denotes the same Boolean function of the run).
+    /// aliased latch output keeps its previous-frame identity, and a shared
+    /// gate keeps the `(frame, node)` that created it — both denote the
+    /// same Boolean function of the run as every later user).
     fn record_origin(&self, frame: usize, node: u32, lit: Lit) {
         if let Some(map) = &self.origins {
             let mut map = map.lock().unwrap();
@@ -246,24 +271,61 @@ impl Unroller {
         vec![None; self.ts.aig().num_nodes()]
     }
 
+    /// A fresh unconstrained variable standing for `node` at `frame`.
+    fn fresh(&mut self, frame: usize, node: u32) -> Lit {
+        let v = self.solver.new_var().positive();
+        self.record_origin(frame, node, v);
+        v
+    }
+
+    /// Frame-0 literal of latch `li` when reset fixes it: the constant
+    /// literal for its declared init value under [`InitMode::Reset`].
+    fn reset_const(&self, li: u32) -> Option<Lit> {
+        if self.init_mode != InitMode::Reset {
+            return None;
+        }
+        let v = self.ts.latch_init(li)?;
+        Some(if v { self.const_true } else { !self.const_true })
+    }
+
+    /// Literal for `a ∧ b`, encoded on behalf of `node` at `frame`: folds
+    /// a constant, equal or complementary operand, and otherwise reuses
+    /// the gate table entry, creating a variable and its three Tseitin
+    /// clauses only on a miss.
+    fn and_lit(&mut self, frame: usize, node: u32, a: Lit, b: Lit) -> Lit {
+        let t = self.const_true;
+        if a == !t || b == !t || a == !b {
+            return !t;
+        }
+        if a == t || a == b {
+            return b;
+        }
+        if b == t {
+            return a;
+        }
+        let key = if a <= b { (a, b) } else { (b, a) };
+        if let Some(&v) = self.gates.get(&key) {
+            return v;
+        }
+        let v = self.fresh(frame, node);
+        // v <-> a & b
+        self.solver.add_clause(&[!v, a]);
+        self.solver.add_clause(&[!v, b]);
+        self.solver.add_clause(&[v, !a, !b]);
+        self.gates.insert(key, v);
+        v
+    }
+
     fn push_frame0(&mut self) {
+        let ts = Arc::clone(&self.ts);
         let mut map = self.fresh_map();
-        for &li in self.ts.active_latches() {
-            let latch = &self.ts.aig().latches()[li as usize];
-            let v = self.solver.new_var().positive();
-            self.record_origin(0, latch.output.node(), v);
-            map[latch.output.node() as usize] = Some(v);
-            if self.init_mode == InitMode::Reset {
-                match self.ts.latch_init(li) {
-                    Some(true) => {
-                        self.solver.add_clause(&[v]);
-                    }
-                    Some(false) => {
-                        self.solver.add_clause(&[!v]);
-                    }
-                    None => {}
-                }
-            }
+        for &li in ts.active_latches() {
+            let node = ts.aig().latches()[li as usize].output.node();
+            let l = match self.reset_const(li) {
+                Some(c) => c,
+                None => self.fresh(0, node),
+            };
+            map[node as usize] = Some(l);
         }
         self.frame_lits.push(map);
     }
@@ -303,8 +365,7 @@ impl Unroller {
     /// Solver literal for bit `b` at frame `t`, encoding the cone on demand.
     ///
     /// # Panics
-    /// Panics if `t` is not yet unrolled, or if `b` depends on a latch
-    /// outside the cone of influence.
+    /// Panics if `t` is not yet unrolled.
     pub fn lit_of(&mut self, b: Bit, t: usize) -> Lit {
         assert!(t < self.frame_lits.len(), "frame {t} not unrolled yet");
         // Iterative DFS over the combinational cone at frame t.
@@ -314,65 +375,39 @@ impl Unroller {
                 continue;
             }
             let nb = Bit::from_packed(n << 1);
-            match self.ts.aig().node(nb) {
-                Node::Const => {
-                    self.frame_lits[t][n as usize] = Some(!self.const_true);
-                }
-                Node::Input(_) => {
-                    let v = self.solver.new_var().positive();
-                    self.record_origin(t, n, v);
-                    self.frame_lits[t][n as usize] = Some(v);
-                }
-                Node::Latch(li) => {
-                    // A latch outside the cone of influence, referenced by
-                    // an auxiliary query (e.g. a Houdini candidate). Its
-                    // next-state function is not part of the encoded
-                    // transition relation, so model it as unconstrained —
-                    // except at frame 0 under Reset, where its declared
-                    // init value still applies. Sound: candidates over
-                    // such latches can only be *dropped* by consecution.
-                    let v = self.solver.new_var().positive();
-                    self.record_origin(t, n, v);
-                    if t == 0 && self.init_mode == InitMode::Reset {
-                        match self.ts.latch_init(li) {
-                            Some(true) => {
-                                self.solver.add_clause(&[v]);
-                            }
-                            Some(false) => {
-                                self.solver.add_clause(&[!v]);
-                            }
-                            None => {}
-                        }
-                    }
-                    self.frame_lits[t][n as usize] = Some(v);
-                }
+            let lit = match self.ts.aig().node(nb) {
+                Node::Const => !self.const_true,
+                Node::Input(_) => self.fresh(t, n),
+                // A latch outside the cone of influence, referenced by an
+                // auxiliary query (e.g. a Houdini candidate). Its
+                // next-state function is not part of the encoded
+                // transition relation, so model it as unconstrained —
+                // except at frame 0 under Reset, where its declared init
+                // value still applies. Sound: candidates over such latches
+                // can only be *dropped* by consecution.
+                Node::Latch(li) => match self.reset_const(li) {
+                    Some(c) if t == 0 => c,
+                    _ => self.fresh(t, n),
+                },
                 Node::And(x, y) => {
                     let lx = self.frame_lits[t][x.node() as usize];
                     let ly = self.frame_lits[t][y.node() as usize];
-                    match (lx, ly) {
-                        (Some(lx), Some(ly)) => {
-                            let lx = if x.is_complemented() { !lx } else { lx };
-                            let ly = if y.is_complemented() { !ly } else { ly };
-                            let v = self.solver.new_var().positive();
-                            self.record_origin(t, n, v);
-                            // v <-> lx & ly
-                            self.solver.add_clause(&[!v, lx]);
-                            self.solver.add_clause(&[!v, ly]);
-                            self.solver.add_clause(&[v, !lx, !ly]);
-                            self.frame_lits[t][n as usize] = Some(v);
+                    let (Some(lx), Some(ly)) = (lx, ly) else {
+                        stack.push(n);
+                        if lx.is_none() {
+                            stack.push(x.node());
                         }
-                        _ => {
-                            stack.push(n);
-                            if lx.is_none() {
-                                stack.push(x.node());
-                            }
-                            if ly.is_none() {
-                                stack.push(y.node());
-                            }
+                        if ly.is_none() {
+                            stack.push(y.node());
                         }
-                    }
+                        continue;
+                    };
+                    let lx = if x.is_complemented() { !lx } else { lx };
+                    let ly = if y.is_complemented() { !ly } else { ly };
+                    self.and_lit(t, n, lx, ly)
                 }
-            }
+            };
+            self.frame_lits[t][n as usize] = Some(lit);
         }
         let raw = self.frame_lits[t][b.node() as usize].unwrap();
         if b.is_complemented() {

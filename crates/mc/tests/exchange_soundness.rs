@@ -1,69 +1,32 @@
 //! Exchange-bus soundness: everything a lane publishes must be implied
 //! by the shared instance.
 //!
-//! * **Clauses** (property test over random small AIGs): every clause the
-//!   BMC lane exports is checked against a *fresh* reset-initialised
-//!   unrolling of the same netlist — asserting the clause's negation on
-//!   top of `Init ∧ T ∧ assumes(0..h)` must be UNSAT. An exported clause
-//!   that fails this check would let an importer prune real behaviour.
+//! * **Clauses** (property test over random small AIGs, with one or two
+//!   register copies): every clause the BMC lane exports is checked
+//!   against a *fresh* reset-initialised unrolling of the same netlist —
+//!   asserting the clause's negation on top of `Init ∧ T ∧ assumes(0..h)`
+//!   must be UNSAT. An exported clause that fails this check would let an
+//!   importer prune real behaviour. The two-copy designs make the lane's
+//!   encoder share variables between the copies, so exports over shared
+//!   variables are checked too.
 //! * **Lemmas**: every survivor Houdini streams must hold at every frame
 //!   of every reachable assume-satisfying run — its negation at any
 //!   reset-reachable frame must be UNSAT.
+//!
+//! Every check unrolls with the naive reference encoder in `common`, not
+//! the production [`csl_mc::Unroller`] the lanes use, so an encoder bug
+//! cannot validate its own exports.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+mod common;
 
-use csl_hdl::{Aig, Design, Init};
+use common::{random_design, NaiveUnroller};
+use csl_hdl::{Design, Init};
 use csl_mc::exchange::{Exchange, ExchangeConfig, ExchangeItem, SharedClause, SharedContext};
 use csl_mc::{
     bmc_with, houdini_with, pdr_with, Candidate, InitMode, Lane, PdrOptions, PdrResult,
-    SharedInvariant, SharedLemma, TransitionSystem, Unroller,
+    SharedInvariant, SharedLemma, TransitionSystem,
 };
 use csl_sat::{Budget, Lit, SolveResult};
-
-/// A random small sequential design with enough structure to make the
-/// SAT search conflict (and therefore learn clauses): input-gated
-/// counters, a cross-register comparison, an assume, and an unreachable
-/// (or late-reachable) bad value.
-fn random_design(seed: u64) -> Aig {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut d = Design::new("rand");
-    let width = rng.gen_range(3usize..=4);
-    let x = d.input_bit("x");
-    let y = d.input_bit("y");
-
-    let a = d.reg("a", width, Init::Zero);
-    let b = d.reg("b", width, Init::Zero);
-    // a advances on x, by 1 or 2.
-    let a_step = rng.gen_range(1u64..=2);
-    let a_inc = d.add_const(&a.q(), a_step);
-    let a_next = d.mux(x, &a_inc, &a.q());
-    d.set_next(&a, a_next);
-    // b advances every cycle unless saturated at a random limit.
-    let limit = rng.gen_range(2u64..(1 << width) - 1);
-    let at_limit = d.eq_const(&b.q(), limit);
-    let b_inc = d.add_const(&b.q(), 1);
-    let b_next = d.mux(at_limit, &b.q(), &b_inc);
-    d.set_next(&b, b_next);
-
-    // Optionally couple the inputs through an assume.
-    if rng.gen_bool(0.5) {
-        let imp = d.implies_bit(y, x);
-        d.assume(imp);
-    }
-    // Bad: a hits a value it may or may not reach, and (sometimes) the
-    // registers agreeing on a marker value.
-    let target = rng.gen_range(1u64..(1 << width));
-    let hit = d.eq_const(&a.q(), target);
-    d.assert_always("a_hits", hit.not());
-    if rng.gen_bool(0.5) {
-        let eq = d.eq(&a.q(), &b.q());
-        let marker = d.eq_const(&b.q(), limit);
-        let both = d.and_bit(eq, marker);
-        d.assert_always("agree_at_limit", both.not());
-    }
-    d.finish()
-}
 
 /// Drains every clause currently on `bus` (as seen by a fresh consumer
 /// on a different lane).
@@ -86,8 +49,12 @@ fn drain_clauses(bus: &std::sync::Arc<Exchange>) -> Vec<SharedClause> {
 
 /// Checks one exported clause against a fresh reset-init unrolling:
 /// `Init ∧ T ∧ assumes(0..assume_frames-1) ∧ ¬clause` must be UNSAT.
-fn assert_clause_implied(ts: &std::sync::Arc<TransitionSystem>, clause: &SharedClause, seed: u64) {
-    let mut u = Unroller::new(ts, InitMode::Reset);
+fn assert_clause_implied(
+    ts: &std::sync::Arc<TransitionSystem>,
+    clause: &SharedClause,
+    design: &str,
+) {
+    let mut u = NaiveUnroller::new(ts, InitMode::Reset);
     if clause.assume_frames > 0 {
         u.assert_assumes_through(clause.assume_frames - 1);
     }
@@ -100,15 +67,15 @@ fn assert_clause_implied(ts: &std::sync::Arc<TransitionSystem>, clause: &SharedC
     assert_eq!(
         u.solve_with(&negated),
         SolveResult::Unsat,
-        "seed {seed}: exported clause {clause:?} is not implied by the source instance"
+        "{design}: exported clause {clause:?} is not implied by the source instance"
     );
 }
 
 #[test]
 fn exported_bmc_clauses_are_implied_by_the_source_instance() {
-    let mut total_checked = 0usize;
-    for seed in 0..12u64 {
-        let aig = random_design(seed);
+    let mut checked = [0usize; 2];
+    for (seed, two_copy) in (0..12u64).flat_map(|s| [(s, false), (s, true)]) {
+        let aig = random_design(seed, [Init::Zero; 2], two_copy);
         let ts = TransitionSystem::shared(aig, false);
         let bus = Exchange::new(ExchangeConfig {
             enabled: true,
@@ -129,14 +96,15 @@ fn exported_bmc_clauses_are_implied_by_the_source_instance() {
         );
         // Bound the per-seed verification work; implication checks are
         // individually cheap but the export stream can be long.
+        let design = format!("seed {seed} two_copy {two_copy}");
         for clause in drain_clauses(&bus).into_iter().take(64) {
-            assert_clause_implied(&ts, &clause, seed);
-            total_checked += 1;
+            assert_clause_implied(&ts, &clause, &design);
+            checked[two_copy as usize] += 1;
         }
     }
     assert!(
-        total_checked > 0,
-        "the probe never exported a clause — the property test checked nothing"
+        checked.iter().all(|&n| n > 0),
+        "clauses checked (one copy, two copies): {checked:?} — a design family never exported"
     );
 }
 
@@ -172,7 +140,7 @@ fn streamed_houdini_lemmas_hold_on_all_reachable_frames() {
 
     let depth = 8;
     for lemma in &streamed {
-        let mut u = Unroller::new(&ts, InitMode::Reset);
+        let mut u = NaiveUnroller::new(&ts, InitMode::Reset);
         u.assert_assumes_through(depth);
         for k in 0..=depth {
             let l = u.lit_of(lemma.bit, k);
@@ -235,7 +203,7 @@ fn pdr_exports_its_final_invariant_and_it_holds_on_reachable_frames() {
 
     let depth = 10;
     for inv in &invariants {
-        let mut u = Unroller::new(&ts, InitMode::Reset);
+        let mut u = NaiveUnroller::new(&ts, InitMode::Reset);
         u.assert_assumes_through(depth);
         for k in 0..=depth {
             // ¬clause: every literal forced to its complementary value.

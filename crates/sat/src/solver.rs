@@ -161,6 +161,8 @@ pub struct Solver {
     /// Scratch for conflict analysis.
     seen: Vec<bool>,
     analyze_toclear: Vec<Lit>,
+    /// Work list of [`Solver::lit_redundant`], kept to reuse its buffer.
+    minimize_stack: Vec<Lit>,
     /// Failed-assumption set from the last Unsat answer.
     conflict: Vec<Lit>,
     /// Learnt-clause cap; grows geometrically.
@@ -202,6 +204,7 @@ impl Solver {
             ok: true,
             seen: Vec::new(),
             analyze_toclear: Vec::new(),
+            minimize_stack: Vec::new(),
             conflict: Vec::new(),
             max_learnts: 0.0,
             budget: Budget::unlimited(),
@@ -548,18 +551,25 @@ impl Solver {
         learnt[0] = !p.unwrap();
 
         // Clause minimisation: drop literals implied by the rest.
-        self.analyze_toclear = learnt.clone();
+        self.analyze_toclear.clear();
+        self.analyze_toclear.extend_from_slice(&learnt);
         self.stats.learnt_literals += learnt.len() as u64;
-        let mut kept = vec![learnt[0]];
-        for &l in &learnt[1..] {
-            if self.reason[l.var().index()].is_undef() || !self.lit_redundant(l) {
-                kept.push(l);
+        let levels = learnt[1..]
+            .iter()
+            .fold(0u32, |acc, l| acc | self.abstract_level(*l));
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            if self.reason[l.var().index()].is_undef() || !self.lit_redundant(l, levels) {
+                learnt[kept] = l;
+                kept += 1;
             }
         }
-        self.stats.minimized_literals += (learnt.len() - kept.len()) as u64;
-        let mut learnt = kept;
-        for l in self.analyze_toclear.drain(..) {
-            self.seen[l.var().index()] = false;
+        self.stats.minimized_literals += (learnt.len() - kept) as u64;
+        learnt.truncate(kept);
+        for i in 0..self.analyze_toclear.len() {
+            let v = self.analyze_toclear[i].var().index();
+            self.seen[v] = false;
         }
 
         // Find backtrack level: second-highest decision level in the clause.
@@ -578,34 +588,49 @@ impl Solver {
         (learnt, backtrack)
     }
 
+    /// `l`'s decision level as one bit of 32 (the level modulo 32). OR-ed
+    /// over a clause it summarises the clause's levels conservatively: a
+    /// level whose bit is clear occurs in none of its literals.
+    fn abstract_level(&self, l: Lit) -> u32 {
+        1 << (self.level[l.var().index()] & 31)
+    }
+
     /// Checks whether `l`'s negation is implied by the remaining learnt
-    /// literals (recursive minimisation with an explicit stack).
-    fn lit_redundant(&mut self, l: Lit) -> bool {
-        let mut stack = vec![l];
-        let mut pushed: Vec<Lit> = Vec::new();
-        while let Some(top) = stack.pop() {
-            let r = self.reason[top.var().index()];
+    /// literals (recursive minimisation with an explicit stack). `levels`
+    /// summarises their levels (see [`Solver::abstract_level`]). A literal
+    /// at a level outside that set cannot be implied by them: its chain of
+    /// reasons at its own level ends at that level's decision, which is
+    /// none of theirs. So the walk fails on the first such literal instead
+    /// of descending to the decision, with the same answer.
+    fn lit_redundant(&mut self, l: Lit, levels: u32) -> bool {
+        let top = self.analyze_toclear.len();
+        self.minimize_stack.clear();
+        self.minimize_stack.push(l);
+        while let Some(p) = self.minimize_stack.pop() {
+            let r = self.reason[p.var().index()];
             debug_assert!(!r.is_undef());
             let n = self.db.lits(r).len();
             for k in 1..n {
                 let q = self.db.lits(r)[k];
                 let qi = q.var().index();
                 if !self.seen[qi] && self.level[qi] > 0 {
-                    if self.reason[qi].is_undef() {
-                        // Hit a decision: not redundant; undo speculative marks.
-                        for pl in pushed {
-                            self.seen[pl.var().index()] = false;
+                    if self.reason[qi].is_undef() || self.abstract_level(q) & levels == 0 {
+                        // Not redundant: undo this call's speculative marks.
+                        for j in top..self.analyze_toclear.len() {
+                            let v = self.analyze_toclear[j].var().index();
+                            self.seen[v] = false;
                         }
+                        self.analyze_toclear.truncate(top);
                         return false;
                     }
                     self.seen[qi] = true;
-                    pushed.push(q);
-                    stack.push(q);
+                    self.minimize_stack.push(q);
+                    self.analyze_toclear.push(q);
                 }
             }
         }
-        // Keep speculative marks; they are cleared via analyze_toclear.
-        self.analyze_toclear.extend(pushed);
+        // Keep the marks: they speed up later calls and are cleared via
+        // analyze_toclear.
         true
     }
 
