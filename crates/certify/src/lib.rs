@@ -2,7 +2,7 @@
 //! witnesses.
 //!
 //! The engines in `csl-mc` decide safety with thousands of incremental SAT
-//! calls spread across racing lanes, warm-started sessions and a shared
+//! calls spread across racing lanes, incremental sessions and a shared
 //! lemma bus. Trusting a `Proven` verdict therefore means trusting all of
 //! that machinery. This crate removes the need to: every decided verdict is
 //! accompanied by a small artifact — a [`Certificate`] for proofs, a

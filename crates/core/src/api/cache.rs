@@ -13,9 +13,11 @@
 //!
 //! Only *decided* cells (attack or proof) are stored: a timeout or
 //! unknown depends on the machine and the budget draw, and caching one
-//! would mask a later, luckier run. `Matrix::run_all` consults the cache
-//! when one is configured (see `Matrix::cache`); the bench bins expose
-//! the `--no-cache` escape hatch.
+//! would mask a later, luckier run. Under certification the callers also
+//! skip proofs without a certificate, which the load audit would reject
+//! (see [`may_store`]). `Matrix::run_all` consults the cache when one is
+//! configured (see `Matrix::cache`); the bench bins expose the
+//! `--no-cache` escape hatch.
 //!
 //! The directory is safe to share between concurrent processes (the
 //! `csl-serve` daemon points every worker at one cache): stores write to
@@ -29,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use csl_hdl::{Aig, Node};
-use csl_mc::{Candidate, CheckOptions, SafetyCheck};
+use csl_mc::{Candidate, CheckOptions, SafetyCheck, Verdict};
 
 use crate::api::report::Report;
 
@@ -187,10 +189,8 @@ pub(crate) fn options_fingerprint(h: &mut Fingerprint, opts: &CheckOptions) {
     h.bool(p.const_sweep);
     h.bool(p.dead_latches);
     h.bool(p.compact);
-    // Warm-start reuse cannot change a verdict, but it does change the
-    // solver-stats block of the report we would cache, so it is part of
-    // the key like every other knob.
-    h.bool(opts.warm_start);
+    // The removed warm-start knob's slot: existing caches and journals keep hitting.
+    h.bool(false);
     // Certificate emission changes the report's certificate block (and
     // whether a cached proof can pass verify-on-load), so it keys too.
     h.bool(opts.certify);
@@ -200,6 +200,19 @@ pub(crate) fn options_fingerprint(h: &mut Fingerprint, opts: &CheckOptions) {
     h.usize(opts.extra_lanes.len());
     for lane in &opts.extra_lanes {
         h.str(lane.label());
+    }
+}
+
+/// Whether `report` may be stored in a [`ReportCache`] or a serve
+/// journal: it must be decided, and under certification (`certify`) a
+/// proof must carry its certificate. Loads under certification audit the
+/// evidence and reject a proof without one, so storing it would only
+/// make the cell re-solve, one more rejection on every run.
+pub fn may_store(report: &Report, certify: bool) -> bool {
+    match report.verdict {
+        Verdict::Attack(_) => true,
+        Verdict::Proof(_) => !certify || report.certificate.is_some(),
+        Verdict::Timeout | Verdict::Unknown { .. } => false,
     }
 }
 
@@ -464,7 +477,6 @@ mod tests {
                     .with(csl_mc::Lane::Bmc, csl_mc::LaneBudget::depths(&[2, 4])),
                 ..CheckOptions::default()
             },
-            CheckOptions::default().warm(true),
             CheckOptions::default().certify(false),
             CheckOptions::default().with_extra_lane(crate::fuzz::fuzz_lane(
                 csl_isa::IsaConfig::default(),
@@ -513,6 +525,49 @@ mod tests {
         cache.store(2, &report).unwrap();
         assert!(cache.load(2).is_none(), "timeouts are never cached");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn may_store_needs_a_verdict_and_under_certify_a_certificate() {
+        use csl_contracts::Contract;
+        use csl_mc::{CertKind, Certificate, ProofEngine, Trace};
+
+        let report = |verdict, certificate| Report {
+            scheme: crate::Scheme::Shadow,
+            design: crate::DesignKind::SingleCycle,
+            contract: Contract::Sandboxing,
+            verdict,
+            elapsed: std::time::Duration::from_millis(10),
+            notes: vec![],
+            exchange: vec![],
+            prepare: vec![],
+            fuzz: None,
+            coverage: None,
+            solver: Vec::new(),
+            certificate,
+        };
+        let proof = || Verdict::Proof(ProofEngine::KInduction { k: 2 });
+        let bare_proof = report(proof(), None);
+        assert!(!may_store(&bare_proof, true), "the load audit rejects it");
+        assert!(may_store(&bare_proof, false), "nothing audits it");
+        let cert = Certificate {
+            restored: vec![],
+            survivors: vec![],
+            kind: CertKind::KInduction { k: 2 },
+        };
+        assert!(may_store(&report(proof(), Some(cert)), true));
+        let trace = Trace {
+            initial_latches: vec![],
+            inputs: vec![],
+            bad_name: "leak".into(),
+        };
+        assert!(may_store(
+            &report(Verdict::Attack(Box::new(trace)), None),
+            true
+        ));
+        for certify in [true, false] {
+            assert!(!may_store(&report(Verdict::Timeout, None), certify));
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ use crate::shadow::ShadowOptions;
 use crate::verify::{instance_for, run_scheme, Scheme};
 
 pub use crate::fuzz::FuzzPlan;
-pub use cache::{CacheStats, ReportCache};
+pub use cache::{may_store, CacheStats, ReportCache};
 pub use csl_mc::{
     CoverageStats, ExchangeConfig, ExchangeStats, ExecMode as Mode, FuzzStats, InconclusiveReason,
     Lane, LaneBudget, LaneExchange, LanePlan, PrepareConfig, PrepareStats, PreparedInstance,
@@ -149,7 +149,6 @@ pub struct Verifier {
     exchange: ExchangeConfig,
     prepare: PrepareConfig,
     fuzz: Option<FuzzPlan>,
-    warm_start: bool,
     certify: bool,
 }
 
@@ -176,7 +175,6 @@ impl Default for Verifier {
             exchange: opts.exchange,
             prepare: opts.prepare,
             fuzz: None,
-            warm_start: opts.warm_start,
             certify: opts.certify,
         }
     }
@@ -257,18 +255,6 @@ impl Verifier {
     /// Removes a previously configured fuzzing lane.
     pub fn no_fuzz(mut self) -> Verifier {
         self.fuzz = None;
-        self
-    }
-
-    /// Reuses solver sessions across engine calls and across repeated
-    /// checks on the same netlist (off by default): undecided BMC
-    /// unrollings and k-induction base/step pairs are parked in a
-    /// process-wide pool and resumed by the next structurally identical
-    /// query, skipping the re-encode/re-learn cost. Verdicts are
-    /// unaffected; per-lane warm-hit/miss counts land in the report's
-    /// `solver` block.
-    pub fn warm(mut self, on: bool) -> Verifier {
-        self.warm_start = on;
         self
     }
 
@@ -420,7 +406,6 @@ impl Verifier {
             lanes: self.budget.lanes.clone(),
             exchange: self.exchange.clone(),
             prepare: self.prepare.clone(),
-            warm_start: self.warm_start,
             certify: self.certify,
             extra_lanes: Vec::new(),
         }
@@ -535,7 +520,8 @@ impl Query {
 
     /// [`Query::run`], consulting (and feeding) a [`ReportCache`]: a hit
     /// skips solving entirely and returns the stored report with a note
-    /// appended; a decided miss is stored for next time.
+    /// appended; a decided miss is stored for next time when
+    /// [`may_store`] admits it.
     ///
     /// With certification on (the default, see [`Verifier::certify`]) a
     /// hit is served only after *verify-on-load*: the stored proof
@@ -553,7 +539,9 @@ impl Query {
             cache.reject(key);
         }
         let report = self.run();
-        let _ = cache.store(key, &report);
+        if may_store(&report, self.opts.certify) {
+            let _ = cache.store(key, &report);
+        }
         report
     }
 
@@ -748,7 +736,9 @@ impl Matrix {
             let cell = self.cells[i];
             let report = Report::from_check(cell.scheme, cell.design, cell.contract, check);
             if let (Some(cache), Some(key)) = (&cache, keys[i]) {
-                let _ = cache.store(key, &report);
+                if may_store(&report, self.base.certify) {
+                    let _ = cache.store(key, &report);
+                }
             }
             slots[i] = Some(report);
         }

@@ -83,9 +83,8 @@ pub struct Report {
     /// ran blind, no fuzzing lane ran, or the document predates the
     /// field).
     pub coverage: Option<CoverageStats>,
-    /// Per-lane solver activity and warm-start hit/miss accounting
-    /// (empty when no SAT lane reported or the document predates the
-    /// field).
+    /// Per-lane solver activity (empty when no SAT lane reported or the
+    /// document predates the field).
     pub solver: Vec<LaneSolverStats>,
     /// The proof's checkable certificate in raw-netlist vocabulary
     /// (`None` for non-proof verdicts, certificate emission disabled,
@@ -204,7 +203,7 @@ impl Report {
             pairs.push(("coverage", coverage_to_value(coverage)));
         }
         // Same convention for solver stats: written only when a SAT lane
-        // reported, so warm-start-free documents stay byte-identical.
+        // reported, so documents without one stay byte-identical.
         if !self.solver.is_empty() {
             pairs.push((
                 "solver",
@@ -270,7 +269,7 @@ impl Report {
         // Absent in pre-coverage documents and every blind campaign:
         // lenient, like fuzz.
         let coverage = v.get("coverage").map(coverage_from_value).transpose()?;
-        // Absent in pre-warm-start documents: lenient, like fuzz.
+        // Absent in documents that predate the block: lenient, like fuzz.
         let solver = match v.get("solver").and_then(Json::as_arr) {
             Some(items) => items
                 .iter()
@@ -450,11 +449,11 @@ fn solver_to_value(s: &LaneSolverStats) -> Json {
         ("decisions", Json::Int(s.decisions as i64)),
         ("restarts", Json::Int(s.restarts as i64)),
         ("reduced_clauses", Json::Int(s.reduced_clauses as i64)),
-        ("warm_hits", Json::Int(s.warm_hits as i64)),
-        ("warm_misses", Json::Int(s.warm_misses as i64)),
     ])
 }
 
+/// Reads one `solver` entry. Keys it does not know are ignored: older
+/// documents carry two warm-start counters in every entry.
 fn solver_from_value(v: &Json) -> Result<LaneSolverStats, ReadError> {
     let lane = v
         .get("lane")
@@ -474,8 +473,6 @@ fn solver_from_value(v: &Json) -> Result<LaneSolverStats, ReadError> {
         decisions: count("decisions")?,
         restarts: count("restarts")?,
         reduced_clauses: count("reduced_clauses")?,
-        warm_hits: count("warm_hits")?,
-        warm_misses: count("warm_misses")?,
     })
 }
 
@@ -1510,8 +1507,6 @@ mod tests {
                 decisions: 4321,
                 restarts: 7,
                 reduced_clauses: 2,
-                warm_hits: 1,
-                warm_misses: 0,
             },
             LaneSolverStats {
                 lane: Lane::KInduction,
@@ -1520,8 +1515,6 @@ mod tests {
                 decisions: 3,
                 restarts: 0,
                 reduced_clauses: 0,
-                warm_hits: 0,
-                warm_misses: 1,
             },
         ];
         let text = r.to_json();
@@ -1529,8 +1522,24 @@ mod tests {
         assert_eq!(parsed, r);
         assert_eq!(parsed.to_json(), text);
 
-        // Pre-warm-start documents (no solver key) parse leniently.
+        // Documents that predate the block (no solver key) parse leniently.
         assert!(Report::from_json(&without).unwrap().solver.is_empty());
+
+        // Older documents carry warm-start counters at the end of every
+        // entry: they parse, and re-serialise without them.
+        let old = text
+            .replace(
+                "\"reduced_clauses\": 2\n",
+                "\"reduced_clauses\": 2,\n      \"warm_hits\": 1,\n      \"warm_misses\": 0\n",
+            )
+            .replace(
+                "\"reduced_clauses\": 0\n",
+                "\"reduced_clauses\": 0,\n      \"warm_hits\": 0,\n      \"warm_misses\": 1\n",
+            );
+        assert_eq!(old.matches("warm_misses").count(), 2, "{old}");
+        let parsed = Report::from_json(&old).unwrap();
+        assert_eq!(parsed, r);
+        assert_eq!(parsed.to_json(), text);
     }
 
     #[test]

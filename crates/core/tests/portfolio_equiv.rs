@@ -147,11 +147,19 @@ fn leave_and_upec_report_typed_unknown_reasons_in_both_modes() {
 }
 
 /// UPEC runs the same BMC and k-induction lanes as the other schemes, so
-/// its reports carry their solver counters.
+/// its reports carry their solver counters; LEAVE's Houdini filter
+/// reports its own, in both modes.
 #[test]
 fn upec_reports_carry_bmc_and_kind_solver_counters() {
     let report = single_cycle(Scheme::Upec, Mode::Sequential);
     let lanes: Vec<Lane> = report.solver.iter().map(|s| s.lane).collect();
     assert_eq!(lanes, [Lane::Bmc, Lane::KInduction], "{:?}", report.notes);
     assert!(report.solver.iter().all(|s| s.propagations > 0));
+
+    for mode in [Mode::Sequential, Mode::Portfolio] {
+        let report = single_cycle(Scheme::Leave, mode);
+        let lanes: Vec<Lane> = report.solver.iter().map(|s| s.lane).collect();
+        assert_eq!(lanes, [Lane::Houdini], "{mode:?}: {:?}", report.notes);
+        assert!(report.solver[0].propagations > 0, "{mode:?}");
+    }
 }

@@ -7,7 +7,7 @@ use csl_contracts::Contract;
 use csl_core::api::Verifier;
 use csl_core::{DesignKind, Scheme, ShadowOptions};
 use csl_cpu::Defense;
-use csl_mc::{bmc, BmcResult, TransitionSystem, Verdict};
+use csl_mc::{bmc, BmcResult, BmcSession, Lane, SharedContext, TransitionSystem, Verdict};
 use csl_sat::Budget;
 
 fn short_budget(secs: u64) -> Budget {
@@ -144,6 +144,37 @@ fn secure_design_has_no_shallow_attack() {
         .expect("design and contract are set")
         .run();
     assert!(!report.verdict.is_attack(), "{:?}", report.verdict);
+}
+
+/// The BMC lane drives one session through its depth schedule. On the
+/// secure SimpleOoO-S instance that session must answer every depth as a
+/// fresh solver does: clean to exactly that depth.
+#[test]
+fn bmc_session_matches_fresh_bmc_through_a_depth_schedule() {
+    let task = Verifier::new()
+        .design(DesignKind::SimpleOoo(Defense::DelaySpectre))
+        .contract(Contract::Sandboxing)
+        .scheme(Scheme::Shadow)
+        .query()
+        .expect("design and contract are set")
+        .instance();
+    let ts = TransitionSystem::shared(task.aig().clone(), false);
+    let mut session = BmcSession::new(&ts);
+    for depth in [2, 4, 6, 8] {
+        let stepped = session.run_to(
+            depth,
+            short_budget(120),
+            &mut SharedContext::disabled(Lane::Bmc),
+        );
+        let fresh = bmc(&ts, depth, short_budget(120));
+        for (label, result) in [("session", &stepped), ("fresh", &fresh)] {
+            assert!(
+                matches!(result, BmcResult::Clean { depth_checked } if *depth_checked == depth),
+                "depth {depth}: {label} {result:?}"
+            );
+        }
+        assert_eq!(session.clean_to(), Some(depth));
+    }
 }
 
 /// LEAVE reports UNKNOWN on the out-of-order cores (its candidate family

@@ -17,13 +17,12 @@ use crate::trace::Trace;
 use crate::ts::TransitionSystem;
 use crate::unroll::{InitMode, Unroller};
 
-/// The caller's bus memory for [`bmc_with`]: imported lemmas and
-/// invariant clauses accumulate here so a depth-schedule walk can
-/// re-assert them in each step's fresh unroller.
+/// The bus facts a [`BmcSession`] has imported: they are re-asserted at
+/// every frame the session unrolls later.
 #[derive(Default)]
-pub struct BusMemory {
-    pub lemmas: Vec<SharedLemma>,
-    pub invariants: Vec<SharedInvariant>,
+struct BusMemory {
+    lemmas: Vec<SharedLemma>,
+    invariants: Vec<SharedInvariant>,
 }
 
 /// Outcome of a BMC run.
@@ -54,7 +53,6 @@ pub fn bmc(ts: &Arc<TransitionSystem>, max_depth: usize, budget: Budget) -> BmcR
         max_depth,
         budget,
         &mut SharedContext::disabled(Lane::Bmc),
-        &mut BusMemory::default(),
     )
 }
 
@@ -65,37 +63,28 @@ pub fn bmc(ts: &Arc<TransitionSystem>, max_depth: usize, budget: Budget) -> BmcR
 /// hold in every reachable assume-satisfying state, and every model of
 /// the reset-initialised unrolling is such a run prefix — so the
 /// pruning can never mask a real counterexample).
-///
-/// `memory` is the caller's bus memory: imports accumulate there so a
-/// depth-schedule walk can re-assert them in each step's fresh unroller.
 pub fn bmc_with(
     ts: &Arc<TransitionSystem>,
     max_depth: usize,
     budget: Budget,
     ctx: &mut SharedContext,
-    memory: &mut BusMemory,
 ) -> BmcResult {
-    let mut session = BmcSession::new(ts);
-    std::mem::swap(&mut session.memory, memory);
-    let result = session.run_to(max_depth, budget, ctx);
-    std::mem::swap(&mut session.memory, memory);
-    result
+    BmcSession::new(ts).run_to(max_depth, budget, ctx)
 }
 
-/// A persistent BMC solving session: one reset-initialised [`Unroller`]
-/// whose learnt clauses, blocked-depth units and imported bus facts
-/// survive across [`BmcSession::run_to`] calls. This is the warm-start
-/// primitive for the attack-finding lane — a progressive depth schedule
+/// An incremental BMC solving session: one reset-initialised
+/// [`Unroller`] whose learnt clauses, blocked-depth units and imported
+/// bus facts survive across [`BmcSession::run_to`] calls. The BMC lane
+/// drives one session through its whole depth schedule, so each step
 /// continues where the previous step stopped instead of re-unrolling
-/// from frame 0, and a parked session checked back out of the
-/// [`crate::warm::WarmPool`] resumes a *later query* the same way.
+/// from frame 0.
 ///
 /// # Soundness
 /// Everything the session retains between runs is a consequence of the
 /// reset-initialised unrolling of its [`TransitionSystem`]: learnt
 /// clauses, the `!bad(k)` units added after each UNSAT depth, and bus
 /// lemmas/invariants (implied facts about the same netlist, per the
-/// exchange rules). None of it is query-specific, so re-running at any
+/// exchange rules). None of it is depth-specific, so running to any
 /// depth returns the verdict a fresh solver would — depths at or below
 /// [`BmcSession::clean_to`] are *proven* clean and answered without
 /// solving.
@@ -120,29 +109,9 @@ impl BmcSession {
         self.clean_to
     }
 
-    /// The transition system this session encodes.
-    pub fn ts(&self) -> &Arc<TransitionSystem> {
-        self.u.ts()
-    }
-
     /// Cumulative statistics of the session's solver (across all runs).
     pub fn solver_stats(&self) -> SolverStats {
         self.u.solver.stats
-    }
-
-    /// Garbage the session's solver is dragging along (see
-    /// [`csl_sat::Solver::wasted_literals`]); the pool's park-hygiene
-    /// input.
-    pub fn wasted_literals(&self) -> usize {
-        self.u.solver.wasted_literals()
-    }
-
-    /// Detaches the session from its check's exchange bus so it can be
-    /// parked: the export hook holds a [`crate::exchange::ClauseExporter`]
-    /// whose frame horizons belong to the ending check, and clauses
-    /// learnt during a later run must not be published through it.
-    pub fn prepare_for_park(&mut self) {
-        self.u.disable_clause_export();
     }
 
     /// Checks depths up to `max_depth` (inclusive), resuming after the
@@ -226,7 +195,7 @@ impl BmcSession {
                 SolveResult::Unsat => {
                     self.clean_to = Some(k);
                     // Block this depth's bad permanently: helps the next
-                    // depths — and answers warm re-queries at this depth.
+                    // depths, and answers later runs to this depth.
                     u.solver.add_clause(&[!bad]);
                 }
                 SolveResult::Canceled => {

@@ -38,7 +38,7 @@ use csl_sat::Budget;
 use crate::cert::Certificate;
 use crate::exchange::{Exchange, ExchangeConfig, ExchangeStats, SharedContext};
 use crate::houdini::Candidate;
-use crate::lane::{Lane, LanePlan};
+use crate::lane::{Lane, LanePlan, LaneSolverStats};
 use crate::portfolio::{
     race, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneResult,
     LaneSpec, PdrBackend,
@@ -46,7 +46,6 @@ use crate::portfolio::{
 use crate::prepare::{prepare, PrepareConfig};
 use crate::sim::Sim;
 use crate::trace::Trace;
-use crate::warm::LaneSolverStats;
 
 /// Which engine completed an unbounded proof.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -282,15 +281,6 @@ pub struct CheckOptions {
     /// the raw instance). Attack traces are lifted back to the raw
     /// netlist's vocabulary before they leave [`check_safety`].
     pub prepare: PrepareConfig,
-    /// Reuse solver sessions across engine calls: BMC unrollings and
-    /// k-induction base/step pairs that end undecided are parked in the
-    /// process-wide [`crate::WarmPool`] and resumed by the next check on a
-    /// structurally identical netlist, so depth/budget escalations and
-    /// repeated queries skip the re-encode/re-learn cost. Verdicts are
-    /// unaffected (see `crate::warm` for the soundness argument); the
-    /// per-lane hit/miss accounting lands in [`CheckReport::solver`].
-    /// Off by default.
-    pub warm_start: bool,
     /// Additional attack-finding lanes beyond the built-in engines —
     /// the seam through which the differential-fuzzing backend (and any
     /// other caller-supplied [`crate::Backend`]) joins the check. In
@@ -320,7 +310,6 @@ impl Default for CheckOptions {
             lanes: LanePlan::default(),
             exchange: ExchangeConfig::default(),
             prepare: PrepareConfig::default(),
-            warm_start: false,
             extra_lanes: Vec::new(),
             certify: true,
         }
@@ -344,13 +333,6 @@ impl CheckOptions {
     /// (builder style).
     pub fn with_prepare(mut self, prepare: PrepareConfig) -> CheckOptions {
         self.prepare = prepare;
-        self
-    }
-
-    /// The same options with warm-start session reuse enabled
-    /// (builder style) — see [`CheckOptions::warm_start`].
-    pub fn warm(mut self, warm_start: bool) -> CheckOptions {
-        self.warm_start = warm_start;
         self
     }
 
@@ -395,8 +377,10 @@ pub struct CheckReport {
     /// Coverage accounting from a coverage-guided fuzzing lane (`None`
     /// unless a fuzz lane ran with coverage tracking on).
     pub coverage: Option<CoverageStats>,
-    /// Per-lane solver activity and warm-start accounting, in pipeline
-    /// order (empty when no SAT lane reported — e.g. a fuzz-only check).
+    /// Per-lane solver activity, in pipeline order (empty when no SAT
+    /// lane reported — e.g. a fuzz-only check). Several runs of one lane
+    /// (sequential stages, a portfolio Houdini lane's nested tail) sum
+    /// into its entry.
     pub solver: Vec<LaneSolverStats>,
     /// Checkable proof artifact for `Verdict::Proof` results, in the
     /// vocabulary of the netlist this report describes (after
@@ -433,13 +417,10 @@ impl Step {
         match self {
             Step::Bmc => Box::new(
                 BmcBackend::new(opts.bmc_depth)
-                    .schedule(opts.lanes.get(Lane::Bmc).depth_schedule.clone())
-                    .warm(opts.warm_start),
+                    .schedule(opts.lanes.get(Lane::Bmc).depth_schedule.clone()),
             ),
-            Step::KInduction { max_k } => Box::new(KindBackend::new(*max_k).warm(opts.warm_start)),
-            Step::Pdr => {
-                Box::new(PdrBackend::new(opts.pdr_max_frames, opts.bmc_depth).warm(opts.warm_start))
-            }
+            Step::KInduction { max_k } => Box::new(KindBackend::new(*max_k)),
+            Step::Pdr => Box::new(PdrBackend::new(opts.pdr_max_frames, opts.bmc_depth)),
             Step::Houdini { tail: false } => Box::new(HoudiniBackend::new(candidates.to_vec())),
             Step::Houdini { tail: true } => {
                 Box::new(HoudiniBackend::new(candidates.to_vec()).tail(opts))

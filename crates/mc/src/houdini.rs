@@ -13,7 +13,7 @@
 use csl_hdl::Bit;
 use std::sync::Arc;
 
-use csl_sat::{Budget, Lit, SolveResult};
+use csl_sat::{Budget, Lit, SolveResult, SolverStats};
 
 use crate::ts::TransitionSystem;
 use crate::unroll::{InitMode, Unroller};
@@ -54,7 +54,7 @@ pub fn houdini(
     candidates: &[Candidate],
     budget: Budget,
 ) -> HoudiniResult {
-    houdini_with(ts, candidates, budget, None)
+    houdini_with(ts, candidates, budget, None).0
 }
 
 /// Observer invoked once per survivor (with its candidate index) the
@@ -68,14 +68,31 @@ pub type SurvivorStream<'s> = &'s mut dyn FnMut(usize, &Candidate);
 /// the safety check, the return, and any strengthened re-runs. The
 /// portfolio's Houdini lane uses this to stream lemmas onto the exchange
 /// bus while it keeps working.
+///
+/// Beside the result it returns the statistics summed over its two
+/// solvers (the initial-state filter and the consecution instance).
 pub fn houdini_with(
     ts: &Arc<TransitionSystem>,
+    candidates: &[Candidate],
+    budget: Budget,
+    on_proven: Option<SurvivorStream<'_>>,
+) -> (HoudiniResult, SolverStats) {
+    let mut init = Unroller::new(ts, InitMode::Reset);
+    let mut step = Unroller::new(ts, InitMode::Free);
+    let result = filter(&mut init, &mut step, candidates, budget, on_proven);
+    (result, init.solver.stats + step.solver.stats)
+}
+
+/// The body of [`houdini_with`] over its reset-initialised (`init`) and
+/// free-initialised (`step`) instances.
+fn filter(
+    init: &mut Unroller,
+    step: &mut Unroller,
     candidates: &[Candidate],
     budget: Budget,
     mut on_proven: Option<SurvivorStream<'_>>,
 ) -> HoudiniResult {
     // ---- phase 1: drop candidates violated in some initial state ---------
-    let mut init = Unroller::new(ts, InitMode::Reset);
     init.set_budget(budget.clone());
     init.assert_assumes_through(0);
     let mut alive: Vec<bool> = vec![true; candidates.len()];
@@ -93,7 +110,6 @@ pub fn houdini_with(
     }
 
     // ---- phase 2: consecution fixpoint ------------------------------------
-    let mut step = Unroller::new(ts, InitMode::Free);
     step.set_budget(budget.clone());
     step.assert_assumes_through(1);
     let lits0: Vec<Lit> = candidates.iter().map(|c| step.lit_of(c.bit, 0)).collect();

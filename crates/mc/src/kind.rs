@@ -81,28 +81,22 @@ pub fn k_induction_with(
     opts: KindOptions,
     ctx: &mut SharedContext,
 ) -> KindResult {
-    let mut session = KindSession::new(ts, opts.unique_states);
-    session.run_to(opts.max_k, opts.budget, ctx)
+    KindSession::new(ts, opts.unique_states)
+        .run(opts.max_k, opts.budget, ctx)
+        .0
 }
 
-/// A persistent k-induction session: the reset-initialised *base* and
-/// free-initialised *step* [`Unroller`] pair, parked and resumed **as a
-/// unit** (the step instance's accumulated "no bad at shallow frames"
-/// units are only meaningful together with the base instance that proved
-/// them). The warm-start primitive for the induction lane: a re-query at
-/// a deeper `max_k` continues the sweep from [`KindSession::next_k`]
-/// instead of redoing every shallower base/step query.
+/// One k-induction run: the reset-initialised *base* and
+/// free-initialised *step* [`Unroller`] pair, driven together through
+/// `k = 1..=max_k` (the step instance's accumulated "no bad at shallow
+/// frames" units are only meaningful together with the base instance
+/// that proved them).
 ///
 /// # Soundness
 /// The step instance accumulates `!bad(0..k-1)` hypothesis units as `k`
-/// grows, so a *shallower* re-query cannot simply re-solve — it would be
-/// vacuously UNSAT and fabricate a proof. [`KindSession::run_to`] guards
-/// this: a `max_k` more than one below `next_k` is answered `Unknown`
-/// without solving, which matches a fresh run exactly **provided the
-/// session was only parked on an `Unknown` outcome` — an `Unknown` at
-/// depth `d ≥ max_k` certifies base-clean and step-open for every
-/// `k ≤ max_k`. The [`crate::warm::WarmPool`] enforces exactly that
-/// parking discipline.
+/// grows, so any query shallower than the deepest one posed would be
+/// vacuously UNSAT and fabricate a proof. The session is therefore
+/// single-use by type: [`KindSession::run`] consumes it.
 pub struct KindSession {
     base: Unroller,
     step: Unroller,
@@ -119,14 +113,12 @@ pub struct KindSession {
     base_inv_frames: usize,
     step_inv_applied: usize,
     step_inv_frames: usize,
-    /// The next induction depth the sweep will try (1 when fresh).
-    next_k: usize,
     unique_states: bool,
 }
 
 impl KindSession {
-    /// A fresh session over `ts`; `unique_states` is a structural choice
-    /// of the step encoding and therefore fixed per session.
+    /// A fresh session over `ts`; `unique_states` adds pairwise
+    /// state-distinctness constraints to the step instance.
     pub fn new(ts: &Arc<TransitionSystem>, unique_states: bool) -> KindSession {
         KindSession {
             base: Unroller::new(ts, InitMode::Reset),
@@ -142,75 +134,35 @@ impl KindSession {
             base_inv_frames: 0,
             step_inv_applied: 0,
             step_inv_frames: 0,
-            next_k: 1,
             unique_states,
         }
     }
 
-    /// The next induction depth a resumed sweep would try.
-    pub fn next_k(&self) -> usize {
-        self.next_k
+    /// Runs the sweep for `k = 1..=max_k` under `budget`, then (when
+    /// attached to a bus) the late-lemma retry at `max_k`. Returns the
+    /// result, the statistics summed over the base and step solvers, and
+    /// the number of foreign facts (exchange-bus lemmas and invariant
+    /// clauses) the run imported: a proof with imported facts leans on
+    /// another lane's reasoning, so the k-induction frames alone are not
+    /// a self-contained certificate.
+    pub fn run(
+        mut self,
+        max_k: usize,
+        budget: Budget,
+        ctx: &mut SharedContext,
+    ) -> (KindResult, SolverStats, usize) {
+        let result = self.sweep(max_k, budget, ctx);
+        let stats = self.base.solver.stats + self.step.solver.stats;
+        (result, stats, self.lemmas.len() + self.invs.len())
     }
 
-    /// Whether the session's step instance carries unique-state clauses.
-    pub fn unique_states(&self) -> bool {
-        self.unique_states
-    }
-
-    /// Number of foreign facts (exchange-bus lemmas and invariant
-    /// clauses) baked into this session's solvers. A proof found with
-    /// `imported_facts() > 0` leans on another lane's reasoning, so the
-    /// k-induction frames alone are not a self-contained certificate.
-    pub fn imported_facts(&self) -> usize {
-        self.lemmas.len() + self.invs.len()
-    }
-
-    /// The transition system this session encodes.
-    pub fn ts(&self) -> &Arc<TransitionSystem> {
-        self.base.ts()
-    }
-
-    /// Cumulative statistics summed over the base and step solvers.
-    pub fn solver_stats(&self) -> SolverStats {
-        let b = self.base.solver.stats;
-        let s = self.step.solver.stats;
-        SolverStats {
-            conflicts: b.conflicts + s.conflicts,
-            decisions: b.decisions + s.decisions,
-            propagations: b.propagations + s.propagations,
-            restarts: b.restarts + s.restarts,
-            learnt_literals: b.learnt_literals + s.learnt_literals,
-            minimized_literals: b.minimized_literals + s.minimized_literals,
-            reduced_clauses: b.reduced_clauses + s.reduced_clauses,
-        }
-    }
-
-    /// Worst-solver garbage watermark, the pool's park-hygiene input.
-    pub fn wasted_literals(&self) -> usize {
-        self.base
-            .solver
-            .wasted_literals()
-            .max(self.step.solver.wasted_literals())
-    }
-
-    /// Runs the sweep for `k = next_k..=max_k` under `budget`, then (when
-    /// attached to a bus) the late-lemma retry at `max_k`. A `max_k`
-    /// below `next_k - 1` returns `Unknown` without solving — see the
-    /// type-level soundness note.
-    pub fn run_to(&mut self, max_k: usize, budget: Budget, ctx: &mut SharedContext) -> KindResult {
-        if max_k + 1 < self.next_k {
-            // Strictly shallower than anything this session can still
-            // query: the step instance's hypothesis units are too strong
-            // for a sound re-solve, and the park discipline guarantees a
-            // fresh run would answer Unknown here too.
-            return KindResult::Unknown { max_k_tried: max_k };
-        }
+    /// The body of [`KindSession::run`], called once per session.
+    fn sweep(&mut self, max_k: usize, budget: Budget, ctx: &mut SharedContext) -> KindResult {
         self.base.set_budget(budget.clone());
         self.step.set_budget(budget.clone());
         let ts = Arc::clone(self.step.ts());
 
-        while self.next_k <= max_k {
-            let k = self.next_k;
+        for k in 1..=max_k {
             if budget.out_of_time() {
                 return KindResult::Timeout;
             }
@@ -296,9 +248,6 @@ impl KindSession {
                 add_unique_state_constraints(&ts, &mut self.step, k);
             }
             let bad_k = self.step.bad_any_at(k);
-            // The depth is burned once the step query is posed: whatever
-            // the verdict, the hypothesis units for k are in the solver.
-            self.next_k = k + 1;
             match self.step.solve_with(&[bad_k]) {
                 SolveResult::Unsat => return KindResult::Proof { k },
                 SolveResult::Sat => { /* not inductive at this k; deepen */ }
@@ -312,8 +261,6 @@ impl KindSession {
         // 0..max_k-1") matches exactly what the base half verified. A poll
         // batch is capped, so keep draining while batches are non-empty — a
         // lemma can sit behind a backlog of (here useless) clause items.
-        // On a warm session the guard above ensures `next_k == max_k + 1`
-        // here, i.e. the step hypothesis really is `max_k`'s.
         while ctx.is_attached() && !budget.out_of_time() {
             let batch = ctx.poll();
             for item in &batch {

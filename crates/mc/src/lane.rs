@@ -15,8 +15,12 @@
 //!
 //! The default plan is empty (no caps, no schedule): every lane runs on
 //! the shared clock.
+//!
+//! Each lane run reports its solver counters as a [`LaneSolverStats`].
 
 use std::time::{Duration, Instant};
+
+use csl_sat::SolverStats;
 
 /// One engine lane of the portfolio.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -190,6 +194,43 @@ impl LanePlan {
             Some(cap) => (start + cap).min(deadline),
             None => deadline,
         }
+    }
+}
+
+/// Per-lane solver activity for one engine run, reported through
+/// [`crate::CheckReport::solver`]. Every run builds its solvers fresh,
+/// so the counters are the run's own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LaneSolverStats {
+    pub lane: Lane,
+    pub propagations: u64,
+    pub conflicts: u64,
+    pub decisions: u64,
+    pub restarts: u64,
+    pub reduced_clauses: u64,
+}
+
+impl LaneSolverStats {
+    /// Stats for a run of `lane` whose solvers ended at `end`.
+    pub fn cold(lane: Lane, end: SolverStats) -> LaneSolverStats {
+        LaneSolverStats {
+            lane,
+            propagations: end.propagations,
+            conflicts: end.conflicts,
+            decisions: end.decisions,
+            restarts: end.restarts,
+            reduced_clauses: end.reduced_clauses,
+        }
+    }
+
+    /// Folds another lane-run's counters into this one (sequential mode
+    /// runs several engines under one report entry per lane).
+    pub fn absorb(&mut self, other: &LaneSolverStats) {
+        self.propagations += other.propagations;
+        self.conflicts += other.conflicts;
+        self.decisions += other.decisions;
+        self.restarts += other.restarts;
+        self.reduced_clauses += other.reduced_clauses;
     }
 }
 

@@ -69,9 +69,8 @@ pub mod sim;
 pub mod trace;
 pub mod ts;
 pub mod unroll;
-pub mod warm;
 
-pub use bmc::{bmc, bmc_with, BmcResult, BmcSession, BusMemory};
+pub use bmc::{bmc, bmc_with, BmcResult, BmcSession};
 pub use cert::{CertKind, Certificate};
 pub use engine::{
     check_safety, check_schedule, CheckOptions, CheckReport, CoverageStats, ExecMode, FuzzStats,
@@ -83,7 +82,7 @@ pub use exchange::{
 };
 pub use houdini::{houdini, houdini_with, Candidate, HoudiniOutcome, HoudiniResult};
 pub use kind::{k_induction, k_induction_with, KindOptions, KindResult, KindSession};
-pub use lane::{Lane, LaneBudget, LaneExchange, LanePlan};
+pub use lane::{Lane, LaneBudget, LaneExchange, LanePlan, LaneSolverStats};
 pub use pdr::{pdr, pdr_with, pdr_with_stats, Cube, PdrOptions, PdrResult};
 pub use portfolio::{
     race, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneResult,
@@ -97,4 +96,3 @@ pub use sim::{
 pub use trace::Trace;
 pub use ts::TransitionSystem;
 pub use unroll::{InitMode, Unroller};
-pub use warm::{LaneSolverStats, WarmPool, WarmScope, WarmSession};

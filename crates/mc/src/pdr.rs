@@ -619,10 +619,7 @@ pub fn pdr_with(
 
 /// [`pdr_with`] that also returns the cumulative statistics of the
 /// underlying solver instance, for the per-lane diagnostics block of the
-/// check report. PDR's instance is rebuilt per call (its frame clauses
-/// are level-indexed and not meaningful across netlists), so unlike BMC
-/// and k-induction there is no warm session to park — the stats are the
-/// whole story.
+/// check report.
 pub fn pdr_with_stats(
     ts: &Arc<TransitionSystem>,
     opts: PdrOptions,

@@ -46,12 +46,11 @@ use crate::engine::{
 use crate::exchange::{ExchangeStats, SharedContext};
 use crate::houdini::{houdini_with, Candidate, HoudiniResult};
 use crate::kind::{KindResult, KindSession};
-use crate::lane::{Lane, LanePlan};
+use crate::lane::{Lane, LanePlan, LaneSolverStats};
 use crate::pdr::{pdr_with_stats, PdrOptions, PdrResult};
 use crate::sim::Sim;
 use crate::trace::Trace;
 use crate::ts::TransitionSystem;
-use crate::warm::{LaneSolverStats, WarmPool};
 
 /// What a single backend produced. [`EngineOutcome::Attack`] and
 /// [`EngineOutcome::Proof`] are decisive: the first of either ends the
@@ -85,7 +84,7 @@ impl EngineOutcome {
 #[derive(Debug)]
 pub struct LaneRun {
     pub outcome: EngineOutcome,
-    /// Solver activity and warm-start accounting (SAT lanes).
+    /// Solver activity (SAT lanes).
     pub solver: Option<LaneSolverStats>,
     /// Campaign statistics (fuzzing lanes).
     pub fuzz: Option<FuzzStats>,
@@ -121,9 +120,8 @@ pub trait Backend: Send {
     fn name(&self) -> &'static str {
         self.lane().name()
     }
-    /// The system arrives behind an [`Arc`] so a backend can park its
-    /// solver session (which owns a clone of the `Arc`) in the
-    /// [`WarmPool`] when its run ends undecided.
+    /// The system arrives behind an [`Arc`] because the solver sessions
+    /// a backend builds own a clone of it.
     fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun;
 }
 
@@ -167,23 +165,6 @@ impl std::fmt::Debug for LaneFactory {
     }
 }
 
-/// Checks out a warm session with `checkout`, or builds one with
-/// `build`; returns the session plus its `(warm_hits, warm_misses)`
-/// accounting. `warm = false` builds cold and counts nothing.
-fn checkout_or_build<S>(
-    warm: bool,
-    checkout: impl FnOnce() -> Option<S>,
-    build: impl FnOnce() -> S,
-) -> (S, u64, u64) {
-    if !warm {
-        return (build(), 0, 0);
-    }
-    match checkout() {
-        Some(s) => (s, 1, 0),
-        None => (build(), 0, 1),
-    }
-}
-
 /// Validates a trace by concrete replay; decisive only if the replay
 /// satisfies the assumptions and fires a bad bit.
 fn validated_attack(ts: &TransitionSystem, trace: Box<Trace>, engine: &str) -> EngineOutcome {
@@ -203,11 +184,9 @@ fn validated_attack(ts: &TransitionSystem, trace: Box<Trace>, engine: &str) -> E
 ///
 /// The lane drives a single [`BmcSession`] across its whole depth
 /// schedule, so each step continues the previous step's unrolling
-/// instead of re-encoding from frame 0. With [`BmcBackend::warm`] the
-/// session additionally comes from / returns to the global
-/// [`WarmPool`], surviving into the next engine call on the same
-/// netlist. Its counterexamples are not replayed here: the driver
-/// replays them and counts them as attacks even when the replay fails.
+/// instead of re-encoding from frame 0. Its counterexamples are not
+/// replayed here: the driver replays them and counts them as attacks
+/// even when the replay fails.
 pub struct BmcBackend {
     pub depth: usize,
     /// Progressive depth schedule from the lane plan: each step gets an
@@ -215,28 +194,20 @@ pub struct BmcBackend {
     /// whatever earlier steps left over, and the first counterexample
     /// ends the walk. Empty = one pass at `depth`.
     pub schedule: Vec<usize>,
-    warm: bool,
 }
 
 impl BmcBackend {
-    /// A cold lane running one pass at `depth`.
+    /// A lane running one pass at `depth`.
     pub fn new(depth: usize) -> BmcBackend {
         BmcBackend {
             depth,
             schedule: Vec::new(),
-            warm: false,
         }
     }
 
     /// Sets the progressive depth schedule (builder style).
     pub fn schedule(mut self, schedule: Vec<usize>) -> BmcBackend {
         self.schedule = schedule;
-        self
-    }
-
-    /// Enables cross-call session reuse through [`WarmPool::global`].
-    pub fn warm(mut self, warm: bool) -> BmcBackend {
-        self.warm = warm;
         self
     }
 
@@ -292,22 +263,10 @@ impl Backend for BmcBackend {
     }
 
     fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
-        let pool = WarmPool::global();
-        let (mut session, hits, misses) = checkout_or_build(
-            self.warm,
-            || pool.checkout_bmc(ts.fingerprint()),
-            || BmcSession::new(ts),
-        );
-        let snapshot = session.solver_stats();
+        let mut session = BmcSession::new(ts);
         let outcome = self.walk(&mut session, budget, ctx);
-        let mut stats = LaneSolverStats::delta(Lane::Bmc, snapshot, session.solver_stats());
-        stats.warm_hits = hits;
-        stats.warm_misses = misses;
-        if self.warm && !outcome.is_decisive() {
-            pool.park_bmc(session);
-        }
         LaneRun {
-            solver: Some(stats),
+            solver: Some(LaneSolverStats::cold(Lane::Bmc, session.solver_stats())),
             ..outcome.into()
         }
     }
@@ -315,24 +274,14 @@ impl Backend for BmcBackend {
 
 /// k-induction on the plain (lemma-free) netlist; with the bus on it
 /// imports shared clauses into its base instance and lemmas into both.
-/// With [`KindBackend::warm`] the base/step [`KindSession`] pair is
-/// parked in the global [`WarmPool`] on an `Unknown` outcome and a later
-/// call on the same netlist resumes the sweep at its old `next_k`.
 pub struct KindBackend {
     pub max_k: usize,
-    warm: bool,
 }
 
 impl KindBackend {
-    /// A cold lane sweeping `k = 1..=max_k`.
+    /// A lane sweeping `k = 1..=max_k`.
     pub fn new(max_k: usize) -> KindBackend {
-        KindBackend { max_k, warm: false }
-    }
-
-    /// Enables cross-call session reuse through [`WarmPool::global`].
-    pub fn warm(mut self, warm: bool) -> KindBackend {
-        self.warm = warm;
-        self
+        KindBackend { max_k }
     }
 }
 
@@ -342,26 +291,9 @@ impl Backend for KindBackend {
     }
 
     fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
-        let pool = WarmPool::global();
-        let (mut session, hits, misses) = checkout_or_build(
-            self.warm,
-            || pool.checkout_kind(ts.fingerprint(), false),
-            || KindSession::new(ts, false),
-        );
-        let snapshot = session.solver_stats();
-        let result = session.run_to(self.max_k, budget, ctx);
-        let mut stats = LaneSolverStats::delta(Lane::KInduction, snapshot, session.solver_stats());
-        stats.warm_hits = hits;
-        stats.warm_misses = misses;
-        // A certificate is only self-contained when neither this run nor
-        // a warm predecessor baked foreign bus facts into the solvers.
-        let imported = session.imported_facts();
-        // Parking discipline (see crate::warm): only an Unknown session
-        // may be resumed later — a Timeout base half could still hide an
-        // undiscovered counterexample at an already-swept depth.
-        if self.warm && matches!(result, KindResult::Unknown { .. }) {
-            pool.park_kind(session);
-        }
+        let (result, stats, imported) = KindSession::new(ts, false).run(self.max_k, budget, ctx);
+        // A certificate is only self-contained when the run baked no
+        // foreign bus facts into its solvers.
         let outcome = match result {
             KindResult::Proof { k } => {
                 let cert = (imported == 0).then(|| {
@@ -380,7 +312,7 @@ impl Backend for KindBackend {
             KindResult::Timeout => EngineOutcome::Timeout,
         };
         LaneRun {
-            solver: Some(stats),
+            solver: Some(LaneSolverStats::cold(Lane::KInduction, stats)),
             ..outcome.into()
         }
     }
@@ -389,14 +321,11 @@ impl Backend for KindBackend {
 /// IC3/PDR on the plain netlist. A counterexample depth hint is rebuilt
 /// into a concrete trace by a BMC pass beyond the attack search's bound;
 /// a hint BMC cannot rebuild is a timeout. With the bus on it imports
-/// lemmas between frontier iterations. PDR's frame clauses are
-/// level-indexed and rebuilt per call, so only the rebuilding BMC pass
-/// uses the warm pool.
+/// lemmas between frontier iterations.
 pub struct PdrBackend {
     pub max_frames: usize,
     /// Reconstruction floor: the BMC pass hunts at least this deep.
     pub bmc_depth: usize,
-    warm: bool,
 }
 
 impl PdrBackend {
@@ -404,14 +333,7 @@ impl PdrBackend {
         PdrBackend {
             max_frames,
             bmc_depth,
-            warm: false,
         }
-    }
-
-    /// Lets the rebuilding BMC pass resume a warm session.
-    pub fn warm(mut self, warm: bool) -> PdrBackend {
-        self.warm = warm;
-        self
     }
 }
 
@@ -458,11 +380,8 @@ impl Backend for PdrBackend {
             }
             PdrResult::Cex { depth_hint } => {
                 let deep = depth_hint.max(self.bmc_depth + 1) + 8;
-                let rebuilt = BmcBackend::new(deep).warm(self.warm).run(
-                    ts,
-                    budget,
-                    &mut SharedContext::disabled(Lane::Bmc),
-                );
+                let rebuilt =
+                    BmcBackend::new(deep).run(ts, budget, &mut SharedContext::disabled(Lane::Bmc));
                 if let Some(s) = &rebuilt.solver {
                     stats.absorb(s);
                 }
@@ -519,16 +438,12 @@ impl HoudiniBackend {
         self
     }
 
-    fn filter(
-        &self,
-        ts: &Arc<TransitionSystem>,
-        budget: Budget,
-        ctx: &SharedContext,
-    ) -> EngineOutcome {
+    fn filter(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &SharedContext) -> LaneRun {
         let mut stream = |_: usize, c: &Candidate| {
             ctx.publish_lemma(c.name.clone(), c.bit);
         };
-        match houdini_with(ts, &self.candidates, budget, Some(&mut stream)) {
+        let (result, stats) = houdini_with(ts, &self.candidates, budget, Some(&mut stream));
+        let outcome = match result {
             HoudiniResult::Timeout => EngineOutcome::Timeout,
             HoudiniResult::Done(out) if out.proves_safety => EngineOutcome::Proof(
                 ProofEngine::Houdini {
@@ -543,6 +458,10 @@ impl HoudiniBackend {
                 })),
             ),
             HoudiniResult::Done(out) => EngineOutcome::Invariants(out.survivors),
+        };
+        LaneRun {
+            solver: Some(LaneSolverStats::cold(Lane::Houdini, stats)),
+            ..outcome.into()
         }
     }
 }
@@ -554,7 +473,7 @@ impl Backend for HoudiniBackend {
 
     fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
         let Some(opts) = &self.tail else {
-            return self.filter(ts, budget, ctx).into();
+            return self.filter(ts, budget, ctx);
         };
         let task = SafetyCheck {
             aig: ts.aig().clone(),
@@ -567,8 +486,8 @@ impl Backend for HoudiniBackend {
             &budget,
             Some(&*ctx),
         );
-        // The lane's counters aggregate its tail (the filter itself
-        // keeps its solvers private).
+        // The lane's counters aggregate its tail: the nested filter and
+        // the proof engines on the strengthened instance.
         let mut solver = LaneSolverStats::cold(Lane::Houdini, SolverStats::default());
         for s in &report.solver {
             solver.absorb(s);

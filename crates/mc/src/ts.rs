@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use csl_hdl::{Aig, Bit, CoiMarks, Init, Node};
+use csl_hdl::{Aig, Bit, CoiMarks, Init};
 
 /// A netlist plus cone-of-influence bookkeeping.
 pub struct TransitionSystem {
@@ -51,67 +51,10 @@ impl TransitionSystem {
     }
 
     /// [`TransitionSystem::new`] wrapped in the [`Arc`] every engine and
-    /// [`crate::Unroller`] takes — sessions are ownable (they can outlive
-    /// the engine call that created them), so the system is shared, not
-    /// borrowed.
+    /// [`crate::Unroller`] takes: a solver session owns its unrollers, and
+    /// each unroller owns a share of the system instead of borrowing it.
     pub fn shared(aig: Aig, keep_probes: bool) -> Arc<TransitionSystem> {
         Arc::new(TransitionSystem::new(aig, keep_probes))
-    }
-
-    /// A structural fingerprint of the netlist: two systems with the same
-    /// fingerprint encode the same gates, latches (with init values and
-    /// next-state functions), assumes and bad bits, so a solver session
-    /// built against one is sound to reuse against the other. Keys the
-    /// warm-start pool (see [`crate::warm`]). FNV-1a over the node table;
-    /// names are deliberately excluded (renaming a probe must not defeat
-    /// warm reuse).
-    pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.aig.num_nodes() as u64);
-        for n in 0..self.aig.num_nodes() as u32 {
-            match self.aig.node(Bit::from_packed(n << 1)) {
-                Node::Const => eat(1),
-                Node::Input(i) => eat(2 | ((i as u64) << 8)),
-                Node::Latch(li) => {
-                    let l = &self.aig.latches()[li as usize];
-                    let init = match l.init {
-                        Init::Zero => 0u64,
-                        Init::One => 1,
-                        Init::Symbolic => 2,
-                    };
-                    let next = l.next.map_or(u64::MAX, |b| b.packed() as u64);
-                    eat(3 | (init << 8) | (next << 16));
-                }
-                Node::And(x, y) => {
-                    eat(4 | ((x.packed() as u64) << 8));
-                    eat(y.packed() as u64);
-                }
-            }
-        }
-        for &a in self.aig.assumes() {
-            eat(5 | ((a.packed() as u64) << 8));
-        }
-        for b in self.aig.bads() {
-            eat(6 | ((b.bit.packed() as u64) << 8));
-        }
-        // The cone of influence is derived but depends on `keep_probes`,
-        // which is not in the node table — hash the active sets so systems
-        // built with different probe policies never share sessions.
-        for &li in &self.active_latches {
-            eat(7 | ((li as u64) << 8));
-        }
-        for &ii in &self.active_inputs {
-            eat(8 | ((ii as u64) << 8));
-        }
-        h
     }
 
     /// The underlying netlist.

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use csl_hdl::{Bit, Node};
-use csl_sat::{Budget, ExportPolicy, Lit, SolveResult, Solver};
+use csl_sat::{Budget, ExportPolicy, Lit, SolveResult, Solver, SolverStats};
 
 use crate::exchange::{ClauseExporter, SharedClause, TimedLit};
 use crate::trace::Trace;
@@ -61,10 +61,10 @@ pub enum InitMode {
 
 /// Incremental multi-frame CNF encoder. See the module docs.
 ///
-/// The unroller *owns* (a share of) its [`TransitionSystem`], so a session
-/// can outlive the engine call that created it — the foundation of the
-/// warm-start layer in [`crate::warm`], which parks live unrollers between
-/// depth steps, budget escalations and repeated queries.
+/// The unroller *owns* (a share of) its [`TransitionSystem`], so a solver
+/// session can hold its unrollers without a lifetime tying it to the
+/// caller; [`crate::BmcSession`] keeps one alive across the depth steps of
+/// a BMC lane.
 pub struct Unroller {
     ts: Arc<TransitionSystem>,
     pub solver: Solver,
@@ -91,6 +91,9 @@ impl Unroller {
         let mut solver = Solver::new();
         let const_true = solver.new_var().positive();
         solver.add_clause(&[const_true]);
+        // Propagating the constant's unit is set-up, not an engine's
+        // work: the counters a lane reports start here.
+        solver.stats = SolverStats::default();
         let mut u = Unroller {
             ts: Arc::clone(ts),
             solver,
@@ -180,10 +183,9 @@ impl Unroller {
     }
 
     /// Turns clause export back off, dropping the origin map and the
-    /// solver-side hook. A session being *parked* (see [`crate::warm`])
-    /// must call this: the hook captures a [`ClauseExporter`] bound to the
-    /// bus of the check that is ending, and a clause learnt during a later
-    /// check must not be published against the dead bus's horizons.
+    /// solver-side hook. A session that runs again re-arms export through
+    /// this: the hook captures a [`ClauseExporter`] and the export policy
+    /// of the run that armed it, and a later run publishes under its own.
     pub fn disable_clause_export(&mut self) {
         self.origins = None;
         self.solver.clear_export_hook();

@@ -87,13 +87,7 @@ fn exported_bmc_clauses_are_implied_by_the_source_instance() {
             adaptive: false,
         });
         let mut ctx = SharedContext::attached(bus.clone(), Lane::Bmc, true, true);
-        let _ = bmc_with(
-            &ts,
-            10,
-            Budget::unlimited(),
-            &mut ctx,
-            &mut csl_mc::BusMemory::default(),
-        );
+        let _ = bmc_with(&ts, 10, Budget::unlimited(), &mut ctx);
         // Bound the per-seed verification work; implication checks are
         // individually cheap but the export stream can be long.
         let design = format!("seed {seed} two_copy {two_copy}");
@@ -243,13 +237,7 @@ fn bmc_imports_pdr_invariants_without_verdict_change() {
         other => panic!("expected proof, got {other:?}"),
     }
     let mut bmc_ctx = SharedContext::attached(bus, Lane::Bmc, true, false);
-    let result = bmc_with(
-        &ts,
-        10,
-        Budget::unlimited(),
-        &mut bmc_ctx,
-        &mut csl_mc::BusMemory::default(),
-    );
+    let result = bmc_with(&ts, 10, Budget::unlimited(), &mut bmc_ctx);
     assert!(
         matches!(result, csl_mc::BmcResult::Clean { depth_checked: 10 }),
         "{result:?}"

@@ -1,29 +1,20 @@
-//! Warm-start soundness: resuming a parked solver session must be
-//! indistinguishable — verdict for verdict — from solving fresh.
+//! Incremental-session soundness: a BMC session driven through a depth
+//! schedule, as the BMC lane drives it, must be indistinguishable —
+//! verdict for verdict — from solving each depth fresh.
 //!
-//! Property tests over random small AIGs (the `exchange_soundness`
-//! generator family):
-//!
-//! * **Progressive BMC**: one [`BmcSession`] driven through an
-//!   escalating depth schedule must report, at every step, exactly what
-//!   a fresh solver reports for that depth — same clean bound, same
-//!   counterexample depth — and every counterexample must replay on the
-//!   concrete simulator.
-//! * **Pool round-trip**: a session parked in a [`WarmPool`] and checked
-//!   out by fingerprint must continue to a deeper bound with the same
-//!   verdict a cold solver reaches.
-//! * **k-induction**: a [`KindSession`] resumed past its last `k` must
-//!   agree with a fresh run at the final bound.
+//! Property test over random small AIGs (the `exchange_soundness`
+//! generator family): one [`BmcSession`] driven through an escalating
+//! depth schedule must report, at every step, exactly what a fresh
+//! solver reports for that depth — same clean bound, same
+//! counterexample depth — and every counterexample must replay on the
+//! concrete simulator.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use csl_hdl::{Aig, Design, Init};
 use csl_mc::exchange::SharedContext;
-use csl_mc::{
-    bmc, k_induction, BmcResult, BmcSession, KindOptions, KindResult, KindSession, Lane, Sim,
-    TransitionSystem, WarmPool,
-};
+use csl_mc::{bmc, BmcResult, BmcSession, Lane, Sim, TransitionSystem};
 use csl_sat::Budget;
 
 /// Same structure as the exchange-soundness generator: input-gated
@@ -68,19 +59,19 @@ fn random_design(seed: u64) -> Aig {
 /// Two BMC results agree iff they classify the depth window identically;
 /// counterexamples additionally must land at the same (shallowest)
 /// depth and replay concretely.
-fn assert_bmc_equiv(warm: &BmcResult, cold: &BmcResult, ts: &TransitionSystem, ctxt: String) {
-    match (warm, cold) {
-        (BmcResult::Cex(w), BmcResult::Cex(c)) => {
-            assert_eq!(w.depth(), c.depth(), "{ctxt}: cex depths differ");
-            for (label, t) in [("warm", w), ("cold", c)] {
+fn assert_bmc_equiv(session: &BmcResult, fresh: &BmcResult, ts: &TransitionSystem, ctxt: String) {
+    match (session, fresh) {
+        (BmcResult::Cex(s), BmcResult::Cex(f)) => {
+            assert_eq!(s.depth(), f.depth(), "{ctxt}: cex depths differ");
+            for (label, t) in [("session", s), ("fresh", f)] {
                 let (assumes_ok, bad) = Sim::new(ts.aig()).replay(t);
                 assert!(assumes_ok && bad, "{ctxt}: {label} cex fails replay");
             }
         }
-        (BmcResult::Clean { depth_checked: w }, BmcResult::Clean { depth_checked: c }) => {
-            assert_eq!(w, c, "{ctxt}: clean bounds differ")
+        (BmcResult::Clean { depth_checked: s }, BmcResult::Clean { depth_checked: f }) => {
+            assert_eq!(s, f, "{ctxt}: clean bounds differ")
         }
-        (w, c) => panic!("{ctxt}: verdicts diverge: warm {w:?} vs cold {c:?}"),
+        (s, f) => panic!("{ctxt}: verdicts diverge: session {s:?} vs fresh {f:?}"),
     }
 }
 
@@ -90,95 +81,18 @@ fn progressive_bmc_session_matches_fresh_solver_at_every_depth() {
         let ts = TransitionSystem::shared(random_design(seed), false);
         let mut session = BmcSession::new(&ts);
         for depth in [3usize, 6, 9, 14] {
-            let warm = session.run_to(
+            let stepped = session.run_to(
                 depth,
                 Budget::unlimited(),
                 &mut SharedContext::disabled(Lane::Bmc),
             );
-            let cold = bmc(&ts, depth, Budget::unlimited());
-            assert_bmc_equiv(&warm, &cold, &ts, format!("seed {seed} depth {depth}"));
+            let fresh = bmc(&ts, depth, Budget::unlimited());
+            assert_bmc_equiv(&stepped, &fresh, &ts, format!("seed {seed} depth {depth}"));
             // A counterexample ends the lane; deeper re-queries of the
             // same session are not part of the contract.
-            if matches!(warm, BmcResult::Cex(_)) {
+            if matches!(stepped, BmcResult::Cex(_)) {
                 break;
             }
-        }
-    }
-}
-
-#[test]
-fn pool_round_trip_continues_to_the_cold_verdict() {
-    for seed in 0..16u64 {
-        let ts = TransitionSystem::shared(random_design(seed), false);
-        let pool = WarmPool::new();
-
-        let mut session = BmcSession::new(&ts);
-        let shallow = session.run_to(
-            5,
-            Budget::unlimited(),
-            &mut SharedContext::disabled(Lane::Bmc),
-        );
-        if matches!(shallow, BmcResult::Cex(_)) {
-            // Decisive before parking: nothing to warm-start.
-            continue;
-        }
-        pool.park_bmc(session);
-
-        let mut resumed = pool
-            .checkout_bmc(ts.fingerprint())
-            .expect("parked session must be found by fingerprint");
-        let warm = resumed.run_to(
-            13,
-            Budget::unlimited(),
-            &mut SharedContext::disabled(Lane::Bmc),
-        );
-        let cold = bmc(&ts, 13, Budget::unlimited());
-        assert_bmc_equiv(&warm, &cold, &ts, format!("seed {seed} pool round-trip"));
-    }
-}
-
-#[test]
-fn warm_kind_session_agrees_with_fresh_run_at_the_final_bound() {
-    for seed in 0..16u64 {
-        let ts = TransitionSystem::shared(random_design(seed), false);
-        let mut session = KindSession::new(&ts, false);
-        let first = session.run_to(
-            2,
-            Budget::unlimited(),
-            &mut SharedContext::disabled(Lane::KInduction),
-        );
-        // Only undecided sessions are ever parked and resumed (see the
-        // crate::warm parking discipline), so the property to check is:
-        // Unknown-at-2 then resumed-to-6 equals fresh-at-6.
-        if !matches!(first, KindResult::Unknown { .. }) {
-            continue;
-        }
-        let warm = session.run_to(
-            6,
-            Budget::unlimited(),
-            &mut SharedContext::disabled(Lane::KInduction),
-        );
-        let cold = k_induction(
-            &ts,
-            KindOptions {
-                max_k: 6,
-                unique_states: false,
-                budget: Budget::unlimited(),
-            },
-        );
-        match (&warm, &cold) {
-            (KindResult::Proof { k: wk }, KindResult::Proof { k: ck }) => {
-                assert_eq!(wk, ck, "seed {seed}: proof depths differ")
-            }
-            (KindResult::Cex(w), KindResult::Cex(c)) => {
-                assert_eq!(w.depth(), c.depth(), "seed {seed}: cex depths differ");
-                let (assumes_ok, bad) = Sim::new(ts.aig()).replay(w);
-                assert!(assumes_ok && bad, "seed {seed}: warm kind cex fails replay");
-            }
-            (KindResult::Unknown { max_k_tried: w }, KindResult::Unknown { max_k_tried: c }) => {
-                assert_eq!(w, c, "seed {seed}: unknown bounds differ")
-            }
-            (w, c) => panic!("seed {seed}: verdicts diverge: warm {w:?} vs cold {c:?}"),
         }
     }
 }

@@ -37,11 +37,6 @@ pub struct ClauseDb {
     clauses: Vec<Clause>,
     /// Number of live learnt clauses (deleted excluded).
     num_learnt: usize,
-    /// Literal slots released by [`ClauseDb::delete`] and not yet
-    /// compacted: lazy deletion leaves the `Clause` header in place, so
-    /// this is the arena's garbage watermark (see [`ClauseDb::wasted`]),
-    /// not a property of the live clause set.
-    freed: usize,
 }
 
 impl ClauseDb {
@@ -122,7 +117,6 @@ impl ClauseDb {
             if c.learnt {
                 self.num_learnt -= 1;
             }
-            self.freed += c.lits.len();
             c.lits = Vec::new();
         }
     }
@@ -141,12 +135,6 @@ impl ClauseDb {
             .filter(|(_, c)| c.learnt && !c.deleted)
             .map(|(i, _)| ClauseRef(i as u32))
             .collect()
-    }
-
-    /// Amount of literal slots freed by deletions since the last compaction.
-    #[inline]
-    pub fn wasted(&self) -> usize {
-        self.freed
     }
 
     /// Total clause slots (live + dead), a rough memory metric.
@@ -199,9 +187,7 @@ mod tests {
         assert_eq!(db.len(), 0);
         let a = db.add(lits(&[1, 2, 3]), true, 5);
         assert_eq!(db.lbd(a), 5);
-        assert_eq!(db.wasted(), 0);
         db.delete(a);
-        assert_eq!(db.wasted(), 3);
         // Lazy deletion: the slot stays in the arena.
         assert_eq!(db.len(), 1);
     }

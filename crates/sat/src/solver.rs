@@ -116,6 +116,23 @@ pub struct SolverStats {
     pub reduced_clauses: u64,
 }
 
+/// Field-wise sum: the activity of several solvers working one query.
+impl std::ops::Add for SolverStats {
+    type Output = SolverStats;
+
+    fn add(self, o: SolverStats) -> SolverStats {
+        SolverStats {
+            conflicts: self.conflicts + o.conflicts,
+            decisions: self.decisions + o.decisions,
+            propagations: self.propagations + o.propagations,
+            restarts: self.restarts + o.restarts,
+            learnt_literals: self.learnt_literals + o.learnt_literals,
+            minimized_literals: self.minimized_literals + o.minimized_literals,
+            reduced_clauses: self.reduced_clauses + o.reduced_clauses,
+        }
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
     cref: ClauseRef,
@@ -749,14 +766,6 @@ impl Solver {
             }
         }
         self.original.retain(|&c| !self.db.is_deleted(c));
-    }
-
-    /// Literal slots freed by clause deletions and not yet compacted — a
-    /// rough measure of how much garbage an instance is dragging along.
-    /// Long-lived incremental sessions (warm-start pools) use it to decide
-    /// when a parked solver is too stale to be worth keeping.
-    pub fn wasted_literals(&self) -> usize {
-        self.db.wasted()
     }
 
     fn budget_exhausted(&self) -> bool {

@@ -29,7 +29,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use csl_core::api::{CampaignReport, Report, ReportCache};
+use csl_core::api::{may_store, CampaignReport, Report, ReportCache};
 use csl_mc::InconclusiveReason;
 
 use crate::journal::Journal;
@@ -616,13 +616,21 @@ impl Shared {
     }
 
     /// A query resolved (worker verdict or synthetic crash report):
-    /// persist if decided, then fan out to every subscriber.
+    /// persist what [`may_store`] admits, then fan out to every
+    /// subscriber. The cache audits under the submission's `certify`;
+    /// the journal is always audited at boot.
     fn finish_key(&self, key: u64, report: Report, solved: bool) {
         let decided = report.verdict.is_attack() || report.verdict.is_proof();
-        if decided {
+        let certify = {
+            let st = self.state.lock().unwrap();
+            st.inflight.get(&key).is_none_or(|f| f.options.certify)
+        };
+        if may_store(&report, certify) {
             if let Some(cache) = &self.cache {
                 let _ = cache.store(key, &report);
             }
+        }
+        if may_store(&report, true) {
             if let Some(journal) = &self.journal {
                 let _ = journal.lock().unwrap().append(key, &report);
             }

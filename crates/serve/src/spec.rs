@@ -116,9 +116,9 @@ impl From<CampaignCell> for CellSpec {
 
 /// The engine knobs a submission carries — the subset of the `Verifier`
 /// builder that makes sense to set remotely. Defaults mirror
-/// `CheckOptions::default()` (sequential mode, preparation on, warm
-/// starts off), so an empty `options` object on the wire means "the
-/// standard pipeline".
+/// `CheckOptions::default()` (sequential mode, preparation on,
+/// certification on), so an empty `options` object on the wire means
+/// "the standard pipeline".
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Per-cell wall-clock budget.
@@ -131,8 +131,6 @@ pub struct ServeOptions {
     pub portfolio: bool,
     /// Instance preparation (netlist reduction) on/off.
     pub prepare: bool,
-    /// Warm-start solver-session reuse on/off.
-    pub warm: bool,
     /// Certificate emission and verify-on-load of cached/journaled
     /// verdicts on/off (default on).
     pub certify: bool,
@@ -147,7 +145,6 @@ impl Default for ServeOptions {
             attack_only: opts.attack_only,
             portfolio: matches!(opts.mode, Mode::Portfolio),
             prepare: opts.prepare.enabled,
-            warm: opts.warm_start,
             certify: opts.certify,
         }
     }
@@ -171,7 +168,6 @@ impl ServeOptions {
             } else {
                 PrepareConfig::off()
             })
-            .warm(self.warm)
             .certify(self.certify)
     }
 
@@ -192,13 +188,12 @@ impl ServeOptions {
             ("attack_only", Json::Bool(self.attack_only)),
             ("portfolio", Json::Bool(self.portfolio)),
             ("prepare", Json::Bool(self.prepare)),
-            ("warm", Json::Bool(self.warm)),
             ("certify", Json::Bool(self.certify)),
         ])
     }
 
-    /// Lenient parse: absent keys keep their defaults, so old clients
-    /// keep working as knobs are added.
+    /// Lenient parse: absent keys keep their defaults and unknown keys
+    /// are ignored, so old clients keep working as knobs come and go.
     pub fn from_value(v: &Json) -> Result<ServeOptions, String> {
         let mut opts = ServeOptions::default();
         if let Some(ms) = v.get("budget_ms") {
@@ -223,7 +218,6 @@ impl ServeOptions {
         opts.attack_only = flag("attack_only", opts.attack_only)?;
         opts.portfolio = flag("portfolio", opts.portfolio)?;
         opts.prepare = flag("prepare", opts.prepare)?;
-        opts.warm = flag("warm", opts.warm)?;
         opts.certify = flag("certify", opts.certify)?;
         Ok(opts)
     }
@@ -410,7 +404,6 @@ mod tests {
             attack_only: true,
             portfolio: true,
             prepare: false,
-            warm: true,
             certify: false,
         };
         let v = Json::parse(&opts.to_value().render_line()).unwrap();
@@ -420,7 +413,12 @@ mod tests {
             ServeOptions::from_value(&Json::parse("{}").unwrap()).unwrap(),
             ServeOptions::default()
         );
-        assert!(ServeOptions::from_value(&Json::parse("{\"warm\": 3}").unwrap()).is_err());
+        // Unknown keys are ignored: old clients may still send `warm`.
+        assert_eq!(
+            ServeOptions::from_value(&Json::parse("{\"warm\": true}").unwrap()).unwrap(),
+            ServeOptions::default()
+        );
+        assert!(ServeOptions::from_value(&Json::parse("{\"prepare\": 3}").unwrap()).is_err());
     }
 
     #[test]
