@@ -92,8 +92,8 @@ pub fn median_duration(mut xs: Vec<Duration>) -> Duration {
     xs[xs.len() / 2]
 }
 
-/// Prints the per-pass reduction table of a preparation run (shared by
-/// `prepprobe` and `sizecheck`).
+/// Prints the per-pass reduction table of a preparation run (used by
+/// `prepprobe`).
 pub fn show_pass_stats(stats: &csl_core::api::PrepareStats) {
     for p in &stats.passes {
         println!(

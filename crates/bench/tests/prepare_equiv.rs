@@ -8,9 +8,8 @@
 //! the SingleCycle shadow cell proves in under a second prepared versus
 //! ~2 minutes raw — so the contract checked here is monotone: decided
 //! verdicts must agree, upgrades (T/O or UNK → decided) are the
-//! feature, and downgrades are failures. Run as its own CI step (like
-//! `exchange_equiv`) so a pipeline regression is legible on its own
-//! line. Also checks the acceptance criteria end to end: a measurable
+//! feature, and downgrades are failures. Run as its own CI step so a
+//! pipeline regression is legible on its own line. Also checks the acceptance criteria end to end: a measurable
 //! AND-node reduction on the instances, and every SAT counterexample
 //! expressed in raw-netlist vocabulary (replayable on the unprepared
 //! netlist).

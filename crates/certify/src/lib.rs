@@ -2,8 +2,8 @@
 //! witnesses.
 //!
 //! The engines in `csl-mc` decide safety with thousands of incremental SAT
-//! calls spread across racing lanes, incremental sessions and a shared
-//! lemma bus. Trusting a `Proven` verdict therefore means trusting all of
+//! calls spread across racing lanes, incremental sessions and instances
+//! strengthened by Houdini survivors. Trusting a `Proven` verdict therefore means trusting all of
 //! that machinery. This crate removes the need to: every decided verdict is
 //! accompanied by a small artifact — a [`Certificate`] for proofs, a
 //! [`Witness`] for attacks — that can be re-validated here in milliseconds

@@ -173,23 +173,26 @@ pub(crate) fn options_fingerprint(h: &mut Fingerprint, opts: &CheckOptions) {
         for &d in &b.depth_schedule {
             h.usize(d);
         }
-        h.bool(b.exchange.import);
-        h.bool(b.exchange.export);
+        // The removed exchange bus's per-lane import/export slots.
+        h.bool(true);
+        h.bool(true);
     }
-    let x = &opts.exchange;
-    h.bool(x.enabled);
-    h.usize(x.max_clause_len);
-    h.u64(x.max_clause_lbd as u64);
-    h.usize(x.max_imports_per_poll);
-    h.usize(x.capacity);
-    h.bool(x.adaptive);
+    // The removed exchange bus's knobs at their old defaults (off, clause
+    // length 8, LBD 4, 64 imports per poll, capacity 4096, static).
+    h.bool(false);
+    h.usize(8);
+    h.u64(4);
+    h.usize(64);
+    h.usize(4096);
+    h.bool(false);
     let p = &opts.prepare;
     h.bool(p.enabled);
     h.bool(p.coi);
     h.bool(p.const_sweep);
     h.bool(p.dead_latches);
     h.bool(p.compact);
-    // The removed warm-start knob's slot: existing caches and journals keep hitting.
+    // The removed warm-start knob's slot. This and the exchange slots
+    // above keep existing caches and journals hitting.
     h.bool(false);
     // Certificate emission changes the report's certificate block (and
     // whether a cached proof can pass verify-on-load), so it keys too.
@@ -462,11 +465,6 @@ mod tests {
                 ..CheckOptions::default()
             },
             CheckOptions::default().portfolio(),
-            CheckOptions::default().with_exchange(csl_mc::ExchangeConfig::on()),
-            CheckOptions::default().with_exchange(csl_mc::ExchangeConfig {
-                adaptive: true,
-                ..csl_mc::ExchangeConfig::on()
-            }),
             CheckOptions::default().with_prepare(csl_mc::PrepareConfig::off()),
             CheckOptions::default().with_prepare(csl_mc::PrepareConfig {
                 const_sweep: false,
@@ -495,6 +493,26 @@ mod tests {
         }
     }
 
+    /// The fingerprints of three common option sets, as printed before
+    /// the exchange bus was removed: the constants hashed into removed
+    /// knobs' slots must not drift, or every existing cache entry and
+    /// serve journal would silently miss.
+    #[test]
+    fn options_fingerprint_is_pinned() {
+        for (opts, pinned) in [
+            (CheckOptions::default(), 0x0fc5_920d_fa71_5e0f_u64),
+            (CheckOptions::default().portfolio(), 0xdea3_9e33_dac1_bcc2),
+            (
+                CheckOptions::default().certify(false),
+                0x7c5b_3cb0_65d6_67fc,
+            ),
+        ] {
+            let mut h = Fingerprint::new();
+            options_fingerprint(&mut h, &opts);
+            assert_eq!(h.finish(), pinned, "{opts:?}");
+        }
+    }
+
     #[test]
     fn cache_stores_only_decided_reports() {
         use csl_contracts::Contract;
@@ -510,7 +528,6 @@ mod tests {
             verdict: Verdict::Proof(ProofEngine::Houdini { invariants: 3 }),
             elapsed: std::time::Duration::from_millis(10),
             notes: vec![],
-            exchange: vec![],
             prepare: vec![],
             fuzz: None,
             coverage: None,
@@ -539,7 +556,6 @@ mod tests {
             verdict,
             elapsed: std::time::Duration::from_millis(10),
             notes: vec![],
-            exchange: vec![],
             prepare: vec![],
             fuzz: None,
             coverage: None,
@@ -585,7 +601,6 @@ mod tests {
             verdict: Verdict::Proof(ProofEngine::Houdini { invariants: 3 }),
             elapsed: std::time::Duration::from_millis(10),
             notes: vec![],
-            exchange: vec![],
             prepare: vec![],
             fuzz: None,
             coverage: None,
@@ -624,7 +639,6 @@ mod tests {
             // non-atomic write would be observably torn.
             elapsed: std::time::Duration::from_millis(10),
             notes: (0..64).map(|i| format!("filler note {i}")).collect(),
-            exchange: vec![],
             prepare: vec![],
             fuzz: None,
             coverage: None,
@@ -682,7 +696,6 @@ mod tests {
             verdict: Verdict::Proof(ProofEngine::Houdini { invariants: 3 }),
             elapsed: std::time::Duration::from_millis(10),
             notes: vec![],
-            exchange: vec![],
             prepare: vec![],
             fuzz: None,
             coverage: None,

@@ -341,12 +341,21 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both delimiters are ASCII, so the run ends on a char
+                    // boundary, and validating only the run keeps decoding
+                    // linear in the document.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| {
+                        JsonError {
+                            msg: "invalid utf-8".to_string(),
+                            at: start,
+                        }
+                    })?;
+                    out.push_str(run);
                 }
             }
         }
@@ -460,5 +469,19 @@ mod tests {
         let v = Json::parse("  { \"k\" : [ 1 , \"δ\" , null ] }  ").unwrap();
         assert_eq!(v.get("k").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("k").unwrap().as_arr().unwrap()[1].as_str(), Some("δ"));
+        // Multi-byte text right next to escapes, on both sides.
+        let v = Json::parse("[\"é\\n日本\\\"ü\\u0007€\", \"\\t–\"]").unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("é\n日本\"ü\u{7}€"));
+        assert_eq!(items[1].as_str(), Some("\t–"));
+        // Multi-byte text at the end of the input: closed, and cut off.
+        assert_eq!(Json::parse("\"…ß\"").unwrap().as_str(), Some("…ß"));
+        let cut = Json::parse("\"ab…ß").unwrap_err();
+        assert_eq!((cut.msg.as_str(), cut.at), ("unterminated string", 8));
+        let cut = Json::parse("\"ab\\").unwrap_err();
+        assert_eq!(cut.msg, "bad escape");
+        // Round trip through the writer, which escapes only ASCII.
+        let s = Json::Str("größe \"δ\"\\ 日本\n".into());
+        assert_eq!(Json::parse(&s.render()).unwrap(), s);
     }
 }

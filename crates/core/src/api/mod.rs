@@ -59,8 +59,8 @@ use crate::verify::{instance_for, run_scheme, Scheme};
 pub use crate::fuzz::FuzzPlan;
 pub use cache::{may_store, CacheStats, ReportCache};
 pub use csl_mc::{
-    CoverageStats, ExchangeConfig, ExchangeStats, ExecMode as Mode, FuzzStats, InconclusiveReason,
-    Lane, LaneBudget, LaneExchange, LanePlan, PrepareConfig, PrepareStats, PreparedInstance,
+    CoverageStats, ExecMode as Mode, FuzzStats, InconclusiveReason, Lane, LaneBudget, LanePlan,
+    PrepareConfig, PrepareStats, PreparedInstance,
 };
 pub use json::{Json, JsonError};
 pub use report::{CampaignDiff, CampaignReport, ReadError, Report, VerdictChange};
@@ -146,7 +146,6 @@ pub struct Verifier {
     shadow: ShadowOptions,
     with_candidates: bool,
     threads: usize,
-    exchange: ExchangeConfig,
     prepare: PrepareConfig,
     fuzz: Option<FuzzPlan>,
     certify: bool,
@@ -172,7 +171,6 @@ impl Default for Verifier {
             shadow: ShadowOptions::default(),
             with_candidates: true,
             threads: 0,
-            exchange: opts.exchange,
             prepare: opts.prepare,
             fuzz: None,
             certify: opts.certify,
@@ -213,15 +211,6 @@ impl Verifier {
     /// Wall clock and per-lane shaping.
     pub fn budget(mut self, budget: Budget) -> Verifier {
         self.budget = budget;
-        self
-    }
-
-    /// Configures the cross-lane clause/lemma exchange bus (portfolio
-    /// mode): `ExchangeConfig::on()` lets BMC's learnt clauses seed
-    /// k-induction, streams Houdini survivors into the running proof
-    /// lanes, and records per-lane import/export counts in the report.
-    pub fn exchange(mut self, exchange: ExchangeConfig) -> Verifier {
-        self.exchange = exchange;
         self
     }
 
@@ -404,7 +393,6 @@ impl Verifier {
             keep_probes: self.keep_probes,
             mode: self.mode,
             lanes: self.budget.lanes.clone(),
-            exchange: self.exchange.clone(),
             prepare: self.prepare.clone(),
             certify: self.certify,
             extra_lanes: Vec::new(),
@@ -595,12 +583,6 @@ impl Matrix {
     /// Per-cell execution mode (sequential or portfolio).
     pub fn mode(mut self, mode: Mode) -> Matrix {
         self.base = self.base.mode(mode);
-        self
-    }
-
-    /// Per-cell exchange-bus configuration.
-    pub fn exchange(mut self, exchange: ExchangeConfig) -> Matrix {
-        self.base = self.base.exchange(exchange);
         self
     }
 

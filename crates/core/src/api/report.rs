@@ -19,8 +19,8 @@ use std::time::Duration;
 use csl_contracts::Contract;
 use csl_hdl::xform::{PassStats, Shape};
 use csl_mc::{
-    CertKind, Certificate, CheckReport, CoverageStats, ExchangeStats, FuzzStats,
-    InconclusiveReason, Lane, LaneSolverStats, ProofEngine, Trace, Verdict,
+    CertKind, Certificate, CheckReport, CoverageStats, FuzzStats, InconclusiveReason, Lane,
+    LaneSolverStats, ProofEngine, Trace, Verdict,
 };
 
 use crate::api::json::{Json, JsonError};
@@ -69,9 +69,6 @@ pub struct Report {
     pub elapsed: Duration,
     /// Engine-by-engine notes (sizes, intermediate outcomes).
     pub notes: Vec<String>,
-    /// Per-lane exchange-bus traffic (empty when the clause/lemma
-    /// exchange was off or the cell ran sequentially).
-    pub exchange: Vec<ExchangeStats>,
     /// Per-pass node/latch reduction statistics from instance
     /// preparation (empty when preparation was off or the document
     /// predates the field).
@@ -87,9 +84,9 @@ pub struct Report {
     /// document predates the field).
     pub solver: Vec<LaneSolverStats>,
     /// The proof's checkable certificate in raw-netlist vocabulary
-    /// (`None` for non-proof verdicts, certificate emission disabled,
-    /// proofs built from imported cross-lane facts, or documents that
-    /// predate the field). Re-validate with `csl_certify`.
+    /// (`None` for non-proof verdicts, certificate emission disabled, or
+    /// documents that predate the field). Re-validate with
+    /// `csl_certify`.
     pub certificate: Option<Certificate>,
 }
 
@@ -108,7 +105,6 @@ impl Report {
             verdict: check.verdict,
             elapsed: check.elapsed,
             notes: check.notes,
-            exchange: check.exchange,
             prepare: check.prepare,
             fuzz: check.fuzz,
             coverage: check.coverage,
@@ -179,10 +175,6 @@ impl Report {
             ("verdict", verdict_to_value(&self.verdict)),
             ("elapsed", duration_to_value(self.elapsed)),
             (
-                "exchange",
-                Json::Arr(self.exchange.iter().map(exchange_to_value).collect()),
-            ),
-            (
                 "notes",
                 Json::Arr(self.notes.iter().map(|n| Json::Str(n.clone())).collect()),
             ),
@@ -246,16 +238,10 @@ impl Report {
                     .ok_or_else(|| ReadError::Schema("non-string note".into()))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        // Absent in pre-exchange documents: default to no traffic.
-        let exchange = match v.get("exchange").and_then(Json::as_arr) {
-            Some(items) => items
-                .iter()
-                .map(exchange_from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
-        // Absent in pre-preparation documents: default to no stats
-        // (same lenient treatment as the exchange field).
+        // Documents from before the exchange bus was removed also carry
+        // an `exchange` array of per-lane traffic; it is ignored.
+        //
+        // Absent in pre-preparation documents: default to no stats.
         let prepare = match v.get("prepare").and_then(Json::as_arr) {
             Some(items) => items
                 .iter()
@@ -264,7 +250,7 @@ impl Report {
             None => Vec::new(),
         };
         // Absent in pre-fuzzing documents (and in every fuzz-free run):
-        // lenient, like the exchange and prepare fields.
+        // lenient, like the prepare field.
         let fuzz = v.get("fuzz").map(fuzz_from_value).transpose()?;
         // Absent in pre-coverage documents and every blind campaign:
         // lenient, like fuzz.
@@ -287,7 +273,6 @@ impl Report {
             verdict,
             elapsed,
             notes,
-            exchange,
             prepare,
             fuzz,
             coverage,
@@ -529,50 +514,6 @@ fn pass_stats_from_value(v: &Json) -> Result<PassStats, ReadError> {
     })
 }
 
-fn exchange_to_value(s: &ExchangeStats) -> Json {
-    Json::obj(vec![
-        ("lane", Json::Str(s.lane.name().into())),
-        ("imports", Json::Int(s.imports as i64)),
-        ("exports", Json::Int(s.exports as i64)),
-        ("obligations", Json::Int(s.obligations as i64)),
-        ("policy_len", Json::Int(s.policy_len as i64)),
-        ("policy_lbd", Json::Int(s.policy_lbd as i64)),
-        ("adaptive", Json::Bool(s.adaptive)),
-    ])
-}
-
-fn exchange_from_value(v: &Json) -> Result<ExchangeStats, ReadError> {
-    let lane = v
-        .get("lane")
-        .and_then(Json::as_str)
-        .and_then(Lane::from_name)
-        .ok_or_else(|| ReadError::Schema("bad exchange lane".into()))?;
-    let count = |key: &str| -> Result<usize, ReadError> {
-        v.get(key)
-            .and_then(Json::as_int)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| ReadError::Schema(format!("bad exchange {key}")))
-    };
-    // Obligation and policy accounting is absent in pre-coverage
-    // documents; zeros/false are then lenient and true (no obligations
-    // flowed, no policy was logged).
-    let lenient = |key: &str| -> Result<usize, ReadError> {
-        match v.get(key) {
-            None => Ok(0),
-            Some(_) => count(key),
-        }
-    };
-    Ok(ExchangeStats {
-        lane,
-        imports: count("imports")?,
-        exports: count("exports")?,
-        obligations: lenient("obligations")?,
-        policy_len: lenient("policy_len")?,
-        policy_lbd: lenient("policy_lbd")? as u32,
-        adaptive: v.get("adaptive").and_then(Json::as_bool).unwrap_or(false),
-    })
-}
-
 fn coverage_to_value(s: &CoverageStats) -> Json {
     Json::obj(vec![
         ("latches_toggled", Json::Int(s.latches_toggled as i64)),
@@ -583,14 +524,12 @@ fn coverage_to_value(s: &CoverageStats) -> Json {
             Json::Int(s.new_coverage_trials as i64),
         ),
         ("corpus_size", Json::Int(s.corpus_size as i64)),
-        (
-            "obligations_exported",
-            Json::Int(s.obligations_exported as i64),
-        ),
-        ("stimuli_rejected", Json::Int(s.stimuli_rejected as i64)),
     ])
 }
 
+/// Older documents also carry `obligations_exported` and
+/// `stimuli_rejected`, counters of the removed exchange bus; they are
+/// ignored.
 fn coverage_from_value(v: &Json) -> Result<CoverageStats, ReadError> {
     let count = |key: &str| -> Result<usize, ReadError> {
         v.get(key)
@@ -604,8 +543,6 @@ fn coverage_from_value(v: &Json) -> Result<CoverageStats, ReadError> {
         signatures: count("signatures")?,
         new_coverage_trials: count("new_coverage_trials")?,
         corpus_size: count("corpus_size")?,
-        obligations_exported: count("obligations_exported")?,
-        stimuli_rejected: count("stimuli_rejected")?,
     })
 }
 
@@ -1216,26 +1153,6 @@ mod tests {
                 verdict: Verdict::Attack(Box::new(trace)),
                 elapsed: Duration::new(3, 141_592_653),
                 notes: vec!["netlist: x".into(), "cex, with \"quotes\"".into()],
-                exchange: vec![
-                    ExchangeStats {
-                        lane: Lane::Bmc,
-                        imports: 2,
-                        exports: 17,
-                        obligations: 0,
-                        policy_len: 6,
-                        policy_lbd: 4,
-                        adaptive: false,
-                    },
-                    ExchangeStats {
-                        lane: Lane::KInduction,
-                        imports: 9,
-                        exports: 0,
-                        obligations: 3,
-                        policy_len: 12,
-                        policy_lbd: 6,
-                        adaptive: true,
-                    },
-                ],
                 prepare: vec![
                     PassStats {
                         pass: "coi".into(),
@@ -1284,8 +1201,6 @@ mod tests {
                     signatures: 57,
                     new_coverage_trials: 61,
                     corpus_size: 48,
-                    obligations_exported: 9,
-                    stimuli_rejected: 17,
                 }),
                 solver: Vec::new(),
                 certificate: None,
@@ -1297,7 +1212,6 @@ mod tests {
                 verdict: Verdict::Proof(ProofEngine::Houdini { invariants: 12 }),
                 elapsed: Duration::from_millis(250),
                 notes: vec![],
-                exchange: vec![],
                 prepare: vec![],
                 fuzz: None,
                 coverage: None,
@@ -1319,7 +1233,6 @@ mod tests {
                 },
                 elapsed: Duration::from_secs(60),
                 notes: vec!["note".into()],
-                exchange: vec![],
                 prepare: vec![],
                 fuzz: None,
                 coverage: None,
@@ -1333,7 +1246,6 @@ mod tests {
                 verdict: Verdict::Timeout,
                 elapsed: Duration::from_secs(600),
                 notes: vec![],
-                exchange: vec![],
                 prepare: vec![],
                 fuzz: None,
                 coverage: None,
@@ -1349,7 +1261,6 @@ mod tests {
                 },
                 elapsed: Duration::from_secs(1),
                 notes: vec![],
-                exchange: vec![],
                 prepare: vec![],
                 fuzz: None,
                 coverage: None,
@@ -1401,7 +1312,6 @@ mod tests {
                 reason: InconclusiveReason::Other("old text".into())
             }
         );
-        assert!(report.exchange.is_empty());
         assert!(
             report.prepare.is_empty(),
             "documents without a prepare block must parse leniently"
@@ -1417,8 +1327,8 @@ mod tests {
         // A report archived before the coverage subsystem existed: the
         // fuzz block has no trial-provenance split, the exchange stats
         // carry no obligation/policy keys, and there is no coverage
-        // block. It must load leniently (zeros/false/None) and diff
-        // cleanly against a re-serialization of itself — the CI
+        // block. It must load leniently (zeros/None, exchange ignored)
+        // and diff cleanly against a re-serialization of itself — the CI
         // reportdiff gate reads exactly such artifacts.
         let legacy = "{\"schema\": \"csl-report-v1\", \"scheme\": \"UPEC\", \
                       \"design\": \"InOrder(Sodor)\", \"contract\": \"constant-time\", \
@@ -1431,10 +1341,6 @@ mod tests {
         assert_eq!(report.fuzz.as_ref().unwrap().trials, 640);
         assert_eq!(report.fuzz.as_ref().unwrap().corpus_trials, 0);
         assert_eq!(report.fuzz.as_ref().unwrap().random_trials, 0);
-        assert_eq!(report.exchange[0].imports, 4);
-        assert_eq!(report.exchange[0].obligations, 0);
-        assert_eq!(report.exchange[0].policy_len, 0);
-        assert!(!report.exchange[0].adaptive);
         assert!(
             report.coverage.is_none(),
             "documents without a coverage block must parse leniently"
@@ -1454,6 +1360,50 @@ mod tests {
             wall: Duration::from_secs(3),
         };
         assert!(before.diff(&after).is_clean());
+    }
+
+    /// A document written while the exchange bus existed: an `exchange`
+    /// array with the full per-lane counter set, and a coverage block
+    /// with the bus-fed `obligations_exported`/`stimuli_rejected`
+    /// counters. It parses, and re-serialises without any of them.
+    #[test]
+    fn retired_exchange_and_coverage_counters_parse_and_are_dropped() {
+        let old = "{\"schema\": \"csl-report-v1\", \"scheme\": \"ContractShadowLogic\", \
+                   \"design\": \"SimpleOoO\", \"contract\": \"sandboxing\", \
+                   \"verdict\": {\"kind\": \"timeout\"}, \
+                   \"elapsed\": {\"secs\": 5, \"nanos\": 0}, \
+                   \"exchange\": [{\"lane\": \"bmc\", \"imports\": 2, \"exports\": 17, \
+                   \"obligations\": 0, \"policy_len\": 8, \"policy_lbd\": 4, \"adaptive\": false}, \
+                   {\"lane\": \"pdr\", \"imports\": 9, \"exports\": 1, \"obligations\": 3, \
+                   \"policy_len\": 8, \"policy_lbd\": 4, \"adaptive\": false}], \
+                   \"notes\": [\"pdr [5.00s]: timeout/canceled (imports 9, exports 1)\"], \
+                   \"prepare\": [], \
+                   \"coverage\": {\"latches_toggled\": 141, \"latches_total\": 200, \
+                   \"signatures\": 57, \"new_coverage_trials\": 61, \"corpus_size\": 48, \
+                   \"obligations_exported\": 9, \"stimuli_rejected\": 17}}";
+        let report = Report::from_json(old).unwrap();
+        assert_eq!(report.verdict, Verdict::Timeout);
+        assert_eq!(
+            report.coverage,
+            Some(CoverageStats {
+                latches_toggled: 141,
+                latches_total: 200,
+                signatures: 57,
+                new_coverage_trials: 61,
+                corpus_size: 48,
+            })
+        );
+        let text = report.to_json();
+        for retired in ["exchange", "obligations", "stimuli_rejected", "policy_len"] {
+            assert!(!text.contains(retired), "{retired} in {text}");
+        }
+        assert_eq!(Report::from_json(&text).unwrap(), report);
+        let campaign = format!(
+            "{{\"schema\": \"csl-campaign-v1\", \"wall\": {{\"secs\": 5, \"nanos\": 0}}, \
+             \"reports\": [{old}]}}"
+        );
+        let parsed = CampaignReport::from_json(&campaign).unwrap();
+        assert_eq!(parsed.reports, vec![report]);
     }
 
     #[test]

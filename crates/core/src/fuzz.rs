@@ -49,14 +49,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use csl_cover::{BatchCoverage, Corpus, CorpusEntry, CoverageMap, RejectionFilter, ScalarCoverage};
+use csl_cover::{BatchCoverage, Corpus, CorpusEntry, CoverageMap, ScalarCoverage};
 use csl_hdl::{Aig, Bit, Init, Node};
 use csl_isa::progen::{self, OpMix, StimulusPair};
 use csl_isa::IsaConfig;
 use csl_mc::{
-    BatchSim, BatchState, CoverageStats, EngineOutcome, ExchangeItem, FuzzStats,
-    InconclusiveReason, Lane, LaneFactory, LaneRun, SharedContext, Sim, SimState, Trace,
-    TransitionSystem,
+    BatchSim, BatchState, CoverageStats, EngineOutcome, FuzzStats, InconclusiveReason, Lane,
+    LaneFactory, LaneRun, Sim, SimState, Trace, TransitionSystem,
 };
 use csl_sat::Budget;
 
@@ -79,10 +78,9 @@ pub struct FuzzPlan {
     /// Opcode weights for the structured half of the program stream.
     pub mix: OpMix,
     /// Coverage-guided mode (see the `csl_cover` crate): track per-trial
-    /// latch-toggle coverage, evolve a mutation corpus from trials that
-    /// reached new coverage, exchange frontier states with the proof
-    /// lanes, and skip stimuli the formal side proved dead. `false`
-    /// keeps the campaign bit-identical to the blind fuzzer.
+    /// latch-toggle coverage and evolve a mutation corpus from trials
+    /// that reached new coverage. `false` keeps the campaign
+    /// bit-identical to the blind fuzzer.
     pub coverage: bool,
     /// Directory for corpus persistence across campaigns (keyed by plan
     /// label + netlist fingerprint, like the session report cache).
@@ -339,23 +337,8 @@ fn bad_cone_latches(aig: &Aig, oracle: &[usize]) -> Vec<bool> {
 /// pass; findings are identical to the scalar path for the same seed
 /// (earliest leaking trial, earliest leaking cycle), only faster.
 pub fn run_fuzz(aig: &Aig, isa: &IsaConfig, plan: &FuzzPlan, budget: &Budget) -> FuzzReport {
-    let mut ctx = SharedContext::disabled(Lane::Fuzz);
-    run_fuzz_shared(aig, isa, plan, budget, &mut ctx)
-}
-
-/// [`run_fuzz`] with an exchange-bus handle: a coverage-guided campaign
-/// imports PDR frontier clauses into its rejection filter and exports
-/// fuzz-reached states as proof obligations through `ctx`. A blind plan
-/// never touches the bus, so this is exactly [`run_fuzz`] for it.
-pub fn run_fuzz_shared(
-    aig: &Aig,
-    isa: &IsaConfig,
-    plan: &FuzzPlan,
-    budget: &Budget,
-    ctx: &mut SharedContext,
-) -> FuzzReport {
     if plan.coverage {
-        return run_fuzz_coverage(aig, isa, plan, budget, ctx);
+        return run_fuzz_coverage(aig, isa, plan, budget);
     }
     let start = Instant::now();
     let oracle = leak_bads(aig);
@@ -507,13 +490,12 @@ pub fn run_fuzz_shared(
 struct Generation {
     /// Per-lane earliest `(cycle, bad index)` leak, assumes held.
     first_leak: Vec<Option<(usize, usize)>>,
-    /// Per-lane coverage record; `None` for filter-rejected lanes.
+    /// Per-lane coverage record; `None` for lanes a budget expiry cut
+    /// off before they ran.
     coverage: Vec<Option<csl_cover::TrialCoverage>>,
     /// Per-lane reached latch state, for lanes that survived every
-    /// cycle with assumes held (obligation / corpus material).
+    /// cycle with assumes held (corpus material).
     exit: Vec<Option<Vec<(u32, bool)>>>,
-    /// Lanes skipped by the rejection filter.
-    rejected: usize,
     /// Trial-cycles actually simulated (alive lanes only).
     sim_cycles: u64,
     /// Whether any cycle ran (budget-expiry accounting).
@@ -527,15 +509,12 @@ fn run_generation_batch(
     stims: &[StimulusPair],
     cycles: usize,
     oracle: &[usize],
-    filter: &RejectionFilter,
     budget: &Budget,
 ) -> Generation {
     let width = stims.len();
     let latches = aig.latches().len();
     let mut state = load_batch(aig, stims);
-    let width_mask: u64 = if width == 64 { !0 } else { (1u64 << width) - 1 };
-    let reject = filter.reject_mask(&state) & width_mask;
-    let mut alive = width_mask & !reject;
+    let mut alive: u64 = if width == 64 { !0 } else { (1u64 << width) - 1 };
     let mut cov = BatchCoverage::new(latches);
     let mut first_leak: Vec<Option<(usize, usize)>> = vec![None; width];
     let mut sim_cycles = 0u64;
@@ -574,11 +553,9 @@ fn run_generation_batch(
         }
         state = r.next;
     }
-    let coverage = (0..width)
-        .map(|l| ((reject >> l) & 1 == 0).then(|| cov.lane(l)))
-        .collect();
+    let coverage = (0..width).map(|l| Some(cov.lane(l))).collect();
     // Only lanes that survived the whole window with assumes held carry
-    // a reached state the formal side may treat as a true frontier.
+    // a reached state.
     let exit = (0..width)
         .map(|l| {
             ((alive >> l) & 1 == 1 && !out_of_budget).then(|| {
@@ -591,7 +568,6 @@ fn run_generation_batch(
         first_leak,
         coverage,
         exit,
-        rejected: reject.count_ones() as usize,
         sim_cycles,
         simulated,
         out_of_budget,
@@ -604,7 +580,6 @@ fn run_generation_scalar(
     stims: &[StimulusPair],
     cycles: usize,
     oracle: &[usize],
-    filter: &RejectionFilter,
     budget: &Budget,
 ) -> Generation {
     let width = stims.len();
@@ -612,16 +587,11 @@ fn run_generation_scalar(
     let mut first_leak: Vec<Option<(usize, usize)>> = vec![None; width];
     let mut coverage: Vec<Option<csl_cover::TrialCoverage>> = vec![None; width];
     let mut exit: Vec<Option<Vec<(u32, bool)>>> = vec![None; width];
-    let mut rejected = 0usize;
     let mut sim_cycles = 0u64;
     let mut simulated = false;
     let mut out_of_budget = false;
     'lanes: for (l, stim) in stims.iter().enumerate() {
         let mut state = load_scalar(aig, stim);
-        if filter.rejects(&state) {
-            rejected += 1;
-            continue;
-        }
         let mut sc = ScalarCoverage::new(latches);
         let mut survived = true;
         for cycle in 0..cycles {
@@ -657,7 +627,6 @@ fn run_generation_scalar(
         first_leak,
         coverage,
         exit,
-        rejected,
         sim_cycles,
         simulated,
         out_of_budget,
@@ -669,19 +638,10 @@ fn run_generation_scalar(
 /// generation boundaries regardless of execution width, and every RNG
 /// draw happens in trial order, so a fixed seed evolves the identical
 /// corpus batched or scalar.
-fn run_fuzz_coverage(
-    aig: &Aig,
-    isa: &IsaConfig,
-    plan: &FuzzPlan,
-    budget: &Budget,
-    ctx: &mut SharedContext,
-) -> FuzzReport {
+fn run_fuzz_coverage(aig: &Aig, isa: &IsaConfig, plan: &FuzzPlan, budget: &Budget) -> FuzzReport {
     /// Fraction (out of 4) of trials drawn as corpus mutants once the
     /// corpus is non-empty.
     const MUTANT_NUM: u32 = 1;
-    /// Campaign-wide cap on exported proof obligations — the proof
-    /// lanes only need a few representative frontier states.
-    const MAX_OBLIGATIONS: usize = 32;
 
     let start = Instant::now();
     let oracle = leak_bads(aig);
@@ -697,7 +657,6 @@ fn run_fuzz_coverage(
         .and_then(|p| Corpus::load(p).ok())
         .unwrap_or_default();
     let mut map = CoverageMap::new(latches);
-    let mut filter = RejectionFilter::new(latches);
     let mut batch_sim = plan.batch.then(|| BatchSim::new(aig));
     let mut scalar_sim = (!plan.batch).then(|| Sim::new(aig));
 
@@ -705,8 +664,6 @@ fn run_fuzz_coverage(
     let mut corpus_trials = 0usize;
     let mut random_trials = 0usize;
     let mut sim_cycles = 0u64;
-    let mut rejected = 0usize;
-    let mut obligations = 0usize;
     let mut leak: Option<(StimulusPair, usize, usize, String)> = None;
     let mut out_of_budget = false;
 
@@ -714,15 +671,6 @@ fn run_fuzz_coverage(
         if budget.out_of_time() {
             out_of_budget = true;
             break;
-        }
-        // Import frontier clauses published by PDR since the last
-        // generation; other item kinds are not for this lane.
-        for item in ctx.poll() {
-            if let ExchangeItem::Frontier(f) = &*item {
-                if filter.add(f) {
-                    ctx.note_imported(1);
-                }
-            }
         }
         // Draw the generation, one RNG decision + draw per trial in
         // trial order. Mutant selection sees the corpus as frozen at
@@ -764,16 +712,11 @@ fn run_fuzz_coverage(
             }
         }
         let generation = match (&mut batch_sim, &mut scalar_sim) {
-            (Some(sim), _) => {
-                run_generation_batch(aig, sim, &stims, plan.cycles, &oracle, &filter, budget)
-            }
-            (_, Some(sim)) => {
-                run_generation_scalar(aig, sim, &stims, plan.cycles, &oracle, &filter, budget)
-            }
+            (Some(sim), _) => run_generation_batch(aig, sim, &stims, plan.cycles, &oracle, budget),
+            (_, Some(sim)) => run_generation_scalar(aig, sim, &stims, plan.cycles, &oracle, budget),
             _ => unreachable!("one executor is always configured"),
         };
         sim_cycles += generation.sim_cycles;
-        rejected += generation.rejected;
         out_of_budget |= generation.out_of_budget;
         // Provenance tracks *counted* trials only, so the split always
         // sums to the trial count even when a leak ends the generation
@@ -787,7 +730,7 @@ fn run_fuzz_coverage(
                 aig.bads()[bi].name.clone(),
             ));
             lane + 1
-        } else if generation.simulated || generation.rejected > 0 {
+        } else if generation.simulated {
             width
         } else {
             0
@@ -799,9 +742,7 @@ fn run_fuzz_coverage(
             break;
         }
         // Ingest coverage in lane order; trials that reached new
-        // coverage *and* survived the window join the corpus, and their
-        // reached states travel to the proof lanes as obligations.
-        let new_before = map.new_coverage_trials();
+        // coverage *and* survived the window join the corpus.
         for (l, stim) in stims.iter().enumerate() {
             let Some(trial_cov) = &generation.coverage[l] else {
                 continue;
@@ -821,13 +762,8 @@ fn run_fuzz_coverage(
                     heat,
                     frontier: frontier.clone(),
                 });
-                if obligations < MAX_OBLIGATIONS {
-                    ctx.publish_obligation(frontier.clone(), trial_cov.depth);
-                    obligations += 1;
-                }
             }
         }
-        ctx.note_coverage_delta(map.new_coverage_trials() - new_before);
     }
     if leak.is_some() {
         out_of_budget = false;
@@ -849,7 +785,7 @@ fn run_fuzz_coverage(
         seed: plan.seed,
         lanes: if plan.batch { BatchSim::LANES } else { 1 },
     };
-    let coverage = Some(map.stats(corpus.len(), obligations, rejected));
+    let coverage = Some(map.stats(corpus.len()));
     let outcome = match leak {
         Some((stim, cycle, trial, bad_name)) => {
             let trace = finding_trace(aig, &stim, cycle, &bad_name);
@@ -907,8 +843,8 @@ impl csl_mc::Backend for FuzzBackend {
         Lane::Fuzz
     }
 
-    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
-        let report = run_fuzz_shared(ts.aig(), &self.isa, &self.plan, &budget, ctx);
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget) -> LaneRun {
+        let report = run_fuzz(ts.aig(), &self.isa, &self.plan, &budget);
         let outcome = match report.outcome {
             FuzzOutcome::Leak(finding) => {
                 // The Backend contract: validate counterexamples before
@@ -1166,58 +1102,5 @@ mod tests {
             .count();
         assert_eq!(files, 2, "each netlist keys its own corpus file");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn frontier_imports_reject_stimuli_and_count_in_stats() {
-        use csl_mc::{Exchange, ExchangeConfig};
-
-        let (task, isa) = secure_task();
-        let bus = Exchange::new(ExchangeConfig::on());
-        let mut ctx = SharedContext::attached(bus.clone(), Lane::Fuzz, true, true);
-        // Forge frontier clauses that no state can satisfy together: a
-        // clause {l=0} rejects states where latch 0 is 1 and {l=1}
-        // rejects states where it is 0, so every stimulus trips one.
-        let publisher = SharedContext::attached(bus, Lane::Pdr, true, true);
-        for val in [false, true] {
-            publisher.publish_frontier(format!("test-front-{val}"), vec![(0, val)], 1);
-        }
-        let plan = FuzzPlan::new().trials(64).cycles(6).seed(3).coverage(true);
-        let report = run_fuzz_shared(&task.aig, &isa, &plan, &Budget::unlimited(), &mut ctx);
-        let cov = report.coverage.unwrap();
-        assert!(
-            cov.stimuli_rejected > 0,
-            "opposed-polarity frontier clauses must reject every stimulus"
-        );
-        let stats = ctx.stats();
-        assert!(stats.imports >= 1, "filter adds must count as imports");
-    }
-
-    #[test]
-    fn coverage_campaign_exports_obligations_to_the_bus() {
-        use csl_mc::{Exchange, ExchangeConfig};
-
-        let (task, isa) = secure_task();
-        let bus = Exchange::new(ExchangeConfig::on());
-        let mut ctx = SharedContext::attached(bus.clone(), Lane::Fuzz, true, true);
-        let plan = FuzzPlan::new()
-            .trials(128)
-            .cycles(10)
-            .seed(5)
-            .coverage(true);
-        let report = run_fuzz_shared(&task.aig, &isa, &plan, &Budget::unlimited(), &mut ctx);
-        let cov = report.coverage.unwrap();
-        assert!(
-            cov.obligations_exported > 0,
-            "surviving new-coverage trials must export obligations"
-        );
-        // The obligations are visible to another lane.
-        let mut consumer = SharedContext::attached(bus, Lane::Pdr, true, true);
-        let seen = consumer
-            .poll()
-            .iter()
-            .filter(|i| matches!(&***i, ExchangeItem::Obligation(_)))
-            .count();
-        assert!(seen >= 1, "obligations must reach the bus");
     }
 }

@@ -22,21 +22,18 @@
 //!   `csl_mc::Backend`), and reports findings as replayable
 //!   counterexample traces; with `FuzzPlan::coverage(true)` the
 //!   campaign is coverage-guided (see `csl_cover`): latch-toggle
-//!   coverage drives a mutation corpus, and the exchange bus carries
-//!   fuzz-reached frontier states to PDR and proven-unreachable
-//!   clauses back as a stimulus rejection filter,
+//!   coverage drives a mutation corpus,
 //! * [`campaign`] — the scheme × design × contract matrix evaluated on a
 //!   worker pool with per-cell budgets and a deterministic result table
 //!   (the Table-2 reproduction engine),
 //! * [`api`] — **the unified entry point**: the fluent [`api::Verifier`]
-//!   session builder (including the portfolio exchange-bus knob,
-//!   `.exchange(..)`, and the instance-preparation knob,
+//!   session builder (including the instance-preparation knob,
 //!   `.prepare(..)`), typed [`api::Query`]s with stable cache keys
 //!   whose `.instance()` yields a prepared (reduced) instance with a
 //!   trace back-map, a persistent [`api::ReportCache`] with optional
 //!   LRU size caps, and persistable
 //!   [`api::Report`]/[`api::CampaignReport`] results (JSON/CSV writers,
-//!   round-trip parsing, cross-run diffing, per-lane exchange traffic,
+//!   round-trip parsing, cross-run diffing, per-lane solver counters,
 //!   per-pass preparation stats), with proof certificates and attack
 //!   witnesses carried alongside for independent re-checking via
 //!   `csl-certify`.
@@ -70,10 +67,7 @@ pub mod verify;
 
 pub use campaign::{matrix, CampaignCell};
 pub use fifo::{FifoPlan, RecordFifo};
-pub use fuzz::{
-    fuzz_lane, run_fuzz, run_fuzz_shared, FuzzBackend, FuzzFinding, FuzzOutcome, FuzzPlan,
-    FuzzReport,
-};
+pub use fuzz::{fuzz_lane, run_fuzz, FuzzBackend, FuzzFinding, FuzzOutcome, FuzzPlan, FuzzReport};
 pub use harness::{DesignKind, ExcludeRule, InstanceConfig};
 pub use record::{extract_record, pack_isa_record, RecordTooWide};
 pub use shadow::{uarch_trace_diff, ShadowOptions, ShadowPre};

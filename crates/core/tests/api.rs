@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use csl_certify::{check_certificate, check_witness, Witness};
 use csl_contracts::Contract;
-use csl_core::api::{Budget, CampaignReport, ExchangeConfig, Mode, Report, Verifier};
+use csl_core::api::{Budget, CampaignReport, Mode, Report, Verifier};
 use csl_core::{DesignKind, Scheme};
 use csl_mc::{ProofEngine, Verdict};
 
@@ -212,17 +212,10 @@ fn diff_flags_injected_verdict_flip() {
     assert!(before.diff(&same_kind).is_clean());
 }
 
-/// The `.exchange(..)` builder knob reaches the engine options, and the
-/// cache key distinguishes every axis it claims to cover while staying
-/// stable for identical queries.
+/// The cache key distinguishes every axis it claims to cover while
+/// staying stable for identical queries.
 #[test]
-fn exchange_knob_and_cache_key_cover_the_query_identity() {
-    let q = builder(Scheme::Shadow)
-        .exchange(ExchangeConfig::on())
-        .query()
-        .unwrap();
-    assert!(q.options().exchange.enabled);
-
+fn cache_key_covers_the_query_identity() {
     let base = builder(Scheme::Shadow).query().unwrap();
     let again = builder(Scheme::Shadow).query().unwrap();
     assert_eq!(
@@ -243,7 +236,7 @@ fn exchange_knob_and_cache_key_cover_the_query_identity() {
             .unwrap()
             .cache_key(),
         builder(Scheme::Shadow)
-            .exchange(ExchangeConfig::on())
+            .mode(Mode::Portfolio)
             .query()
             .unwrap()
             .cache_key(),

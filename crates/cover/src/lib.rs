@@ -1,10 +1,10 @@
 //! `csl-cover` — coverage-guided stimulus generation for the fuzzing
-//! backend, closing the fuzz↔formal loop.
+//! backend.
 //!
 //! The blind fuzzer (`csl_core::fuzz`) draws every trial fresh from the
 //! RNG; the paper's §9 contrast class (Revizor, SpecDoctor) instead
 //! *evolves* stimuli toward unexplored microarchitectural state. This
-//! crate supplies the three pieces that upgrade the backend:
+//! crate supplies the two pieces that upgrade the backend:
 //!
 //! * **Coverage tracking** — [`BatchCoverage`] accumulates per-latch
 //!   toggle bitmaps over the 64-lane [`csl_mc::BatchSim`] words (the hot
@@ -16,13 +16,10 @@
 //!   [`csl_isa::progen`] (`mutate_stimulus`: splice / flip / stretch)
 //!   derive the next generation. [`Corpus::save`]/[`Corpus::load`]
 //!   persist it across sessions in a deterministic text format.
-//! * **Formal exchange** — the reached frontier travels to the proof
-//!   lanes as [`csl_mc::SharedObligation`]s (PDR probes them for
-//!   adjacency to a bad state and uses them to block bogus
-//!   generalizations), and PDR's frame clauses come back as
-//!   [`csl_mc::SharedFrontier`]s which the [`RejectionFilter`] turns
-//!   into a pre-simulation stimulus skip: a reset state the formal side
-//!   already proved assume-inconsistent cannot start a valid trial.
+//!
+//! The campaign runs in isolation from the proof lanes: nothing it
+//! reaches is handed to them, and nothing they learn prunes its
+//! stimuli.
 //!
 //! Everything here is deterministic by construction: coverage ingestion
 //! happens at fixed generation boundaries, signatures hash sorted latch
@@ -35,7 +32,7 @@ use std::io::{self, Read as _, Write as _};
 use std::path::Path;
 
 use csl_isa::progen::StimulusPair;
-use csl_mc::{BatchState, CoverageStats, SharedFrontier, SimState};
+use csl_mc::{BatchState, CoverageStats, SimState};
 
 /// FNV-1a offset basis / prime (64-bit), matching the hashing used by
 /// the session cache.
@@ -255,30 +252,22 @@ impl CoverageMap {
         &self.depth_hist
     }
 
-    /// Assembles the report-facing summary, folding in the campaign
-    /// counters the map itself does not track.
-    pub fn stats(
-        &self,
-        corpus_size: usize,
-        obligations_exported: usize,
-        stimuli_rejected: usize,
-    ) -> CoverageStats {
+    /// Assembles the report-facing summary, folding in the corpus size
+    /// the map itself does not track.
+    pub fn stats(&self, corpus_size: usize) -> CoverageStats {
         CoverageStats {
             latches_toggled: self.latches_toggled(),
             latches_total: self.latches_total(),
             signatures: self.signatures(),
             new_coverage_trials: self.new_coverage_trials(),
             corpus_size,
-            obligations_exported,
-            stimuli_rejected,
         }
     }
 }
 
 /// One corpus entry: the stimulus that reached new coverage, its
 /// coverage signature and survival depth, and the full active-latch
-/// state it reached (the frontier the formal side receives as a
-/// [`csl_mc::SharedObligation`]).
+/// state it reached.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CorpusEntry {
     pub stim: StimulusPair,
@@ -463,93 +452,9 @@ impl Corpus {
     }
 }
 
-/// A stimulus skip-list built from PDR's exported frame clauses
-/// ([`SharedFrontier`]). Each clause is init-true: no assume-consistent
-/// reset state falsifies it. A candidate stimulus whose reset state
-/// falsifies some clause therefore violates an assume at cycle 0 — it
-/// can never become a valid leaking trial, and skipping its simulation
-/// is verdict-preserving. Clauses with out-of-range latch indices are
-/// dropped (they cannot be evaluated against this netlist).
-#[derive(Clone, Debug, Default)]
-pub struct RejectionFilter {
-    clauses: Vec<Vec<(u32, bool)>>,
-    latches: usize,
-}
-
-impl RejectionFilter {
-    /// Retention cap: enough to be useful, bounded so the per-stimulus
-    /// check stays cheap.
-    pub const MAX_CLAUSES: usize = 256;
-
-    /// An empty filter over `latches` latches.
-    pub fn new(latches: usize) -> RejectionFilter {
-        RejectionFilter {
-            clauses: Vec::new(),
-            latches,
-        }
-    }
-
-    /// Number of clauses currently held.
-    pub fn len(&self) -> usize {
-        self.clauses.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
-    }
-
-    /// Adds one imported frontier clause; returns `false` when the
-    /// clause was dropped (empty, out-of-range, or at capacity).
-    pub fn add(&mut self, f: &SharedFrontier) -> bool {
-        if self.clauses.len() >= RejectionFilter::MAX_CLAUSES
-            || f.lits.is_empty()
-            || f.lits.iter().any(|&(i, _)| i as usize >= self.latches)
-        {
-            return false;
-        }
-        self.clauses.push(f.lits.clone());
-        true
-    }
-
-    /// Whether `state` falsifies some clause (every literal wrong) —
-    /// i.e. the formal side already proved no valid trial starts here.
-    pub fn rejects(&self, state: &SimState) -> bool {
-        self.clauses
-            .iter()
-            .any(|c| c.iter().all(|&(i, v)| state.latch(i as usize) != v))
-    }
-
-    /// Lane mask of rejected reset states in a batch: bit `l` set iff
-    /// lane `l`'s state falsifies some clause.
-    pub fn reject_mask(&self, state: &BatchState) -> u64 {
-        let mut out = 0u64;
-        for c in &self.clauses {
-            let mut falsified = !0u64;
-            for &(i, v) in c {
-                let bits = state.latch(i as usize);
-                // Lanes where the literal HOLDS are not falsified.
-                let holds = if v { bits } else { !bits };
-                falsified &= !holds;
-            }
-            out |= falsified;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csl_mc::Lane;
-
-    fn frontier(lits: Vec<(u32, bool)>) -> SharedFrontier {
-        SharedFrontier {
-            name: "t".into(),
-            lits,
-            level: 1,
-            source: Lane::Pdr,
-        }
-    }
 
     #[test]
     fn trial_signature_tracks_toggle_set_and_depth() {
@@ -600,10 +505,9 @@ mod tests {
         assert_eq!(map.new_coverage_trials(), 3);
         assert_eq!(map.depth_hist()[3], 3);
         assert_eq!(map.depth_hist()[4], 1);
-        let s = map.stats(2, 1, 4);
+        let s = map.stats(2);
         assert_eq!(s.corpus_size, 2);
-        assert_eq!(s.obligations_exported, 1);
-        assert_eq!(s.stimuli_rejected, 4);
+        assert_eq!((s.latches_toggled, s.signatures), (2, 3));
     }
 
     #[test]
@@ -647,48 +551,5 @@ mod tests {
         let err = Corpus::load(&path).expect_err("must fail");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn rejection_filter_matches_clause_semantics_scalar_and_batch() {
-        use csl_hdl::{Design, Init};
-        let mut d = Design::new("f");
-        let r = d.reg("r", 3, Init::Symbolic);
-        let q = r.q();
-        d.set_next(&r, q);
-        let aig = d.finish();
-
-        let mut filter = RejectionFilter::new(3);
-        // Clause: latch0=1 ∨ latch2=0. Falsified by states with
-        // latch0=0 ∧ latch2=1.
-        assert!(filter.add(&frontier(vec![(0, true), (2, false)])));
-        assert!(
-            !filter.add(&frontier(vec![(9, true)])),
-            "out of range dropped"
-        );
-        assert!(!filter.add(&frontier(vec![])), "empty clause dropped");
-
-        let mut rejected = SimState::reset_with(&aig, |i, _| i == 2);
-        assert!(filter.rejects(&rejected));
-        rejected.set_latch(0, true);
-        assert!(!filter.rejects(&rejected), "latch0=1 satisfies the clause");
-
-        // Batch: lane l encodes state l (3-bit counter of lane index).
-        let batch = BatchState::reset_with(&aig, |i, _| {
-            let mut w = 0u64;
-            for l in 0..8u64 {
-                w |= ((l >> i) & 1) << l;
-            }
-            w
-        });
-        let mask = filter.reject_mask(&batch);
-        for l in 0..8usize {
-            let state = batch.lane(l);
-            assert_eq!(
-                (mask >> l) & 1 == 1,
-                filter.rejects(&state),
-                "lane {l}: batch mask disagrees with scalar rejection"
-            );
-        }
     }
 }

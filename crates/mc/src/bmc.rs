@@ -11,19 +11,10 @@ use std::sync::Arc;
 
 use csl_sat::{Budget, SolveResult, SolverStats};
 
-use crate::exchange::{ExchangeItem, SharedContext, SharedInvariant, SharedLemma};
-use crate::lane::Lane;
+use crate::lane::SharedContext;
 use crate::trace::Trace;
 use crate::ts::TransitionSystem;
 use crate::unroll::{InitMode, Unroller};
-
-/// The bus facts a [`BmcSession`] has imported: they are re-asserted at
-/// every frame the session unrolls later.
-#[derive(Default)]
-struct BusMemory {
-    lemmas: Vec<SharedLemma>,
-    invariants: Vec<SharedInvariant>,
-}
 
 /// Outcome of a BMC run.
 #[derive(Debug)]
@@ -48,49 +39,24 @@ impl BmcResult {
 
 /// Runs BMC from depth 0 to `max_depth` (inclusive) under `budget`.
 pub fn bmc(ts: &Arc<TransitionSystem>, max_depth: usize, budget: Budget) -> BmcResult {
-    bmc_with(
-        ts,
-        max_depth,
-        budget,
-        &mut SharedContext::disabled(Lane::Bmc),
-    )
-}
-
-/// [`bmc`] attached to the exchange bus: learnt clauses stream out
-/// through the [`csl_sat::Solver`] export hook at conflict boundaries,
-/// and foreign invariant lemmas — plus PDR's exported invariant clauses
-/// — are polled between depths and asserted at every frame (sound: both
-/// hold in every reachable assume-satisfying state, and every model of
-/// the reset-initialised unrolling is such a run prefix — so the
-/// pruning can never mask a real counterexample).
-pub fn bmc_with(
-    ts: &Arc<TransitionSystem>,
-    max_depth: usize,
-    budget: Budget,
-    ctx: &mut SharedContext,
-) -> BmcResult {
-    BmcSession::new(ts).run_to(max_depth, budget, ctx)
+    BmcSession::new(ts).run_to(max_depth, budget, &mut SharedContext)
 }
 
 /// An incremental BMC solving session: one reset-initialised
-/// [`Unroller`] whose learnt clauses, blocked-depth units and imported
-/// bus facts survive across [`BmcSession::run_to`] calls. The BMC lane
-/// drives one session through its whole depth schedule, so each step
-/// continues where the previous step stopped instead of re-unrolling
-/// from frame 0.
+/// [`Unroller`] whose learnt clauses and blocked-depth units survive
+/// across [`BmcSession::run_to`] calls. The BMC lane drives one session
+/// through its whole depth schedule, so each step continues where the
+/// previous step stopped instead of re-unrolling from frame 0.
 ///
 /// # Soundness
 /// Everything the session retains between runs is a consequence of the
 /// reset-initialised unrolling of its [`TransitionSystem`]: learnt
-/// clauses, the `!bad(k)` units added after each UNSAT depth, and bus
-/// lemmas/invariants (implied facts about the same netlist, per the
-/// exchange rules). None of it is depth-specific, so running to any
-/// depth returns the verdict a fresh solver would — depths at or below
-/// [`BmcSession::clean_to`] are *proven* clean and answered without
-/// solving.
+/// clauses and the `!bad(k)` units added after each UNSAT depth. None of
+/// it is depth-specific, so running to any depth returns the verdict a
+/// fresh solver would — depths at or below [`BmcSession::clean_to`] are
+/// *proven* clean and answered without solving.
 pub struct BmcSession {
     u: Unroller,
-    memory: BusMemory,
     clean_to: Option<usize>,
 }
 
@@ -99,7 +65,6 @@ impl BmcSession {
     pub fn new(ts: &Arc<TransitionSystem>) -> BmcSession {
         BmcSession {
             u: Unroller::new(ts, InitMode::Reset),
-            memory: BusMemory::default(),
             clean_to: None,
         }
     }
@@ -115,25 +80,17 @@ impl BmcSession {
     }
 
     /// Checks depths up to `max_depth` (inclusive), resuming after the
-    /// deepest depth already proven clean. Re-arms clause export against
-    /// `ctx`'s bus for this run (and only this run). A re-query at or
-    /// below [`BmcSession::clean_to`] is answered `Clean` without
-    /// touching the solver.
+    /// deepest depth already proven clean. A re-query at or below
+    /// [`BmcSession::clean_to`] is answered `Clean` without touching the
+    /// solver. The [`SharedContext`] is inert and ignored.
     pub fn run_to(
         &mut self,
         max_depth: usize,
         budget: Budget,
-        ctx: &mut SharedContext,
+        _ctx: &mut SharedContext,
     ) -> BmcResult {
         let u = &mut self.u;
         u.set_budget(budget.clone());
-        u.disable_clause_export();
-        if let Some(exporter) = ctx.clause_exporter() {
-            // The *live* policy: adaptive buses move the thresholds with
-            // import hit rates and coverage deltas between runs.
-            let policy = ctx.export_policy().expect("exporter implies a bus");
-            u.enable_clause_export(exporter, policy);
-        }
         let start = match self.clean_to {
             Some(c) if c >= max_depth => {
                 // Every depth <= max_depth carries a `!bad` unit already:
@@ -152,37 +109,6 @@ impl BmcSession {
                 };
             }
             u.assert_assumes_through(k);
-            for item in ctx.poll() {
-                match &*item {
-                    ExchangeItem::Lemma(l) => {
-                        // Catch the new lemma up on the frames already
-                        // encoded; frame `k` is covered by the sweep below.
-                        for f in 0..k {
-                            u.assert_lemma_at(l.bit, f);
-                        }
-                        self.memory.lemmas.push(l.clone());
-                        ctx.note_imported(1);
-                    }
-                    ExchangeItem::Invariant(inv) => {
-                        for f in 0..k {
-                            u.assert_clause_at(&inv.lits, f);
-                        }
-                        self.memory.invariants.push(inv.clone());
-                        ctx.note_imported(1);
-                    }
-                    // Clauses are for the k-induction base instance;
-                    // obligations/frontiers are fuzz↔PDR traffic.
-                    ExchangeItem::Clause(_)
-                    | ExchangeItem::Obligation(_)
-                    | ExchangeItem::Frontier(_) => {}
-                }
-            }
-            for l in self.memory.lemmas.iter() {
-                u.assert_lemma_at(l.bit, k);
-            }
-            for inv in self.memory.invariants.iter() {
-                u.assert_clause_at(&inv.lits, k);
-            }
             let bad = u.bad_any_at(k);
             match u.solve_with(&[bad]) {
                 SolveResult::Sat => {

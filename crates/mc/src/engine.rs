@@ -36,7 +36,6 @@ use csl_hdl::Aig;
 use csl_sat::Budget;
 
 use crate::cert::Certificate;
-use crate::exchange::{Exchange, ExchangeConfig, ExchangeStats, SharedContext};
 use crate::houdini::Candidate;
 use crate::lane::{Lane, LanePlan, LaneSolverStats};
 use crate::portfolio::{
@@ -195,10 +194,6 @@ pub struct CoverageStats {
     pub new_coverage_trials: usize,
     /// Corpus entries at the end of the campaign.
     pub corpus_size: usize,
-    /// Fuzz-reached states exported to PDR as proof obligations.
-    pub obligations_exported: usize,
-    /// Stimuli skipped by the PDR-frontier rejection filter.
-    pub stimuli_rejected: usize,
 }
 
 /// The paper's verification outcomes (§5.3 "Model Checking with Contract
@@ -269,13 +264,9 @@ pub struct CheckOptions {
     pub keep_probes: bool,
     /// Sequential or portfolio schedule.
     pub mode: ExecMode,
-    /// Per-lane budget shaping (wall caps, BMC depth schedule, exchange
-    /// opt-outs). The empty default leaves every lane on the shared
-    /// clock.
+    /// Per-lane budget shaping (wall caps, BMC depth schedule). The empty
+    /// default leaves every lane on the shared clock.
     pub lanes: LanePlan,
-    /// The cross-lane clause/lemma exchange bus (portfolio lanes only;
-    /// disabled by default — the isolated-lane race).
-    pub exchange: ExchangeConfig,
     /// Instance preparation: the netlist reduction pipeline every engine
     /// runs behind (default on; `PrepareConfig::off()` hands the engines
     /// the raw instance). Attack traces are lifted back to the raw
@@ -291,8 +282,6 @@ pub struct CheckOptions {
     pub extra_lanes: Vec<LaneFactory>,
     /// Attach a checkable [`Certificate`] to every proof verdict (on by
     /// default; capturing the material is free — no extra SAT calls).
-    /// Proofs that lean on facts imported over the exchange bus are not
-    /// self-contained and ship without a certificate regardless.
     pub certify: bool,
 }
 
@@ -308,7 +297,6 @@ impl Default for CheckOptions {
             keep_probes: true,
             mode: ExecMode::Sequential,
             lanes: LanePlan::default(),
-            exchange: ExchangeConfig::default(),
             prepare: PrepareConfig::default(),
             extra_lanes: Vec::new(),
             certify: true,
@@ -320,12 +308,6 @@ impl CheckOptions {
     /// The same options with portfolio scheduling enabled.
     pub fn portfolio(mut self) -> CheckOptions {
         self.mode = ExecMode::Portfolio;
-        self
-    }
-
-    /// The same options with the exchange bus configured (builder style).
-    pub fn with_exchange(mut self, exchange: ExchangeConfig) -> CheckOptions {
-        self.exchange = exchange;
         self
     }
 
@@ -365,9 +347,6 @@ pub struct CheckReport {
     pub elapsed: Duration,
     /// Engine-by-engine notes (sizes, intermediate outcomes).
     pub notes: Vec<String>,
-    /// Per-lane exchange-bus traffic (empty when the bus was disabled or
-    /// the check ran sequentially).
-    pub exchange: Vec<ExchangeStats>,
     /// Per-pass node/latch reduction statistics from instance
     /// preparation (empty when preparation was off).
     pub prepare: Vec<PassStats>,
@@ -385,9 +364,8 @@ pub struct CheckReport {
     /// Checkable proof artifact for `Verdict::Proof` results, in the
     /// vocabulary of the netlist this report describes (after
     /// preparation lifting: the *raw* netlist). `None` for non-proof
-    /// verdicts, when [`CheckOptions::certify`] was off, when the proof
-    /// leaned on exchange-bus imports, or when lifting through the
-    /// preparation pipeline failed (noted in `notes`).
+    /// verdicts, when [`CheckOptions::certify`] was off, or when lifting
+    /// through the preparation pipeline failed (noted in `notes`).
     pub certificate: Option<Certificate>,
 }
 
@@ -460,18 +438,14 @@ pub enum Undecided {
 pub struct Schedule {
     pub stages: Vec<Vec<Step>>,
     pub undecided: Undecided,
-    /// Attach the lanes to the exchange bus (when
-    /// [`CheckOptions::exchange`] enables it). Only portfolio lanes do.
-    pub bus: bool,
 }
 
 impl Schedule {
-    /// An empty schedule off the bus.
+    /// An empty schedule.
     pub fn new(undecided: Undecided) -> Schedule {
         Schedule {
             stages: Vec::new(),
             undecided,
-            bus: false,
         }
     }
 
@@ -518,10 +492,7 @@ impl Schedule {
                 if houdini {
                     lanes.push(Step::Houdini { tail: true });
                 }
-                Schedule {
-                    bus: true,
-                    ..Schedule::new(undecided).stage(lanes)
-                }
+                Schedule::new(undecided).stage(lanes)
             }
         }
     }
@@ -570,7 +541,7 @@ pub fn check_safety(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
 pub fn check_schedule(task: &SafetyCheck, opts: &CheckOptions, schedule: &Schedule) -> CheckReport {
     let solve = |t: &SafetyCheck| {
         let budget = Budget::until(Instant::now() + opts.total_budget);
-        drive(t, schedule, opts, &budget, None)
+        drive(t, schedule, opts, &budget)
     };
     if !opts.prepare.enabled {
         return solve(task);
@@ -586,16 +557,12 @@ pub fn check_schedule(task: &SafetyCheck, opts: &CheckOptions, schedule: &Schedu
 }
 
 /// The engine driver: runs `schedule` on `task` under `budget` and builds
-/// the report from the lane runs. `outer` is the bus handle of the lane
-/// a nested schedule runs inside: a stage lane of the same kind keeps
-/// it, so the nested Houdini filter still streams its lemmas to the
-/// enclosing race.
+/// the report from the lane runs.
 pub(crate) fn drive(
     task: &SafetyCheck,
     schedule: &Schedule,
     opts: &CheckOptions,
     budget: &Budget,
-    outer: Option<&SharedContext>,
 ) -> CheckReport {
     let start = Instant::now();
     let aig = &task.aig;
@@ -610,14 +577,13 @@ pub(crate) fn drive(
             aig.assumes().len(),
             aig.bads().len()
         )],
-        exchange: Vec::new(),
         prepare: Vec::new(),
         fuzz: None,
         coverage: None,
         solver: Vec::new(),
         certificate: None,
     };
-    let (verdict, certificate) = run_stages(task, schedule, opts, budget, outer, &mut report);
+    let (verdict, certificate) = run_stages(task, schedule, opts, budget, &mut report);
     report.verdict = verdict;
     report.certificate = certificate.filter(|_| opts.certify);
     report.elapsed = start.elapsed();
@@ -629,12 +595,10 @@ fn run_stages(
     schedule: &Schedule,
     opts: &CheckOptions,
     budget: &Budget,
-    outer: Option<&SharedContext>,
     report: &mut CheckReport,
 ) -> (Verdict, Option<Certificate>) {
     let start = Instant::now();
     let deadline = budget.deadline.expect("schedules run under a deadline");
-    let bus = (schedule.bus && opts.exchange.enabled).then(|| Exchange::new(opts.exchange.clone()));
     // The instance the stages run on: the task's, strengthened by the
     // Houdini survivors once a Houdini stage has found some.
     let mut strengthened: Option<Aig> = None;
@@ -645,16 +609,8 @@ fn run_stages(
             .iter()
             .map(|step| {
                 let backend = step.backend(&task.candidates, opts);
-                let lane = backend.lane();
-                let ctx = match (&bus, outer) {
-                    (Some(bus), _) => {
-                        let xc = opts.lanes.get(lane).exchange;
-                        SharedContext::attached(bus.clone(), lane, xc.import, xc.export)
-                    }
-                    (None, Some(outer)) if outer.lane() == lane => outer.clone(),
-                    _ => SharedContext::disabled(lane),
-                };
-                LaneSpec::new(backend, opts.lanes.deadline_for(lane, start, deadline)).context(ctx)
+                let lane_deadline = opts.lanes.deadline_for(backend.lane(), start, deadline);
+                LaneSpec::new(backend, lane_deadline)
             })
             .collect();
         let mut attack: Option<Box<Trace>> = None;
@@ -676,13 +632,7 @@ fn run_stages(
                         });
                 }
             }
-            record(
-                report,
-                &mut lane,
-                bus.is_some(),
-                replay_failed,
-                task.candidates.len(),
-            );
+            record(report, &mut lane, replay_failed, task.candidates.len());
             match lane.run.outcome {
                 EngineOutcome::Attack(trace) => {
                     // Keep the shallowest counterexample for readability.
@@ -754,16 +704,10 @@ fn run_stages(
 }
 
 /// Folds one lane run into the report: its note line (the one format
-/// every scheme and mode shares), bus traffic, and counters. Solver
-/// stats merge per lane (a lane can run in several stages) and stay in
-/// [`Lane::ALL`] order for byte-stable reports.
-fn record(
-    report: &mut CheckReport,
-    lane: &mut LaneResult,
-    bus: bool,
-    replay_failed: bool,
-    candidates: usize,
-) {
+/// every scheme and mode shares) and counters. Solver stats merge per
+/// lane (a lane can run in several stages) and stay in [`Lane::ALL`]
+/// order for byte-stable reports.
+fn record(report: &mut CheckReport, lane: &mut LaneResult, replay_failed: bool, candidates: usize) {
     let outcome = match &lane.run.outcome {
         EngineOutcome::Attack(t) if replay_failed => {
             format!("attack at depth {} (replay failed)", t.depth())
@@ -776,17 +720,8 @@ fn record(
         EngineOutcome::Inconclusive(reason) => reason.to_string(),
         EngineOutcome::Timeout => "timeout/canceled".into(),
     };
-    let traffic = if bus {
-        report.exchange.push(lane.exchange);
-        format!(
-            " (imports {}, exports {})",
-            lane.exchange.imports, lane.exchange.exports
-        )
-    } else {
-        String::new()
-    };
     report.notes.push(format!(
-        "{} [{:.2}s]: {outcome}{traffic}",
+        "{} [{:.2}s]: {outcome}",
         lane.engine,
         lane.elapsed.as_secs_f64()
     ));
@@ -1079,74 +1014,6 @@ mod tests {
         );
         let cert = report.certificate.expect("the proof carries a certificate");
         assert!(cert.survivors.is_empty());
-    }
-
-    /// The exchange bus only ships implied facts, so switching it on must
-    /// never change a portfolio verdict — and the report must carry the
-    /// per-lane traffic counters.
-    #[test]
-    fn exchange_on_portfolio_matches_off_and_records_stats() {
-        let scenarios: Vec<(&str, SafetyCheck, CheckOptions)> = vec![
-            ("attack", counter_task(4, 6, true), CheckOptions::default()),
-            ("proof", counter_task(4, 6, false), CheckOptions::default()),
-            (
-                "deep cex via pdr",
-                counter_task(4, 12, true),
-                CheckOptions {
-                    bmc_depth: 4,
-                    kind_max_k: 2,
-                    ..Default::default()
-                },
-            ),
-        ];
-        for (label, task, opts) in scenarios {
-            let off = check_safety(&task, &opts.clone().portfolio());
-            let on = check_safety(
-                &task,
-                &opts.clone().portfolio().with_exchange(ExchangeConfig::on()),
-            );
-            assert_eq!(
-                off.verdict.cell(),
-                on.verdict.cell(),
-                "{label}: off {:?} vs on {:?}\non notes: {:?}",
-                off.verdict,
-                on.verdict,
-                on.notes
-            );
-            assert!(off.exchange.is_empty(), "{label}: off must report no bus");
-            assert!(
-                !on.exchange.is_empty(),
-                "{label}: on must report per-lane stats"
-            );
-        }
-    }
-
-    /// An exchange opt-out in the lane plan silences that lane's side of
-    /// the bus.
-    #[test]
-    fn lane_exchange_opt_out_is_honored() {
-        use crate::lane::{LaneBudget, LaneExchange, LanePlan};
-        let task = counter_task(4, 6, false);
-        let opts = CheckOptions {
-            lanes: LanePlan::new().with(
-                Lane::Bmc,
-                LaneBudget::default().with_exchange(LaneExchange {
-                    import: false,
-                    export: false,
-                }),
-            ),
-            ..CheckOptions::default()
-        }
-        .portfolio()
-        .with_exchange(ExchangeConfig::on());
-        let report = check_safety(&task, &opts);
-        let bmc = report
-            .exchange
-            .iter()
-            .find(|s| s.lane == Lane::Bmc)
-            .expect("bmc lane stats present");
-        assert_eq!(bmc.imports, 0);
-        assert_eq!(bmc.exports, 0);
     }
 
     /// The portfolio prefers an attack over a proof when both lanes report

@@ -54,43 +54,29 @@ pub fn houdini(
     candidates: &[Candidate],
     budget: Budget,
 ) -> HoudiniResult {
-    houdini_with(ts, candidates, budget, None).0
+    houdini_with_stats(ts, candidates, budget).0
 }
 
-/// Observer invoked once per survivor (with its candidate index) the
-/// moment the survivor set is proved — see [`houdini_with`].
-pub type SurvivorStream<'s> = &'s mut dyn FnMut(usize, &Candidate);
-
-/// [`houdini`] with a survivor stream: `on_proven` fires once per
-/// survivor the moment the consecution fixpoint lands — the earliest
-/// sound publication point (no candidate is an invariant until the whole
-/// remaining set passes consecution simultaneously) and strictly before
-/// the safety check, the return, and any strengthened re-runs. The
-/// portfolio's Houdini lane uses this to stream lemmas onto the exchange
-/// bus while it keeps working.
-///
-/// Beside the result it returns the statistics summed over its two
+/// [`houdini`] that also returns the statistics summed over its two
 /// solvers (the initial-state filter and the consecution instance).
-pub fn houdini_with(
+pub fn houdini_with_stats(
     ts: &Arc<TransitionSystem>,
     candidates: &[Candidate],
     budget: Budget,
-    on_proven: Option<SurvivorStream<'_>>,
 ) -> (HoudiniResult, SolverStats) {
     let mut init = Unroller::new(ts, InitMode::Reset);
     let mut step = Unroller::new(ts, InitMode::Free);
-    let result = filter(&mut init, &mut step, candidates, budget, on_proven);
+    let result = filter(&mut init, &mut step, candidates, budget);
     (result, init.solver.stats + step.solver.stats)
 }
 
-/// The body of [`houdini_with`] over its reset-initialised (`init`) and
-/// free-initialised (`step`) instances.
+/// The body of [`houdini_with_stats`] over its reset-initialised
+/// (`init`) and free-initialised (`step`) instances.
 fn filter(
     init: &mut Unroller,
     step: &mut Unroller,
     candidates: &[Candidate],
     budget: Budget,
-    mut on_proven: Option<SurvivorStream<'_>>,
 ) -> HoudiniResult {
     // ---- phase 1: drop candidates violated in some initial state ---------
     init.set_budget(budget.clone());
@@ -132,14 +118,7 @@ fn filter(
         match step.solve_with(&assumptions) {
             SolveResult::Unsat => {
                 // Fixpoint: every remaining candidate passed consecution
-                // simultaneously — they are invariants as of *now*, so
-                // stream them before the safety check below.
-                if let Some(stream) = on_proven.as_mut() {
-                    for &i in &survivors {
-                        stream(i, &candidates[i]);
-                    }
-                }
-                // Retire the helper variable and finish.
+                // simultaneously. Retire the helper variable and finish.
                 step.solver.add_clause(&[!y]);
                 break;
             }

@@ -76,23 +76,16 @@ impl Lane {
     }
 }
 
-/// Per-lane participation in the clause/lemma exchange bus (only
-/// meaningful when [`crate::CheckOptions::exchange`] enables the bus).
-/// The default participates both ways.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LaneExchange {
-    /// Pull foreign clauses/lemmas off the bus between SAT queries.
-    pub import: bool,
-    /// Publish this lane's learnt clauses / proven lemmas.
-    pub export: bool,
-}
+/// An inert per-lane handle. [`crate::BmcSession::run_to`] and
+/// [`crate::pdr_with_stats`] still accept one and ignore it, so existing
+/// callers keep compiling; every lane runs in isolation.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SharedContext;
 
-impl Default for LaneExchange {
-    fn default() -> LaneExchange {
-        LaneExchange {
-            import: true,
-            export: true,
-        }
+impl SharedContext {
+    /// The handle for `lane` (every handle is the same inert value).
+    pub fn disabled(_lane: Lane) -> SharedContext {
+        SharedContext
     }
 }
 
@@ -107,8 +100,6 @@ pub struct LaneBudget {
     /// evenly across the remaining steps, and stops at the first
     /// counterexample. Empty = one pass at `CheckOptions::bmc_depth`.
     pub depth_schedule: Vec<usize>,
-    /// Exchange-bus participation (import/export opt-outs).
-    pub exchange: LaneExchange,
 }
 
 impl LaneBudget {
@@ -140,16 +131,8 @@ impl LaneBudget {
         self
     }
 
-    /// Sets this lane's exchange-bus participation (builder style).
-    pub fn with_exchange(mut self, exchange: LaneExchange) -> LaneBudget {
-        self.exchange = exchange;
-        self
-    }
-
     fn is_default(&self) -> bool {
-        self.wall.is_none()
-            && self.depth_schedule.is_empty()
-            && self.exchange == LaneExchange::default()
+        self.wall.is_none() && self.depth_schedule.is_empty()
     }
 }
 
@@ -276,17 +259,5 @@ mod tests {
         assert_eq!(b.wall, Some(Duration::from_secs(5)));
         let plan = LanePlan::new().with(Lane::Bmc, b.clone());
         assert_eq!(plan.get(Lane::Bmc), &b);
-    }
-
-    #[test]
-    fn exchange_opt_out_makes_plan_non_empty() {
-        let quiet = LaneBudget::default().with_exchange(LaneExchange {
-            import: true,
-            export: false,
-        });
-        let plan = LanePlan::new().with(Lane::Bmc, quiet);
-        assert!(!plan.is_empty(), "an exchange opt-out is a real setting");
-        assert!(!plan.get(Lane::Bmc).exchange.export);
-        assert!(plan.get(Lane::Pdr).exchange.import, "default participates");
     }
 }

@@ -18,17 +18,13 @@
 //!   three outcomes (attack counterexample, unbounded proof, or
 //!   timeout) by running a [`Schedule`]: stages of lanes, one merge rule,
 //! * [`portfolio`] — the [`portfolio::Backend`] trait, the engine lanes,
-//!   and the race that runs one stage: the lanes run concurrently, the
-//!   first decisive lane cancels the rest through a stop flag shared via
-//!   `csl_sat::Budget`, and every lane holds a handle on the exchange
-//!   bus,
-//! * [`exchange`] — the cross-lane lemma/clause [`Exchange`] bus: BMC
-//!   publishes learnt clauses at conflict boundaries, Houdini streams
-//!   survivor lemmas at its consecution fixpoint, and k-induction/PDR
-//!   import both into their running solvers between SAT queries,
-//! * [`lane`] — per-lane budget shaping ([`LanePlan`]): wall caps, BMC
-//!   depth schedules and exchange opt-outs threaded through
-//!   [`CheckOptions::lanes`] into every schedule,
+//!   and the race that runs one stage: the lanes run concurrently and in
+//!   isolation (no lane sees another's clauses or lemmas), and the first
+//!   decisive lane cancels the rest through a stop flag shared via
+//!   `csl_sat::Budget`,
+//! * [`lane`] — per-lane budget shaping ([`LanePlan`]): wall caps and BMC
+//!   depth schedules threaded through [`CheckOptions::lanes`] into every
+//!   schedule,
 //! * [`prepare`] — instance preparation: the `csl_hdl::xform` reduction
 //!   pipeline (cone-of-influence, constant sweep + cross-copy re-strash,
 //!   dead-latch elimination, compaction) every engine runs behind, with
@@ -58,7 +54,6 @@
 pub mod bmc;
 pub mod cert;
 pub mod engine;
-pub mod exchange;
 pub mod houdini;
 pub mod kind;
 pub mod lane;
@@ -70,20 +65,16 @@ pub mod trace;
 pub mod ts;
 pub mod unroll;
 
-pub use bmc::{bmc, bmc_with, BmcResult, BmcSession};
+pub use bmc::{bmc, BmcResult, BmcSession};
 pub use cert::{CertKind, Certificate};
 pub use engine::{
     check_safety, check_schedule, CheckOptions, CheckReport, CoverageStats, ExecMode, FuzzStats,
     InconclusiveReason, ProofEngine, SafetyCheck, Schedule, Step, Undecided, Verdict,
 };
-pub use exchange::{
-    Exchange, ExchangeConfig, ExchangeItem, ExchangeStats, SharedClause, SharedContext,
-    SharedFrontier, SharedInvariant, SharedLemma, SharedObligation, TimedLit,
-};
-pub use houdini::{houdini, houdini_with, Candidate, HoudiniOutcome, HoudiniResult};
-pub use kind::{k_induction, k_induction_with, KindOptions, KindResult, KindSession};
-pub use lane::{Lane, LaneBudget, LaneExchange, LanePlan, LaneSolverStats};
-pub use pdr::{pdr, pdr_with, pdr_with_stats, Cube, PdrOptions, PdrResult};
+pub use houdini::{houdini, houdini_with_stats, Candidate, HoudiniOutcome, HoudiniResult};
+pub use kind::{k_induction, KindOptions, KindResult, KindSession};
+pub use lane::{Lane, LaneBudget, LanePlan, LaneSolverStats, SharedContext};
+pub use pdr::{pdr, pdr_with_stats, Cube, PdrOptions, PdrResult};
 pub use portfolio::{
     race, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneResult,
     LaneRun, LaneSpec, PdrBackend, RaceReport,

@@ -19,13 +19,12 @@
 //! init-disjointness of cubes is decided by SAT queries rather than the
 //! syntactic check of classic AIGER-based IC3.
 
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use csl_sat::{Budget, Lit, SolveResult, SolverStats};
 
-use crate::exchange::{ExchangeItem, SharedContext};
-use crate::lane::Lane;
+use crate::lane::SharedContext;
 use crate::ts::TransitionSystem;
 use crate::unroll::{InitMode, Unroller};
 
@@ -116,18 +115,6 @@ struct PdrState {
     seq: u64,
     budget: Budget,
     queries_since_cleanup: usize,
-    /// Fuzz-proven-reachable states from imported
-    /// [`crate::exchange::SharedObligation`]s: `(full active-latch cube,
-    /// reset-relative depth)`. They act as *generalized initial frames*
-    /// (generalisation refuses cubes containing one at an applicable
-    /// level) and as directed reachability probes (see
-    /// [`PdrState::probe_obligations`]).
-    reached: Vec<(Cube, usize)>,
-    /// How many of `reached` have had their adjacency probe run.
-    probed: usize,
-    /// Frontier clauses already published (dedup) and the running count.
-    frontier_seen: HashSet<Cube>,
-    frontier_exported: usize,
 }
 
 impl PdrState {
@@ -167,10 +154,6 @@ impl PdrState {
             seq: 0,
             budget: opts.budget.clone(),
             queries_since_cleanup: 0,
-            reached: Vec::new(),
-            probed: 0,
-            frontier_seen: HashSet::new(),
-            frontier_exported: 0,
         }
     }
 
@@ -395,7 +378,7 @@ impl PdrState {
             }
             let mut candidate = cube.clone();
             candidate.remove(i);
-            if self.intersects_init(&candidate)? || self.hits_reached(&candidate, level) {
+            if self.intersects_init(&candidate)? {
                 i += 1;
                 continue;
             }
@@ -411,20 +394,6 @@ impl PdrState {
             }
         }
         Ok(cube)
-    }
-
-    /// Fuzz-reached states as generalized initial frames: true when some
-    /// state concretely reached within `level` steps satisfies `cube`
-    /// (every cube literal agrees with the full state assignment).
-    /// Generalisation skips such candidates — consecution would reject
-    /// them anyway (the state is reachable), so this is a free syntactic
-    /// pre-filter, exactly like the init-disjointness check.
-    fn hits_reached(&self, cube: &Cube, level: usize) -> bool {
-        !self.reached.is_empty()
-            && self
-                .reached
-                .iter()
-                .any(|(s, d)| *d <= level && is_subset(cube, s))
     }
 
     /// Pushes clauses forward; returns the level whose frame emptied, if any.
@@ -463,174 +432,25 @@ enum BlockOutcome {
     Predecessor(Cube),
 }
 
-impl PdrState {
-    /// Polls the exchange bus between SAT queries and asserts foreign
-    /// invariant lemmas (and invariant clauses) at both frames of the
-    /// running instance — the in-place equivalent of conjoining them
-    /// onto the netlist as assumes, which is sound because a lemma is
-    /// init-true and inductive under the same assumes this instance
-    /// asserts. Shared learnt clauses are *not* importable here: they
-    /// are consequences of the reset-initialised unrolling, and this
-    /// instance is free-init.
-    fn import_lemmas(&mut self, ctx: &mut SharedContext) {
-        for item in ctx.poll() {
-            match &*item {
-                ExchangeItem::Lemma(l) => {
-                    self.u.assert_lemma_at(l.bit, 0);
-                    self.u.assert_lemma_at(l.bit, 1);
-                    ctx.note_imported(1);
-                }
-                ExchangeItem::Invariant(inv) => {
-                    self.u.assert_clause_at(&inv.lits, 0);
-                    self.u.assert_clause_at(&inv.lits, 1);
-                    ctx.note_imported(1);
-                }
-                ExchangeItem::Obligation(ob) => {
-                    // A fuzz-proven-reachable deep state. Keep only the
-                    // literals over latches active in *this* instance;
-                    // the rest of the assignment carries no information
-                    // here.
-                    let mut cube: Cube = ob
-                        .cube
-                        .iter()
-                        .copied()
-                        .filter(|&(latch, _)| {
-                            (latch as usize) < self.latch_pos.len()
-                                && self.latch_pos[latch as usize] != usize::MAX
-                        })
-                        .collect();
-                    cube.sort_unstable();
-                    if !cube.is_empty() {
-                        self.reached.push((cube, ob.depth));
-                        ctx.note_obligations(1);
-                    }
-                }
-                // Learnt clauses need a reset-initialised unrolling;
-                // frontier clauses are not inductive — both unusable here.
-                ExchangeItem::Clause(_) | ExchangeItem::Frontier(_) => {}
-            }
-        }
-    }
-
-    /// Directed reachability probes from imported obligations: for each
-    /// newly admitted fuzz-reached state `s` (reachable at `depth`), ask
-    /// SAT?(`s` ∧ T ∧ bad′) — is a bad state *one symbolic transition*
-    /// away from it? The fuzzer only drove one concrete input pattern
-    /// past `s`; the solver closes over all of them. A hit is a genuine
-    /// counterexample at `depth + 1` (the witness prefix is the fuzzer's
-    /// own concrete run), reported exactly like a regressed-to-init
-    /// obligation so the portfolio re-extracts the trace through BMC.
-    fn probe_obligations(&mut self) -> Result<Option<usize>, ()> {
-        while self.probed < self.reached.len() {
-            let (cube, depth) = self.reached[self.probed].clone();
-            self.probed += 1;
-            let mut assumptions: Vec<Lit> = cube.iter().map(|&l| self.cube_lit0(l)).collect();
-            assumptions.push(self.bad1);
-            match self.u.solve_with(&assumptions) {
-                SolveResult::Sat => return Ok(Some(depth + 1)),
-                SolveResult::Unsat => {}
-                SolveResult::Canceled => return Err(()),
-            }
-        }
-        Ok(None)
-    }
-
-    /// Publishes the converged inductive invariant onto the exchange
-    /// bus: at the fixpoint `F_level == F_{level+1}`, the frame clauses
-    /// at levels above `level` form (with the property) an inductive,
-    /// init-true invariant relative to the shared assumes — every
-    /// blocked cube was checked init-disjoint before it was added, and
-    /// propagation just proved the set closed under the transition
-    /// relation. Shortest clauses (strongest per literal) go first;
-    /// the export is capped so a clause-heavy proof cannot flood the
-    /// bus.
-    fn export_invariant(&self, ctx: &SharedContext, empty_level: usize) {
-        const MAX_EXPORTED_CLAUSES: usize = 256;
-        if !ctx.is_attached() {
-            // Sequential mode and detached lanes: skip the collect/sort
-            // work whose publications would all be no-ops.
-            return;
-        }
-        let mut cubes: Vec<&Cube> = self.frames[empty_level + 1..].iter().flatten().collect();
-        cubes.sort_by_key(|c| c.len());
-        for (i, cube) in cubes.into_iter().take(MAX_EXPORTED_CLAUSES).enumerate() {
-            let lits: Vec<(csl_hdl::Bit, bool)> = cube
-                .iter()
-                .map(|&(latch, val)| {
-                    // ¬cube: some literal of the cube is flipped.
-                    (self.ts.aig().latches()[latch as usize].output, !val)
-                })
-                .collect();
-            ctx.publish_invariant(format!("pdr-inv-{i}"), lits);
-        }
-    }
-
-    /// Publishes a few shortest *frontier* clauses after each clean
-    /// propagation round (no fixpoint yet). These are init-true but not
-    /// inductive, so they ride the bus as
-    /// [`crate::exchange::SharedFrontier`] items — solver lanes ignore
-    /// them; the fuzzer's rejection filter uses their init-truth to skip
-    /// stimuli that cannot satisfy the contract assumes at reset. Capped
-    /// and deduplicated: frontiers move every round and the bus must not
-    /// fill with superseded clauses.
-    fn export_frontier(&mut self, ctx: &SharedContext) {
-        const MAX_FRONTIER_CLAUSES: usize = 64;
-        const PER_ROUND: usize = 8;
-        if !ctx.is_attached() || self.frontier_exported >= MAX_FRONTIER_CLAUSES {
-            return;
-        }
-        let level = self.top_level();
-        let mut cubes: Vec<Cube> = self.frames[level].to_vec();
-        cubes.sort_by_key(Cube::len);
-        let mut published = 0;
-        for cube in cubes {
-            if published >= PER_ROUND || self.frontier_exported >= MAX_FRONTIER_CLAUSES {
-                break;
-            }
-            if !self.frontier_seen.insert(cube.clone()) {
-                continue;
-            }
-            // ¬cube as a disjunction over latch indices.
-            let lits: Vec<(u32, bool)> = cube.iter().map(|&(latch, val)| (latch, !val)).collect();
-            let n = self.frontier_exported;
-            ctx.publish_frontier(format!("pdr-front-{level}-{n}"), lits, level);
-            self.frontier_exported += 1;
-            published += 1;
-        }
-    }
-}
-
 /// Runs IC3. See the module docs.
 pub fn pdr(ts: &Arc<TransitionSystem>, opts: PdrOptions) -> PdrResult {
-    pdr_with(ts, opts, &mut SharedContext::disabled(Lane::Pdr))
+    pdr_with_stats(ts, opts, &mut SharedContext).0
 }
 
-/// [`pdr`] attached to the exchange bus: between frontier iterations the
-/// running solver imports invariant lemmas (see
-/// [`PdrState::import_lemmas`]), shrinking the reachable-state
-/// overapproximation it has to strengthen against.
-pub fn pdr_with(
-    ts: &Arc<TransitionSystem>,
-    opts: PdrOptions,
-    ctx: &mut SharedContext,
-) -> PdrResult {
-    pdr_with_stats(ts, opts, ctx).0
-}
-
-/// [`pdr_with`] that also returns the cumulative statistics of the
-/// underlying solver instance, for the per-lane diagnostics block of the
-/// check report.
+/// [`pdr`] that also returns the cumulative statistics of the underlying
+/// solver instance, for the per-lane diagnostics block of the check
+/// report. The [`SharedContext`] is inert and ignored.
 pub fn pdr_with_stats(
     ts: &Arc<TransitionSystem>,
     opts: PdrOptions,
-    ctx: &mut SharedContext,
+    _ctx: &mut SharedContext,
 ) -> (PdrResult, SolverStats) {
     let mut st = PdrState::new(ts, &opts);
-    let result = pdr_loop(&mut st, &opts, ctx);
+    let result = pdr_loop(&mut st, &opts);
     (result, st.u.solver.stats)
 }
 
-fn pdr_loop(st: &mut PdrState, opts: &PdrOptions, ctx: &mut SharedContext) -> PdrResult {
+fn pdr_loop(st: &mut PdrState, opts: &PdrOptions) -> PdrResult {
     // Depth-0 base case: SAT?(Init ∧ bad).
     let mut base_assumptions = vec![st.acts[0], st.bad0];
     match st.u.solve_with(&base_assumptions) {
@@ -650,12 +470,6 @@ fn pdr_loop(st: &mut PdrState, opts: &PdrOptions, ctx: &mut SharedContext) -> Pd
     loop {
         if st.out_of_time() {
             return PdrResult::Timeout;
-        }
-        st.import_lemmas(ctx);
-        match st.probe_obligations() {
-            Err(()) => return PdrResult::Timeout,
-            Ok(Some(depth_hint)) => return PdrResult::Cex { depth_hint },
-            Ok(None) => {}
         }
         let frontier = st.top_level();
         // Exhaust bad states reachable at the frontier.
@@ -738,11 +552,6 @@ fn pdr_loop(st: &mut PdrState, opts: &PdrOptions, ctx: &mut SharedContext) -> Pd
         match st.propagate() {
             Err(()) => return PdrResult::Timeout,
             Ok(Some(empty_level)) => {
-                // Convergence: hand the final inductive invariant to the
-                // other lanes before reporting the proof (ROADMAP: "PDR
-                // exporting its frame clauses / final invariant back
-                // onto the bus").
-                st.export_invariant(ctx, empty_level);
                 let invariant_clauses: usize = st.frames.iter().map(|f| f.len()).sum();
                 let invariant: Vec<Cube> = st.frames[empty_level + 1..]
                     .iter()
@@ -756,7 +565,7 @@ fn pdr_loop(st: &mut PdrState, opts: &PdrOptions, ctx: &mut SharedContext) -> Pd
                     invariant,
                 };
             }
-            Ok(None) => st.export_frontier(ctx),
+            Ok(None) => {}
         }
         if st.top_level() >= opts.max_frames {
             return PdrResult::FrameLimit {
@@ -898,70 +707,6 @@ mod tests {
             },
         );
         assert!(matches!(r, PdrResult::Timeout), "{r:?}");
-    }
-
-    #[test]
-    fn imported_obligation_probe_finds_adjacent_bad() {
-        use crate::exchange::{Exchange, ExchangeConfig};
-        // 3-bit counter 0,1,2,...; bad at 5. Blind PDR regresses from the
-        // bad cone; here the fuzz lane hands it the concretely-reached
-        // state r=4 at depth 4, and the adjacency probe answers SAT
-        // immediately: bad is one transition away.
-        let mut d = Design::new("t");
-        let r = d.reg("r", 3, Init::Zero);
-        let inc = d.add_const(&r.q(), 1);
-        d.set_next(&r, inc);
-        let bad = d.eq_const(&r.q(), 5);
-        d.assert_always("no5", bad.not());
-        let ts = TransitionSystem::shared(d.finish(), false);
-
-        let bus = Exchange::new(ExchangeConfig::on());
-        let fuzz = SharedContext::attached(bus.clone(), Lane::Fuzz, true, true);
-        // r = 4: bit2 set, bits 0/1 clear.
-        fuzz.publish_obligation(vec![(0, false), (1, false), (2, true)], 4);
-        let mut ctx = SharedContext::attached(bus, Lane::Pdr, true, true);
-        match pdr_with(&ts, PdrOptions::default(), &mut ctx) {
-            PdrResult::Cex { depth_hint } => assert_eq!(depth_hint, 5),
-            other => panic!("expected cex, got {other:?}"),
-        }
-        let stats = ctx.stats();
-        assert_eq!(stats.obligations, 1, "obligation import must be counted");
-        assert_eq!(stats.imports, 1);
-    }
-
-    #[test]
-    fn frontier_clauses_are_published_before_convergence() {
-        use crate::exchange::{Exchange, ExchangeConfig};
-        // An 8-bit counter with bad at 255 does not converge within 6
-        // frames, so every clean propagation round publishes frontier
-        // clauses for the fuzzer's rejection filter.
-        let mut d = Design::new("t");
-        let r = d.reg("r", 8, Init::Zero);
-        let inc = d.add_const(&r.q(), 1);
-        d.set_next(&r, inc);
-        let bad = d.eq_const(&r.q(), 255);
-        d.assert_always("no255", bad.not());
-        let ts = TransitionSystem::shared(d.finish(), false);
-        let bus = Exchange::new(ExchangeConfig::on());
-        let mut ctx = SharedContext::attached(bus.clone(), Lane::Pdr, true, true);
-        let r = pdr_with(
-            &ts,
-            PdrOptions {
-                max_frames: 6,
-                budget: Budget::unlimited(),
-            },
-            &mut ctx,
-        );
-        assert!(matches!(r, PdrResult::FrameLimit { .. }), "{r:?}");
-        assert!(ctx.exports() > 0, "frontier clauses must be published");
-        let mut fuzz = SharedContext::attached(bus, Lane::Fuzz, true, true);
-        let items = fuzz.poll();
-        assert!(
-            items
-                .iter()
-                .any(|i| matches!(&**i, ExchangeItem::Frontier(f) if f.level > 0)),
-            "the bus must carry frontier clauses"
-        );
     }
 
     #[test]

@@ -17,17 +17,15 @@
 //! race's lane forwards the enclosing stop flag into its own, so a
 //! decisive sibling of the enclosing lane cancels the nested lanes too.
 //!
-//! Each lane holds a [`SharedContext`] handle on the [`crate::exchange`]
-//! bus. With the bus on, the BMC lane publishes learnt clauses at
-//! conflict boundaries, the Houdini lane streams survivor lemmas the
-//! moment its consecution fixpoint lands, and k-induction/PDR poll the
-//! bus between SAT queries to strengthen their running solvers in
-//! place. Off the bus every context is inert.
+//! Lanes race in isolation: each builds its own solvers from the stage's
+//! instance and shares nothing with its siblings but the stop flag. The
+//! only way one engine's facts reach another is the schedule itself —
+//! Houdini survivors strengthen the instance the later stages (or the
+//! portfolio Houdini lane's nested tail) run on.
 //!
-//! Proof outcomes carry optional [`Certificate`] material (the engine's
-//! inductive invariant / closing `k`) so the report layer can attach a
-//! checkable artifact; a lane that leaned on imported bus facts ships
-//! its proof without one, since those facts are not self-contained.
+//! Proof outcomes carry [`Certificate`] material (the engine's inductive
+//! invariant / closing `k`) so the report layer can attach a checkable
+//! artifact; every built-in engine supplies it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -43,10 +41,9 @@ use crate::engine::{
     drive, CheckOptions, CoverageStats, FuzzStats, InconclusiveReason, ProofEngine, SafetyCheck,
     Schedule, Verdict,
 };
-use crate::exchange::{ExchangeStats, SharedContext};
-use crate::houdini::{houdini_with, Candidate, HoudiniResult};
+use crate::houdini::{houdini_with_stats, Candidate, HoudiniResult};
 use crate::kind::{KindResult, KindSession};
-use crate::lane::{Lane, LanePlan, LaneSolverStats};
+use crate::lane::{Lane, LanePlan, LaneSolverStats, SharedContext};
 use crate::pdr::{pdr_with_stats, PdrOptions, PdrResult};
 use crate::sim::Sim;
 use crate::trace::Trace;
@@ -59,8 +56,9 @@ use crate::ts::TransitionSystem;
 pub enum EngineOutcome {
     /// A counterexample (replay-validated by every lane but BMC).
     Attack(Box<Trace>),
-    /// An unbounded proof, with its checkable certificate material when
-    /// the proof is self-contained (no exchange-bus imports).
+    /// An unbounded proof, with its checkable certificate material (every
+    /// built-in engine supplies it; a nested schedule run with
+    /// certificates off, or a caller-supplied lane, may not).
     Proof(ProofEngine, Option<Box<Certificate>>),
     /// Houdini's surviving candidates (indices) when they are inductive
     /// but do not imply safety alone: no verdict, but the later stages
@@ -105,15 +103,12 @@ impl From<EngineOutcome> for LaneRun {
 }
 
 /// One engine lane: checks a transition system under a (cancellable)
-/// budget, publishing to and importing from the exchange bus through
-/// `ctx`. Implementations must validate their own counterexamples
+/// budget. Implementations must validate their own counterexamples
 /// (replay on the concrete simulator) before reporting
 /// [`EngineOutcome::Attack`] — a decisive outcome cancels the sibling
-/// lanes — and must only publish facts implied by the shared instance
-/// (see [`crate::exchange`] for the soundness rules the built-in
-/// backends follow).
+/// lanes.
 pub trait Backend: Send {
-    /// The budget/exchange lane this backend occupies.
+    /// The budget lane this backend occupies.
     fn lane(&self) -> Lane;
     /// The label of the lane's note line (the lane's own name unless a
     /// backend says otherwise).
@@ -122,7 +117,7 @@ pub trait Backend: Send {
     }
     /// The system arrives behind an [`Arc`] because the solver sessions
     /// a backend builds own a clone of it.
-    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun;
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget) -> LaneRun;
 }
 
 /// A cloneable constructor for caller-supplied lanes, registered through
@@ -179,8 +174,6 @@ fn validated_attack(ts: &TransitionSystem, trace: Box<Trace>, engine: &str) -> E
 }
 
 /// Bounded model checking — the attack-finding lane (the paper's `Ht`).
-/// With the bus on it exports learnt clauses and prunes with imported
-/// lemmas.
 ///
 /// The lane drives a single [`BmcSession`] across its whole depth
 /// schedule, so each step continues the previous step's unrolling
@@ -211,12 +204,7 @@ impl BmcBackend {
         self
     }
 
-    fn walk(
-        &self,
-        session: &mut BmcSession,
-        budget: Budget,
-        ctx: &mut SharedContext,
-    ) -> EngineOutcome {
+    fn walk(&self, session: &mut BmcSession, budget: Budget) -> EngineOutcome {
         let steps = if self.schedule.is_empty() {
             std::slice::from_ref(&self.depth)
         } else {
@@ -237,7 +225,7 @@ impl BmcBackend {
                 }
                 None => budget.clone(),
             };
-            match session.run_to(depth, step_budget, ctx) {
+            match session.run_to(depth, step_budget, &mut SharedContext) {
                 BmcResult::Cex(trace) => return EngineOutcome::Attack(trace),
                 BmcResult::Clean { depth_checked } => clean_to = Some(depth_checked),
                 BmcResult::Timeout { depth_checked } => {
@@ -262,9 +250,9 @@ impl Backend for BmcBackend {
         Lane::Bmc
     }
 
-    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget) -> LaneRun {
         let mut session = BmcSession::new(ts);
-        let outcome = self.walk(&mut session, budget, ctx);
+        let outcome = self.walk(&mut session, budget);
         LaneRun {
             solver: Some(LaneSolverStats::cold(Lane::Bmc, session.solver_stats())),
             ..outcome.into()
@@ -272,8 +260,8 @@ impl Backend for BmcBackend {
     }
 }
 
-/// k-induction on the plain (lemma-free) netlist; with the bus on it
-/// imports shared clauses into its base instance and lemmas into both.
+/// k-induction on the stage's instance; a proof carries the closing `k`
+/// as its certificate.
 pub struct KindBackend {
     pub max_k: usize,
 }
@@ -290,21 +278,17 @@ impl Backend for KindBackend {
         Lane::KInduction
     }
 
-    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
-        let (result, stats, imported) = KindSession::new(ts, false).run(self.max_k, budget, ctx);
-        // A certificate is only self-contained when the run baked no
-        // foreign bus facts into its solvers.
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget) -> LaneRun {
+        let (result, stats) = KindSession::new(ts, false).run(self.max_k, budget);
         let outcome = match result {
-            KindResult::Proof { k } => {
-                let cert = (imported == 0).then(|| {
-                    Box::new(Certificate {
-                        restored: Vec::new(),
-                        survivors: Vec::new(),
-                        kind: CertKind::KInduction { k },
-                    })
-                });
-                EngineOutcome::Proof(ProofEngine::KInduction { k }, cert)
-            }
+            KindResult::Proof { k } => EngineOutcome::Proof(
+                ProofEngine::KInduction { k },
+                Some(Box::new(Certificate {
+                    restored: Vec::new(),
+                    survivors: Vec::new(),
+                    kind: CertKind::KInduction { k },
+                })),
+            ),
             KindResult::Cex(trace) => validated_attack(ts, trace, "k-induction"),
             KindResult::Unknown { max_k_tried } => {
                 EngineOutcome::Inconclusive(InconclusiveReason::InductionGap { max_k: max_k_tried })
@@ -318,10 +302,10 @@ impl Backend for KindBackend {
     }
 }
 
-/// IC3/PDR on the plain netlist. A counterexample depth hint is rebuilt
-/// into a concrete trace by a BMC pass beyond the attack search's bound;
-/// a hint BMC cannot rebuild is a timeout. With the bus on it imports
-/// lemmas between frontier iterations.
+/// IC3/PDR on the stage's instance; a proof carries the converged
+/// inductive invariant as its certificate. A counterexample depth hint
+/// is rebuilt into a concrete trace by a BMC pass beyond the attack
+/// search's bound; a hint BMC cannot rebuild is a timeout.
 pub struct PdrBackend {
     pub max_frames: usize,
     /// Reconstruction floor: the BMC pass hunts at least this deep.
@@ -342,14 +326,14 @@ impl Backend for PdrBackend {
         Lane::Pdr
     }
 
-    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget) -> LaneRun {
         let (result, raw) = pdr_with_stats(
             ts,
             PdrOptions {
                 max_frames: self.max_frames,
                 budget: budget.clone(),
             },
-            ctx,
+            &mut SharedContext,
         );
         let mut stats = LaneSolverStats::cold(Lane::Pdr, raw);
         let outcome = match result {
@@ -358,30 +342,21 @@ impl Backend for PdrBackend {
                 invariant_clauses,
                 fixpoint_level,
                 invariant,
-            } => {
-                // The invariant is inductive relative to whatever the
-                // lane imported; only an import-free run is
-                // self-contained certificate material.
-                let cert = (ctx.imports() == 0).then(|| {
-                    Box::new(Certificate {
-                        restored: Vec::new(),
-                        survivors: Vec::new(),
-                        kind: CertKind::Inductive { blocked: invariant },
-                    })
-                });
-                EngineOutcome::Proof(
-                    ProofEngine::Pdr {
-                        frames,
-                        clauses: invariant_clauses,
-                        fixpoint_level,
-                    },
-                    cert,
-                )
-            }
+            } => EngineOutcome::Proof(
+                ProofEngine::Pdr {
+                    frames,
+                    clauses: invariant_clauses,
+                    fixpoint_level,
+                },
+                Some(Box::new(Certificate {
+                    restored: Vec::new(),
+                    survivors: Vec::new(),
+                    kind: CertKind::Inductive { blocked: invariant },
+                })),
+            ),
             PdrResult::Cex { depth_hint } => {
                 let deep = depth_hint.max(self.bmc_depth + 1) + 8;
-                let rebuilt =
-                    BmcBackend::new(deep).run(ts, budget, &mut SharedContext::disabled(Lane::Bmc));
+                let rebuilt = BmcBackend::new(deep).run(ts, budget);
                 if let Some(s) = &rebuilt.solver {
                     stats.absorb(s);
                 }
@@ -403,11 +378,10 @@ impl Backend for PdrBackend {
 }
 
 /// The Houdini lane: filter candidate relational invariants to an
-/// inductive subset, streaming the survivors onto the exchange bus the
-/// moment the consecution fixpoint lands. If they imply safety outright
-/// that is a proof (LEAVE's success mode); otherwise the lane reports
-/// them as [`EngineOutcome::Invariants`] for the driver to strengthen
-/// the later stages with.
+/// inductive subset. If they imply safety outright that is a proof
+/// (LEAVE's success mode); otherwise the lane reports them as
+/// [`EngineOutcome::Invariants`] for the driver to strengthen the later
+/// stages with.
 ///
 /// With [`HoudiniBackend::tail`] — the portfolio's Houdini lane — the
 /// lane instead runs [`Schedule::houdini_tail`] as a nested schedule on
@@ -438,11 +412,8 @@ impl HoudiniBackend {
         self
     }
 
-    fn filter(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &SharedContext) -> LaneRun {
-        let mut stream = |_: usize, c: &Candidate| {
-            ctx.publish_lemma(c.name.clone(), c.bit);
-        };
-        let (result, stats) = houdini_with(ts, &self.candidates, budget, Some(&mut stream));
+    fn filter(&self, ts: &Arc<TransitionSystem>, budget: Budget) -> LaneRun {
+        let (result, stats) = houdini_with_stats(ts, &self.candidates, budget);
         let outcome = match result {
             HoudiniResult::Timeout => EngineOutcome::Timeout,
             HoudiniResult::Done(out) if out.proves_safety => EngineOutcome::Proof(
@@ -471,21 +442,15 @@ impl Backend for HoudiniBackend {
         Lane::Houdini
     }
 
-    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget, ctx: &mut SharedContext) -> LaneRun {
+    fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget) -> LaneRun {
         let Some(opts) = &self.tail else {
-            return self.filter(ts, budget, ctx);
+            return self.filter(ts, budget);
         };
         let task = SafetyCheck {
             aig: ts.aig().clone(),
             candidates: self.candidates.clone(),
         };
-        let report = drive(
-            &task,
-            &Schedule::houdini_tail(opts),
-            opts,
-            &budget,
-            Some(&*ctx),
-        );
+        let report = drive(&task, &Schedule::houdini_tail(opts), opts, &budget);
         // The lane's counters aggregate its tail: the nested filter and
         // the proof engines on the strengthened instance.
         let mut solver = LaneSolverStats::cold(Lane::Houdini, SolverStats::default());
@@ -505,30 +470,17 @@ impl Backend for HoudiniBackend {
     }
 }
 
-/// One configured lane of a race: the backend, its deadline (per-lane
+/// One configured lane of a race: the backend and its deadline (per-lane
 /// wall caps from a [`crate::LanePlan`] arrive here as earlier
-/// deadlines), and its handle on the exchange bus.
+/// deadlines).
 pub struct LaneSpec {
     pub backend: Box<dyn Backend>,
     pub deadline: Instant,
-    pub ctx: SharedContext,
 }
 
 impl LaneSpec {
-    /// A lane off the exchange bus.
     pub fn new(backend: Box<dyn Backend>, deadline: Instant) -> LaneSpec {
-        let ctx = SharedContext::disabled(backend.lane());
-        LaneSpec {
-            backend,
-            deadline,
-            ctx,
-        }
-    }
-
-    /// Sets the lane's bus handle (builder style).
-    pub fn context(mut self, ctx: SharedContext) -> LaneSpec {
-        self.ctx = ctx;
-        self
+        LaneSpec { backend, deadline }
     }
 }
 
@@ -544,8 +496,6 @@ pub struct LaneResult {
     /// which is how the driver tells a lane-local timeout from a global
     /// one.
     pub deadline: Instant,
-    /// The lane's exchange-bus traffic.
-    pub exchange: ExchangeStats,
 }
 
 /// Everything the race produced: per-lane results (in completion order)
@@ -554,13 +504,6 @@ pub struct LaneResult {
 pub struct RaceReport {
     pub lanes: Vec<LaneResult>,
     pub canceled_stragglers: bool,
-}
-
-impl RaceReport {
-    /// Per-lane exchange traffic, in completion order.
-    pub fn exchange_stats(&self) -> Vec<ExchangeStats> {
-        self.lanes.iter().map(|l| l.exchange).collect()
-    }
 }
 
 /// How often a race waiting on its lanes checks the enclosing stop flag.
@@ -640,7 +583,7 @@ pub fn race(
 
 /// Runs one lane to its result under its deadline and `stop`.
 fn run_lane(
-    mut spec: LaneSpec,
+    spec: LaneSpec,
     aig: Aig,
     keep_probes: bool,
     stop: Option<Arc<AtomicBool>>,
@@ -651,21 +594,19 @@ fn run_lane(
         stop,
         ..Budget::until(spec.deadline)
     };
-    let run = spec.backend.run(&ts, budget, &mut spec.ctx);
+    let run = spec.backend.run(&ts, budget);
     LaneResult {
         engine: spec.backend.name(),
         lane: spec.backend.lane(),
         run,
         elapsed: start.elapsed(),
         deadline: spec.deadline,
-        exchange: spec.ctx.stats(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exchange::{Exchange, ExchangeConfig};
     use csl_hdl::{Design, Init};
 
     /// A 1-bit design with no bad states (backends under test ignore it).
@@ -696,12 +637,7 @@ mod tests {
             Lane::Bmc
         }
 
-        fn run(
-            &self,
-            _ts: &Arc<TransitionSystem>,
-            budget: Budget,
-            _ctx: &mut SharedContext,
-        ) -> LaneRun {
+        fn run(&self, _ts: &Arc<TransitionSystem>, budget: Budget) -> LaneRun {
             let end = Instant::now() + self.delay;
             while Instant::now() < end {
                 if budget.stop_requested() {
@@ -813,12 +749,7 @@ mod tests {
             fn lane(&self) -> Lane {
                 Lane::Houdini
             }
-            fn run(
-                &self,
-                ts: &Arc<TransitionSystem>,
-                budget: Budget,
-                _ctx: &mut SharedContext,
-            ) -> LaneRun {
+            fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget) -> LaneRun {
                 let deadline = Instant::now() + Duration::from_secs(60);
                 let inner = (0..self.lanes)
                     .map(|_| {
@@ -886,73 +817,5 @@ mod tests {
             &Budget::unlimited(),
         );
         assert_eq!(report.lanes.len(), 3);
-    }
-
-    /// A lane that publishes over a live bus and one that imports: the
-    /// race must surface both sides' counters in its lane results.
-    #[test]
-    fn exchange_counters_reach_lane_results() {
-        struct Publisher;
-        impl Backend for Publisher {
-            fn name(&self) -> &'static str {
-                "pub"
-            }
-            fn lane(&self) -> Lane {
-                Lane::Houdini
-            }
-            fn run(
-                &self,
-                _ts: &Arc<TransitionSystem>,
-                _budget: Budget,
-                ctx: &mut SharedContext,
-            ) -> LaneRun {
-                ctx.publish_lemma("lemma", csl_hdl::Bit::from_packed(2));
-                EngineOutcome::Inconclusive(InconclusiveReason::Other("done".into())).into()
-            }
-        }
-        struct Consumer;
-        impl Backend for Consumer {
-            fn name(&self) -> &'static str {
-                "con"
-            }
-            fn lane(&self) -> Lane {
-                Lane::KInduction
-            }
-            fn run(
-                &self,
-                _ts: &Arc<TransitionSystem>,
-                budget: Budget,
-                ctx: &mut SharedContext,
-            ) -> LaneRun {
-                // Poll until the publisher's lemma arrives or time is up.
-                let end = Instant::now() + Duration::from_secs(5);
-                while Instant::now() < end && !budget.stop_requested() {
-                    let n = ctx.poll().len();
-                    if n > 0 {
-                        ctx.note_imported(n);
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                EngineOutcome::Inconclusive(InconclusiveReason::Other("done".into())).into()
-            }
-        }
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let bus = Exchange::new(ExchangeConfig::on());
-        let attach = |lane| SharedContext::attached(bus.clone(), lane, true, true);
-        let report = race(
-            vec![
-                LaneSpec::new(Box::new(Publisher), deadline).context(attach(Lane::Houdini)),
-                LaneSpec::new(Box::new(Consumer), deadline).context(attach(Lane::KInduction)),
-            ],
-            &trivial_aig(),
-            false,
-            &Budget::unlimited(),
-        );
-        let stats = report.exchange_stats();
-        let publisher = stats.iter().find(|s| s.lane == Lane::Houdini).unwrap();
-        let consumer = stats.iter().find(|s| s.lane == Lane::KInduction).unwrap();
-        assert_eq!(publisher.exports, 1);
-        assert_eq!(consumer.imports, 1);
     }
 }

@@ -28,27 +28,13 @@
 //! frame-0 constants, so they still depend on the sweep.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use csl_hdl::{Bit, Node};
-use csl_sat::{Budget, ExportPolicy, Lit, SolveResult, Solver, SolverStats};
+use csl_sat::{Budget, Lit, SolveResult, Solver, SolverStats};
 
-use crate::exchange::{ClauseExporter, SharedClause, TimedLit};
 use crate::trace::Trace;
 use crate::ts::TransitionSystem;
-
-/// Where a solver variable came from: bit `node` (non-complemented) at
-/// `frame`, with `neg` recording whether the frame map stored a negated
-/// literal for it (latch aliasing and the constant both do).
-type Origin = (u32, u32, bool);
-
-/// Reverse map solver-var → netlist origin, shared between the
-/// [`Unroller`] (writer, between solves) and the solver export hook
-/// (reader, at conflict boundaries). Both run on the lane's own thread,
-/// so the mutex is never contended; it only satisfies the `Send` bound
-/// the solver hook carries.
-type OriginMap = Arc<Mutex<Vec<Option<Origin>>>>;
 
 /// Frame-0 treatment of latches.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -76,10 +62,6 @@ pub struct Unroller {
     gates: HashMap<(Lit, Lit), Lit>,
     /// Frames whose assume bits have been asserted.
     assumes_added: usize,
-    /// Mirror of `assumes_added` readable from the export hook.
-    assume_frames: Arc<AtomicUsize>,
-    /// Reverse var→origin map, maintained only while clause export is on.
-    origins: Option<OriginMap>,
     /// Cached per-frame "some bad fired" indicator literals.
     bad_any: HashMap<usize, Lit>,
     init_mode: InitMode,
@@ -100,8 +82,6 @@ impl Unroller {
             frame_lits: Vec::new(),
             gates: HashMap::new(),
             assumes_added: 0,
-            assume_frames: Arc::new(AtomicUsize::new(0)),
-            origins: None,
             bad_any: HashMap::new(),
             init_mode,
             const_true,
@@ -114,83 +94,6 @@ impl Unroller {
         self.solver.set_budget(budget);
     }
 
-    /// Records where a solver variable came from (first writer wins: an
-    /// aliased latch output keeps its previous-frame identity, and a shared
-    /// gate keeps the `(frame, node)` that created it — both denote the
-    /// same Boolean function of the run as every later user).
-    fn record_origin(&self, frame: usize, node: u32, lit: Lit) {
-        if let Some(map) = &self.origins {
-            let mut map = map.lock().unwrap();
-            let idx = lit.var().index();
-            if map.len() <= idx {
-                map.resize(idx + 1, None);
-            }
-            if map[idx].is_none() {
-                map[idx] = Some((frame as u32, node, lit.is_negative()));
-            }
-        }
-    }
-
-    /// Turns on learnt-clause export: every clause the solver learns (and
-    /// `policy` admits) whose literals all map back to netlist bits is
-    /// translated to the shared vocabulary and published through
-    /// `exporter` at the conflict boundary. Clauses touching auxiliary
-    /// variables (bad-indicator gates, XOR helpers, activation literals)
-    /// have no netlist meaning and are silently skipped — that filter is
-    /// the mc-side soundness guard matching the solver-side contract of
-    /// [`csl_sat::Solver::set_export_hook`].
-    pub fn enable_clause_export(&mut self, exporter: ClauseExporter, policy: ExportPolicy) {
-        let map: OriginMap = Arc::new(Mutex::new(Vec::new()));
-        self.origins = Some(map.clone());
-        // Backfill vars created before export was enabled: the constant
-        // and everything already present in the frame maps.
-        self.record_origin(0, 0, !self.const_true);
-        for t in 0..self.frame_lits.len() {
-            let entries: Vec<(usize, Lit)> = self.frame_lits[t]
-                .iter()
-                .enumerate()
-                .filter_map(|(n, slot)| slot.map(|l| (n, l)))
-                .collect();
-            for (n, l) in entries {
-                self.record_origin(t, n as u32, l);
-            }
-        }
-        let origins = map;
-        let assume_frames = self.assume_frames.clone();
-        self.solver.set_export_hook(policy, move |lits, _lbd| {
-            let map = origins.lock().unwrap();
-            let mut out = Vec::with_capacity(lits.len());
-            let mut max_frame = 0usize;
-            for &l in lits {
-                let Some(Some((f, n, neg))) = map.get(l.var().index()).copied() else {
-                    return; // auxiliary variable: clause has no netlist meaning
-                };
-                let compl = l.is_negative() != neg;
-                out.push(TimedLit {
-                    frame: f as usize,
-                    bit: Bit::from_packed((n << 1) | compl as u32),
-                });
-                max_frame = max_frame.max(f as usize);
-            }
-            drop(map);
-            exporter.publish(SharedClause {
-                lits: out,
-                max_frame,
-                assume_frames: assume_frames.load(Ordering::Relaxed),
-                source: exporter.lane(),
-            });
-        });
-    }
-
-    /// Turns clause export back off, dropping the origin map and the
-    /// solver-side hook. A session that runs again re-arms export through
-    /// this: the hook captures a [`ClauseExporter`] and the export policy
-    /// of the run that armed it, and a later run publishes under its own.
-    pub fn disable_clause_export(&mut self) {
-        self.origins = None;
-        self.solver.clear_export_hook();
-    }
-
     /// The transition system this session encodes.
     pub fn ts(&self) -> &Arc<TransitionSystem> {
         &self.ts
@@ -201,51 +104,9 @@ impl Unroller {
         self.init_mode
     }
 
-    /// Whether `clause` may soundly be added to this instance right now:
-    /// shared clauses are consequences of the reset-initialised unrolling
-    /// with assumes asserted through their horizon, so the importer must
-    /// be reset-initialised, at least as deeply unrolled, and at least as
-    /// far assume-asserted.
-    pub fn can_import(&self, clause: &SharedClause) -> bool {
-        self.init_mode == InitMode::Reset
-            && clause.max_frame < self.num_frames()
-            && clause.assume_frames <= self.assumes_added
-    }
-
-    /// Adds a shared clause (re-encoding any cones it mentions on
-    /// demand). Returns false — without touching the solver — when
-    /// [`Unroller::can_import`] rejects it; callers keep such clauses
-    /// pending and retry after unrolling deeper.
-    pub fn import_clause(&mut self, clause: &SharedClause) -> bool {
-        if !self.can_import(clause) {
-            return false;
-        }
-        let lits: Vec<Lit> = clause
-            .lits
-            .iter()
-            .map(|tl| self.lit_of(tl.bit, tl.frame))
-            .collect();
-        self.solver.add_clause(&lits);
-        true
-    }
-
-    /// Asserts an invariant lemma bit as a unit at `frame` (sound for any
-    /// init mode: a lemma holds in every reachable assume-satisfying
-    /// state, and asserting it in a free-init instance is exactly the
-    /// classic "strengthen the induction hypothesis" move).
-    ///
-    /// # Panics
-    /// Panics if `frame` is not yet unrolled.
-    pub fn assert_lemma_at(&mut self, bit: Bit, frame: usize) {
-        let l = self.lit_of(bit, frame);
-        self.solver.add_clause(&[l]);
-    }
-
-    /// Asserts an invariant *clause* — the disjunction of "bit `b` has
-    /// value `v`" over `lits` — at `frame`. The clause-shaped companion
-    /// of [`Unroller::assert_lemma_at`], used for PDR's exported frame
-    /// clauses; the same soundness argument applies (the clause holds in
-    /// every reachable assume-satisfying state).
+    /// Asserts a clause — the disjunction of "bit `b` has value `v`"
+    /// over `lits` — at `frame`. The certificate checker asserts its
+    /// candidate invariant's conjuncts through this.
     ///
     /// # Panics
     /// Panics if `frame` is not yet unrolled.
@@ -273,13 +134,6 @@ impl Unroller {
         vec![None; self.ts.aig().num_nodes()]
     }
 
-    /// A fresh unconstrained variable standing for `node` at `frame`.
-    fn fresh(&mut self, frame: usize, node: u32) -> Lit {
-        let v = self.solver.new_var().positive();
-        self.record_origin(frame, node, v);
-        v
-    }
-
     /// Frame-0 literal of latch `li` when reset fixes it: the constant
     /// literal for its declared init value under [`InitMode::Reset`].
     fn reset_const(&self, li: u32) -> Option<Lit> {
@@ -290,11 +144,10 @@ impl Unroller {
         Some(if v { self.const_true } else { !self.const_true })
     }
 
-    /// Literal for `a ∧ b`, encoded on behalf of `node` at `frame`: folds
-    /// a constant, equal or complementary operand, and otherwise reuses
-    /// the gate table entry, creating a variable and its three Tseitin
-    /// clauses only on a miss.
-    fn and_lit(&mut self, frame: usize, node: u32, a: Lit, b: Lit) -> Lit {
+    /// Literal for `a ∧ b`: folds a constant, equal or complementary
+    /// operand, and otherwise reuses the gate table entry, creating a
+    /// variable and its three Tseitin clauses only on a miss.
+    fn and_lit(&mut self, a: Lit, b: Lit) -> Lit {
         let t = self.const_true;
         if a == !t || b == !t || a == !b {
             return !t;
@@ -309,7 +162,7 @@ impl Unroller {
         if let Some(&v) = self.gates.get(&key) {
             return v;
         }
-        let v = self.fresh(frame, node);
+        let v = self.solver.new_var().positive();
         // v <-> a & b
         self.solver.add_clause(&[!v, a]);
         self.solver.add_clause(&[!v, b]);
@@ -325,7 +178,7 @@ impl Unroller {
             let node = ts.aig().latches()[li as usize].output.node();
             let l = match self.reset_const(li) {
                 Some(c) => c,
-                None => self.fresh(0, node),
+                None => self.solver.new_var().positive(),
             };
             map[node as usize] = Some(l);
         }
@@ -345,13 +198,9 @@ impl Unroller {
             let l = self.lit_of(next_bit, prev);
             nexts.push((li, l));
         }
-        let t = self.frame_lits.len();
         let mut map = self.fresh_map();
         for (li, l) in nexts {
             let latch = &self.ts.aig().latches()[li as usize];
-            // First-writer-wins: the aliased var keeps its frame-`prev`
-            // identity, which denotes the same value.
-            self.record_origin(t, latch.output.node(), l);
             map[latch.output.node() as usize] = Some(l);
         }
         self.frame_lits.push(map);
@@ -379,7 +228,7 @@ impl Unroller {
             let nb = Bit::from_packed(n << 1);
             let lit = match self.ts.aig().node(nb) {
                 Node::Const => !self.const_true,
-                Node::Input(_) => self.fresh(t, n),
+                Node::Input(_) => self.solver.new_var().positive(),
                 // A latch outside the cone of influence, referenced by an
                 // auxiliary query (e.g. a Houdini candidate). Its
                 // next-state function is not part of the encoded
@@ -389,7 +238,7 @@ impl Unroller {
                 // can only be *dropped* by consecution.
                 Node::Latch(li) => match self.reset_const(li) {
                     Some(c) if t == 0 => c,
-                    _ => self.fresh(t, n),
+                    _ => self.solver.new_var().positive(),
                 },
                 Node::And(x, y) => {
                     let lx = self.frame_lits[t][x.node() as usize];
@@ -406,7 +255,7 @@ impl Unroller {
                     };
                     let lx = if x.is_complemented() { !lx } else { lx };
                     let ly = if y.is_complemented() { !ly } else { ly };
-                    self.and_lit(t, n, lx, ly)
+                    self.and_lit(lx, ly)
                 }
             };
             self.frame_lits[t][n as usize] = Some(lit);
@@ -430,14 +279,7 @@ impl Unroller {
                 self.solver.add_clause(&[l]);
             }
             self.assumes_added += 1;
-            self.assume_frames
-                .store(self.assumes_added, Ordering::Relaxed);
         }
-    }
-
-    /// Number of frames whose assume bits have been asserted.
-    pub fn assume_frames(&self) -> usize {
-        self.assumes_added
     }
 
     /// A literal implying "some bad bit fired at frame `t`" (one-directional:

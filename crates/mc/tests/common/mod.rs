@@ -1,4 +1,4 @@
-//! Test support shared by the encoder and exchange tests: a random design
+//! Test support shared by the encoder and invariant tests: a random design
 //! generator and a naive reference encoder to check the production
 //! [`csl_mc::Unroller`] against.
 

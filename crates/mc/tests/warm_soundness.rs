@@ -2,7 +2,7 @@
 //! schedule, as the BMC lane drives it, must be indistinguishable —
 //! verdict for verdict — from solving each depth fresh.
 //!
-//! Property test over random small AIGs (the `exchange_soundness`
+//! Property test over random small AIGs (the `invariant_soundness`
 //! generator family): one [`BmcSession`] driven through an escalating
 //! depth schedule must report, at every step, exactly what a fresh
 //! solver reports for that depth — same clean bound, same
@@ -13,11 +13,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use csl_hdl::{Aig, Design, Init};
-use csl_mc::exchange::SharedContext;
-use csl_mc::{bmc, BmcResult, BmcSession, Lane, Sim, TransitionSystem};
+use csl_mc::{bmc, BmcResult, BmcSession, Lane, SharedContext, Sim, TransitionSystem};
 use csl_sat::Budget;
 
-/// Same structure as the exchange-soundness generator: input-gated
+/// Same structure as the invariant-soundness generator: input-gated
 /// counters, a cross-register comparison, an optional assume, and a bad
 /// value that is unreachable, late-reachable, or immediate depending on
 /// the seed — so the corpus mixes Cex and Clean outcomes.

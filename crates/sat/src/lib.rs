@@ -42,4 +42,4 @@ pub mod dimacs;
 
 pub use clause::ClauseRef;
 pub use lit::{LBool, Lit, Var};
-pub use solver::{Budget, ExportHook, ExportPolicy, SolveResult, Solver, SolverStats};
+pub use solver::{Budget, SolveResult, Solver, SolverStats};

@@ -77,32 +77,6 @@ impl Budget {
     }
 }
 
-/// Quality filter for the learnt-clause export hook: only short, low-LBD
-/// ("glue") clauses are worth shipping to another solver — long or
-/// high-LBD clauses cost propagation overhead at the importer for little
-/// pruning power.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExportPolicy {
-    /// Maximum exported clause length (literals).
-    pub max_len: usize,
-    /// Maximum literal-block distance at learning time.
-    pub max_lbd: u32,
-}
-
-impl Default for ExportPolicy {
-    fn default() -> ExportPolicy {
-        ExportPolicy {
-            max_len: 8,
-            max_lbd: 4,
-        }
-    }
-}
-
-/// Callback invoked at conflict boundaries with each learnt clause that
-/// passes the [`ExportPolicy`] filter (literals in solver numbering,
-/// asserting literal first) and its LBD.
-pub type ExportHook = Box<dyn FnMut(&[Lit], u32) + Send>;
-
 /// Aggregate solver statistics, reset never (cumulative across calls).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolverStats {
@@ -186,9 +160,6 @@ pub struct Solver {
     max_learnts: f64,
     budget: Budget,
     canceled: bool,
-    /// Learnt-clause export: policy filter plus the callback. See
-    /// [`Solver::set_export_hook`] for the soundness contract.
-    export: Option<(ExportPolicy, ExportHook)>,
     pub stats: SolverStats,
 }
 
@@ -226,7 +197,6 @@ impl Solver {
             max_learnts: 0.0,
             budget: Budget::unlimited(),
             canceled: false,
-            export: None,
             stats: SolverStats::default(),
         }
     }
@@ -260,42 +230,6 @@ impl Solver {
     /// Sets the budget applied to subsequent solve calls.
     pub fn set_budget(&mut self, budget: Budget) {
         self.budget = budget;
-    }
-
-    /// Installs a learnt-clause export hook, called at every conflict
-    /// boundary with clauses passing `policy` (this is the publication
-    /// point for cross-solver clause sharing).
-    ///
-    /// # Soundness contract
-    ///
-    /// Every learnt clause is a logical consequence of the clause database
-    /// alone — CDCL conflict analysis never resolves on assumption
-    /// literals, so `solve_with` assumptions cannot leak into exports. The
-    /// guard the *caller* must honor: only install the hook on solvers
-    /// whose clause database is monotonically implied by the instance
-    /// being shared (no temporary/activation scaffolding clauses, as used
-    /// by IC3-style frame encodings) — clauses derived from scaffolding
-    /// are only valid alongside it. The hook is never invoked once the
-    /// instance is known unsatisfiable at top level.
-    pub fn set_export_hook(
-        &mut self,
-        policy: ExportPolicy,
-        hook: impl FnMut(&[Lit], u32) + Send + 'static,
-    ) {
-        self.export = Some((policy, Box::new(hook)));
-    }
-
-    /// Removes the export hook installed by [`Solver::set_export_hook`].
-    pub fn clear_export_hook(&mut self) {
-        self.export = None;
-    }
-
-    fn export_learnt(&mut self, learnt: &[Lit], lbd: u32) {
-        if let Some((policy, hook)) = &mut self.export {
-            if self.ok && learnt.len() <= policy.max_len && lbd <= policy.max_lbd {
-                hook(learnt, lbd);
-            }
-        }
     }
 
     #[inline]
@@ -800,11 +734,9 @@ impl Solver {
                 let (learnt, back_level) = self.analyze(confl);
                 self.cancel_until(back_level);
                 if learnt.len() == 1 {
-                    self.export_learnt(&learnt, 1);
                     self.unchecked_enqueue(learnt[0], ClauseRef::UNDEF);
                 } else {
                     let lbd = self.lbd_of(&learnt);
-                    self.export_learnt(&learnt, lbd);
                     let asserting = learnt[0];
                     let cref = self.db.add(learnt, true, lbd);
                     self.attach(cref);
@@ -1104,65 +1036,6 @@ mod tests {
         // Clearing the flag lets the same solver finish.
         stop.store(false, Ordering::Relaxed);
         assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn export_hook_ships_implied_clauses() {
-        use std::sync::{Arc, Mutex};
-
-        // Pigeonhole 5 into 4: unsatisfiable, guaranteed conflicts.
-        let mut s = Solver::new();
-        let np = 5;
-        let nh = 4;
-        let v = |s: &mut Solver, p: usize, h: usize| lit(s, p * nh + h);
-        for p in 0..np {
-            let cl: Vec<Lit> = (0..nh).map(|h| v(&mut s, p, h)).collect();
-            s.add_clause(&cl);
-        }
-        let mut pairs: Vec<Vec<Lit>> = Vec::new();
-        for h in 0..nh {
-            for p1 in 0..np {
-                for p2 in (p1 + 1)..np {
-                    let a = v(&mut s, p1, h);
-                    let b = v(&mut s, p2, h);
-                    pairs.push(vec![!a, !b]);
-                    s.add_clause(&[!a, !b]);
-                }
-            }
-        }
-        let exported: Arc<Mutex<Vec<Vec<Lit>>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = exported.clone();
-        let policy = ExportPolicy {
-            max_len: 4,
-            max_lbd: 10,
-        };
-        s.set_export_hook(policy, move |lits, _lbd| {
-            sink.lock().unwrap().push(lits.to_vec());
-        });
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        let exported = exported.lock().unwrap();
-        assert!(!exported.is_empty(), "unsat search must learn something");
-        // Every exported clause respects the policy and is implied by the
-        // original formula: a fresh solver on the same clauses plus the
-        // negation of the export must be unsatisfiable.
-        for clause in exported.iter() {
-            assert!(clause.len() <= policy.max_len);
-            let mut fresh = Solver::new();
-            for p in 0..np {
-                let cl: Vec<Lit> = (0..nh).map(|h| v(&mut fresh, p, h)).collect();
-                fresh.add_clause(&cl);
-            }
-            for pair in &pairs {
-                // Re-create the vars in the same order for identical ids.
-                fresh.add_clause(pair);
-            }
-            let negated: Vec<Lit> = clause.iter().map(|&l| !l).collect();
-            assert_eq!(
-                fresh.solve_with(&negated),
-                SolveResult::Unsat,
-                "exported clause {clause:?} not implied"
-            );
-        }
     }
 
     #[test]

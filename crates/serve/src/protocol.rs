@@ -607,6 +607,34 @@ mod tests {
         assert_eq!(WorkerResponse::parse(&resp.to_line()).unwrap(), resp);
     }
 
+    /// A submission from a client that still sends the removed exchange
+    /// knob, inside the options or beside them, is accepted and the key
+    /// ignored.
+    #[test]
+    fn submit_with_an_exchange_key_is_accepted() {
+        let line = "{\"op\": \"submit\", \"id\": \"old\", \"exchange\": true, \
+                    \"cells\": [{\"scheme\": \"LEAVE\", \"design\": \"SingleCycle(ISA)\", \
+                    \"contract\": \"sandboxing\"}], \
+                    \"options\": {\"portfolio\": true, \"exchange\": {\"enabled\": true}}}";
+        let Request::Submit { id, cells, options } = Request::parse(line).unwrap() else {
+            panic!("a submit line parses as a submission");
+        };
+        assert_eq!(id, "old");
+        assert_eq!(
+            cells,
+            vec![CellSpec::new(
+                Scheme::Leave,
+                DesignKind::SingleCycle,
+                Contract::Sandboxing
+            )]
+        );
+        let expected = ServeOptions {
+            portfolio: true,
+            ..ServeOptions::default()
+        };
+        assert_eq!(*options, expected);
+    }
+
     #[test]
     fn garbage_lines_are_soft_errors() {
         assert!(Request::parse("{\"op\": \"frob\"}").is_err());

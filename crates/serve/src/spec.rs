@@ -253,10 +253,10 @@ pub fn run_cell(cell: &CellSpec, options: &ServeOptions) -> Report {
 
 /// Strips the wall-clock-dependent fields from a report — elapsed
 /// time, free-text notes, per-lane solver timing — leaving exactly the
-/// deterministic content (verdict, trace, prepare/exchange/fuzz
-/// structure). Two sequential-mode runs of the same query normalize to
-/// byte-identical JSON; this is what the `serveprobe` gate and the
-/// daemon equivalence tests compare.
+/// deterministic content (verdict, trace, prepare/fuzz structure). Two
+/// sequential-mode runs of the same query normalize to byte-identical
+/// JSON; this is what the `serveprobe` gate and the daemon equivalence
+/// tests compare.
 pub fn normalized_report(report: &Report) -> Report {
     let mut report = report.clone();
     report.elapsed = Duration::ZERO;
@@ -289,7 +289,6 @@ pub fn undecided_report(
         verdict: Verdict::Unknown { reason },
         elapsed,
         notes,
-        exchange: Vec::new(),
         prepare: Vec::new(),
         fuzz: None,
         coverage: None,
@@ -413,11 +412,19 @@ mod tests {
             ServeOptions::from_value(&Json::parse("{}").unwrap()).unwrap(),
             ServeOptions::default()
         );
-        // Unknown keys are ignored: old clients may still send `warm`.
-        assert_eq!(
-            ServeOptions::from_value(&Json::parse("{\"warm\": true}").unwrap()).unwrap(),
-            ServeOptions::default()
-        );
+        // Unknown keys are ignored: old clients may still send the
+        // removed `warm` and `exchange` knobs.
+        for old in [
+            "{\"warm\": true}",
+            "{\"exchange\": true}",
+            "{\"exchange\": {\"enabled\": true, \"adaptive\": true}}",
+        ] {
+            assert_eq!(
+                ServeOptions::from_value(&Json::parse(old).unwrap()).unwrap(),
+                ServeOptions::default(),
+                "{old}"
+            );
+        }
         assert!(ServeOptions::from_value(&Json::parse("{\"prepare\": 3}").unwrap()).is_err());
     }
 

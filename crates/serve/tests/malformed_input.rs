@@ -1,0 +1,158 @@
+//! Malformed persisted input never panics: every char-boundary
+//! truncation and a seeded set of single-ASCII-byte substitutions of a
+//! small campaign document (attack trace, proof certificate, non-ASCII
+//! note text) are fed to `CampaignReport::from_json`, and the same
+//! mutations of a journal holding its reports to `Journal::load`. Each
+//! call must return a value or a typed error.
+
+use std::time::Duration;
+
+use csl_contracts::Contract;
+use csl_core::api::{CampaignReport, FuzzStats, Report};
+use csl_core::{DesignKind, Scheme};
+use csl_cpu::Defense;
+use csl_mc::{CertKind, Certificate, Lane, LaneSolverStats, ProofEngine, Trace, Verdict};
+use csl_serve::Journal;
+
+fn campaign() -> CampaignReport {
+    let trace = Trace {
+        initial_latches: vec![(3, true), (1, false)],
+        inputs: vec![
+            [(2u32, true), (0u32, false)].into_iter().collect(),
+            [(5u32, true)].into_iter().collect(),
+        ],
+        bad_name: "no_leakage".into(),
+    };
+    let solver = LaneSolverStats {
+        lane: Lane::Bmc,
+        propagations: 12_345,
+        conflicts: 67,
+        decisions: 890,
+        restarts: 1,
+        reduced_clauses: 0,
+    };
+    let attack = Report {
+        scheme: Scheme::Shadow,
+        design: DesignKind::SimpleOoo(Defense::None),
+        contract: Contract::Sandboxing,
+        verdict: Verdict::Attack(Box::new(trace)),
+        elapsed: Duration::new(0, 41_000_000),
+        notes: vec![
+            "netlist: größe δ=3 — 日本 \"quoted\"\\".into(),
+            "bmc [0.04s]: attack at depth 2 … ✓".into(),
+        ],
+        prepare: Vec::new(),
+        fuzz: Some(FuzzStats {
+            trials: 64,
+            corpus_trials: 0,
+            random_trials: 64,
+            sim_cycles: 1_280,
+            wall: Duration::from_millis(3),
+            leak_cycle: Some(9),
+            seed: 7,
+            lanes: 64,
+        }),
+        coverage: None,
+        solver: vec![solver],
+        certificate: None,
+    };
+    let proof = Report {
+        scheme: Scheme::Leave,
+        design: DesignKind::SingleCycle,
+        contract: Contract::ConstantTime,
+        verdict: Verdict::Proof(ProofEngine::Houdini { invariants: 2 }),
+        elapsed: Duration::from_millis(250),
+        notes: vec!["houdini [0.25s]: proof — 2/2 candidates survive".into()],
+        prepare: Vec::new(),
+        fuzz: None,
+        coverage: None,
+        solver: Vec::new(),
+        certificate: Some(Certificate {
+            restored: vec![(7, false)],
+            survivors: vec![0, 1],
+            kind: CertKind::Inductive {
+                blocked: vec![vec![(4, true), (9, false)]],
+            },
+        }),
+    };
+    CampaignReport {
+        reports: vec![attack, proof],
+        wall: Duration::from_millis(300),
+    }
+}
+
+/// A seeded xorshift stream, so the substitution set is fixed without a
+/// dependency.
+struct Stream(u64);
+
+impl Stream {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// Every strict prefix of `text` ending on a char boundary.
+fn truncations(text: &str) -> impl Iterator<Item = &str> {
+    text.char_indices().map(|(i, _)| &text[..i])
+}
+
+/// `n` copies of `text`, each with one ASCII byte replaced by another
+/// ASCII byte (so the result stays valid UTF-8), mostly JSON syntax.
+fn substitutions(text: &str, seed: u64, n: usize) -> Vec<String> {
+    const BYTES: &[u8] = b"\"\\{}[],: \n0123456789-+.eEtfnulrsax";
+    let ascii: Vec<usize> = (0..text.len())
+        .filter(|&i| text.as_bytes()[i].is_ascii())
+        .collect();
+    let mut rng = Stream(seed);
+    (0..n)
+        .map(|_| {
+            let mut bytes = text.as_bytes().to_vec();
+            bytes[ascii[rng.below(ascii.len())]] = BYTES[rng.below(BYTES.len())];
+            String::from_utf8(bytes).expect("an ASCII-for-ASCII swap keeps UTF-8")
+        })
+        .collect()
+}
+
+#[test]
+fn campaign_decoding_survives_truncations_and_substitutions() {
+    let text = campaign().to_json();
+    assert_eq!(CampaignReport::from_json(&text).unwrap(), campaign());
+    assert!(!text.is_ascii(), "the document must carry multi-byte text");
+    // A strict prefix of the object (short of its trailing newline) is
+    // never a whole document.
+    for cut in truncations(text.trim_end()) {
+        assert!(CampaignReport::from_json(cut).is_err(), "{cut:?}");
+    }
+    for mutated in substitutions(&text, 0x5eed_cafe, 4000) {
+        let _ = CampaignReport::from_json(&mutated);
+    }
+}
+
+#[test]
+fn journal_loading_survives_truncations_and_substitutions() {
+    let dir = std::env::temp_dir().join(format!("csl-journal-fuzz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = Journal::new(dir.join("cells.journal"));
+    let reports = campaign().reports;
+    for (key, report) in reports.iter().enumerate() {
+        journal.append(key as u64, report).unwrap();
+    }
+    let text = std::fs::read_to_string(journal.path()).unwrap();
+    let entries = journal.load();
+    assert_eq!(entries.len(), reports.len());
+
+    for cut in truncations(&text) {
+        std::fs::write(journal.path(), cut).unwrap();
+        // A torn line is skipped; the whole lines before it load intact.
+        let loaded = journal.load();
+        assert_eq!(loaded, entries[..loaded.len()], "{cut:?}");
+    }
+    for mutated in substitutions(&text, 0x0dd_ba11, 2000) {
+        std::fs::write(journal.path(), &mutated).unwrap();
+        let _ = journal.load();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

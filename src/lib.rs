@@ -14,7 +14,7 @@
 //! | [`sat`] | `csl-sat` | CDCL SAT solver (the decision procedure) |
 //! | [`hdl`] | `csl-hdl` | word-level hardware DSL over an AIG netlist |
 //! | [`mc`]  | `csl-mc`  | BMC / k-induction / Houdini / PDR engines |
-//! | [`cover`] | `csl-cover` | coverage-guided fuzzing: toggle maps, mutation corpus, rejection filter |
+//! | [`cover`] | `csl-cover` | coverage-guided fuzzing: toggle maps, mutation corpus |
 //! | [`isa`] | `csl-isa` | MiniISA: encoding, assembler, interpreter |
 //! | [`contracts`] | `csl-contracts` | sandboxing & constant-time contracts |
 //! | [`cpu`] | `csl-cpu` | in-order, SimpleOoO (+5 defences), superscalar, BigOoO |
@@ -65,9 +65,8 @@ pub mod prelude {
     pub use csl_certify::{check_certificate, check_witness, Rejection, Witness};
     pub use csl_contracts::{Contract, ObsAtom, ObsSet};
     pub use csl_core::api::{
-        Budget, CampaignDiff, CampaignReport, CoverageStats, ExchangeConfig, ExchangeStats,
-        FuzzPlan, FuzzStats, Lane, LaneBudget, LaneExchange, Matrix, Mode, PrepareConfig,
-        PreparedInstance, Query, Report, ReportCache, Verifier,
+        Budget, CampaignDiff, CampaignReport, CoverageStats, FuzzPlan, FuzzStats, Lane, LaneBudget,
+        Matrix, Mode, PrepareConfig, PreparedInstance, Query, Report, ReportCache, Verifier,
     };
     pub use csl_core::{
         matrix, CampaignCell, DesignKind, ExcludeRule, InstanceConfig, Scheme, ShadowOptions,
