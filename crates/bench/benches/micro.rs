@@ -50,7 +50,7 @@ fn bench_netlist_build(c: &mut Criterion) {
         let query = shadow_query();
         b.iter(|| {
             // Raw build only: the preparation pipeline's cost is
-            // prepprobe's subject, not this substrate benchmark's.
+            // perfbench's `prepare` layer, not this substrate benchmark's.
             let task = query.raw_instance();
             assert!(task.aig.num_ands() > 1000);
         })

@@ -38,8 +38,8 @@ fn main() {
             .query()
             .expect("design and contract are set");
         let cpu = query.config().cpu_config();
-        // Table 1 inventories the instance as *built*; preparation
-        // statistics are prepprobe's job.
+        // Table 1 inventories the instance as *built*; the reduction
+        // preparation achieves is checked by the `prepare_equiv` test.
         let task = query.raw_instance();
         let stats = task.aig.stats_by_prefix(&["cpu1.", "cpu2.", "shadow."]);
         let ts = TransitionSystem::shared(task.aig.clone(), false);

@@ -83,26 +83,6 @@ pub fn show(label: &str, report: &Report) {
     }
 }
 
-/// Median wall time, for the probes' on/off speed comparisons.
-///
-/// # Panics
-/// Panics on an empty set.
-pub fn median_duration(mut xs: Vec<Duration>) -> Duration {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
-}
-
-/// Prints the per-pass reduction table of a preparation run (used by
-/// `prepprobe`).
-pub fn show_pass_stats(stats: &csl_core::api::PrepareStats) {
-    for p in &stats.passes {
-        println!(
-            "    | {:<12} ands {:>6} -> {:<6} latches {:>5} -> {:<5}",
-            p.pass, p.before.ands, p.after.ands, p.before.latches, p.after.latches
-        );
-    }
-}
-
 /// Prints a benchmark header.
 pub fn header(title: &str, paper_ref: &str) {
     println!();

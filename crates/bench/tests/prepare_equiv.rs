@@ -9,16 +9,18 @@
 //! ~2 minutes raw — so the contract checked here is monotone: decided
 //! verdicts must agree, upgrades (T/O or UNK → decided) are the
 //! feature, and downgrades are failures. Run as its own CI step so a
-//! pipeline regression is legible on its own line. Also checks the acceptance criteria end to end: a measurable
-//! AND-node reduction on the instances, and every SAT counterexample
-//! expressed in raw-netlist vocabulary (replayable on the unprepared
-//! netlist).
+//! pipeline regression is legible on its own line. Also checks the
+//! acceptance criteria end to end: a measurable AND-node reduction on
+//! every smoke instance and every Table-2 Shadow/sandboxing instance,
+//! and every SAT counterexample expressed in raw-netlist vocabulary
+//! (replayable on the unprepared netlist).
 
 use std::time::Duration;
 
-use csl_bench::smoke_cells;
+use csl_bench::{smoke_cells, table2_designs};
+use csl_contracts::Contract;
 use csl_core::api::{Budget, Mode, PrepareConfig, Query, Report, Verifier};
-use csl_core::CampaignCell;
+use csl_core::{CampaignCell, Scheme};
 use csl_mc::{Sim, Verdict};
 
 fn query(cell: &CampaignCell, prepare: PrepareConfig) -> Query {
@@ -94,11 +96,17 @@ fn check_attack_lifts(on_query: &Query, on: &Report) {
 }
 
 /// The acceptance criterion on instance size: preparation reduces the
-/// AND-node count of every smoke instance by a measurable margin, and
-/// the report stats prove it.
+/// AND-node count of every smoke instance and every Table-2
+/// Shadow/sandboxing instance by a measurable margin, and the report
+/// stats prove it.
 #[test]
 fn preparation_measurably_reduces_smoke_instances() {
-    for cell in smoke_cells() {
+    let table2 = table2_designs().into_iter().map(|design| CampaignCell {
+        scheme: Scheme::Shadow,
+        design,
+        contract: Contract::Sandboxing,
+    });
+    for cell in smoke_cells().into_iter().chain(table2) {
         let q = query(&cell, PrepareConfig::on());
         let raw = q.raw_instance();
         let prepared = q.instance();

@@ -124,18 +124,6 @@ pub(crate) fn netlist_fingerprint(aig: &Aig) -> u64 {
     h.finish()
 }
 
-/// Key for a persisted fuzz corpus: the netlist it was collected on plus
-/// the fuzz plan's label (which folds in every coverage knob). A corpus
-/// is only replayable against the netlist it was mined from — latch
-/// indices in its frontier cubes are positional — so any structural
-/// change must miss.
-pub(crate) fn corpus_fingerprint(aig: &Aig, label: &str) -> u64 {
-    let mut h = Fingerprint::new();
-    h.u64(netlist_fingerprint(aig));
-    h.str(label);
-    h.finish()
-}
-
 /// Folds a full verification instance (netlist + invariant candidates)
 /// into the hasher.
 pub(crate) fn instance_fingerprint(h: &mut Fingerprint, task: &SafetyCheck) {
@@ -480,11 +468,6 @@ mod tests {
                 csl_isa::IsaConfig::default(),
                 crate::fuzz::FuzzPlan::default(),
             )),
-            // Coverage mode reaches the key through the lane label.
-            CheckOptions::default().with_extra_lane(crate::fuzz::fuzz_lane(
-                csl_isa::IsaConfig::default(),
-                crate::fuzz::FuzzPlan::default().coverage(true),
-            )),
         ];
         for opts in tweaked {
             let mut h = Fingerprint::new();
@@ -493,18 +476,29 @@ mod tests {
         }
     }
 
-    /// The fingerprints of three common option sets, as printed before
-    /// the exchange bus was removed: the constants hashed into removed
-    /// knobs' slots must not drift, or every existing cache entry and
+    /// The fingerprints of four common option sets, as printed before
+    /// the exchange bus and coverage-guided fuzzing were removed: the
+    /// constants hashed into removed knobs' slots, and the blind fuzz
+    /// plan's label, must not drift, or every existing cache entry and
     /// serve journal would silently miss.
     #[test]
     fn options_fingerprint_is_pinned() {
+        let plan = crate::fuzz::FuzzPlan::default();
+        assert_eq!(
+            plan.label(),
+            "fuzz(trials=2000,cycles=24,seed=61525,batch=true,mix=4/3/4/3/0/1)"
+        );
         for (opts, pinned) in [
             (CheckOptions::default(), 0x0fc5_920d_fa71_5e0f_u64),
             (CheckOptions::default().portfolio(), 0xdea3_9e33_dac1_bcc2),
             (
                 CheckOptions::default().certify(false),
                 0x7c5b_3cb0_65d6_67fc,
+            ),
+            (
+                CheckOptions::default()
+                    .with_extra_lane(crate::fuzz::fuzz_lane(csl_isa::IsaConfig::default(), plan)),
+                0x0188_29c5_6867_bd0a,
             ),
         ] {
             let mut h = Fingerprint::new();
@@ -530,7 +524,6 @@ mod tests {
             notes: vec![],
             prepare: vec![],
             fuzz: None,
-            coverage: None,
             solver: Vec::new(),
             certificate: None,
         };
@@ -558,7 +551,6 @@ mod tests {
             notes: vec![],
             prepare: vec![],
             fuzz: None,
-            coverage: None,
             solver: Vec::new(),
             certificate,
         };
@@ -603,7 +595,6 @@ mod tests {
             notes: vec![],
             prepare: vec![],
             fuzz: None,
-            coverage: None,
             solver: Vec::new(),
             certificate: None,
         };
@@ -641,7 +632,6 @@ mod tests {
             notes: (0..64).map(|i| format!("filler note {i}")).collect(),
             prepare: vec![],
             fuzz: None,
-            coverage: None,
             solver: Vec::new(),
             certificate: None,
         };
@@ -698,7 +688,6 @@ mod tests {
             notes: vec![],
             prepare: vec![],
             fuzz: None,
-            coverage: None,
             solver: Vec::new(),
             certificate: None,
         };

@@ -59,8 +59,8 @@ use crate::verify::{instance_for, run_scheme, Scheme};
 pub use crate::fuzz::FuzzPlan;
 pub use cache::{may_store, CacheStats, ReportCache};
 pub use csl_mc::{
-    CoverageStats, ExecMode as Mode, FuzzStats, InconclusiveReason, Lane, LaneBudget, LanePlan,
-    PrepareConfig, PrepareStats, PreparedInstance,
+    ExecMode as Mode, FuzzStats, InconclusiveReason, Lane, LaneBudget, LanePlan, PrepareConfig,
+    PrepareStats, PreparedInstance,
 };
 pub use json::{Json, JsonError};
 pub use report::{CampaignDiff, CampaignReport, ReadError, Report, VerdictChange};

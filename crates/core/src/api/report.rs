@@ -19,8 +19,8 @@ use std::time::Duration;
 use csl_contracts::Contract;
 use csl_hdl::xform::{PassStats, Shape};
 use csl_mc::{
-    CertKind, Certificate, CheckReport, CoverageStats, FuzzStats, InconclusiveReason, Lane,
-    LaneSolverStats, ProofEngine, Trace, Verdict,
+    CertKind, Certificate, CheckReport, FuzzStats, InconclusiveReason, Lane, LaneSolverStats,
+    ProofEngine, Trace, Verdict,
 };
 
 use crate::api::json::{Json, JsonError};
@@ -76,10 +76,6 @@ pub struct Report {
     /// Fuzzing-lane campaign statistics (`None` when no fuzzing lane
     /// ran or the document predates the field).
     pub fuzz: Option<FuzzStats>,
-    /// Coverage-guided fuzzing accounting (`None` when the fuzzing lane
-    /// ran blind, no fuzzing lane ran, or the document predates the
-    /// field).
-    pub coverage: Option<CoverageStats>,
     /// Per-lane solver activity (empty when no SAT lane reported or the
     /// document predates the field).
     pub solver: Vec<LaneSolverStats>,
@@ -107,7 +103,6 @@ impl Report {
             notes: check.notes,
             prepare: check.prepare,
             fuzz: check.fuzz,
-            coverage: check.coverage,
             solver: check.solver,
             certificate: check.certificate,
         }
@@ -188,12 +183,6 @@ impl Report {
         if let Some(fuzz) = &self.fuzz {
             pairs.push(("fuzz", fuzz_to_value(fuzz)));
         }
-        // Same convention for coverage: written only when the fuzzing
-        // lane ran coverage-guided, so blind-campaign documents stay
-        // byte-identical to pre-coverage ones.
-        if let Some(coverage) = &self.coverage {
-            pairs.push(("coverage", coverage_to_value(coverage)));
-        }
         // Same convention for solver stats: written only when a SAT lane
         // reported, so documents without one stay byte-identical.
         if !self.solver.is_empty() {
@@ -239,7 +228,9 @@ impl Report {
             })
             .collect::<Result<Vec<_>, _>>()?;
         // Documents from before the exchange bus was removed also carry
-        // an `exchange` array of per-lane traffic; it is ignored.
+        // an `exchange` array of per-lane traffic, and documents from
+        // before coverage-guided fuzzing was removed may carry a
+        // `coverage` block; both are ignored.
         //
         // Absent in pre-preparation documents: default to no stats.
         let prepare = match v.get("prepare").and_then(Json::as_arr) {
@@ -252,9 +243,6 @@ impl Report {
         // Absent in pre-fuzzing documents (and in every fuzz-free run):
         // lenient, like the prepare field.
         let fuzz = v.get("fuzz").map(fuzz_from_value).transpose()?;
-        // Absent in pre-coverage documents and every blind campaign:
-        // lenient, like fuzz.
-        let coverage = v.get("coverage").map(coverage_from_value).transpose()?;
         // Absent in documents that predate the block: lenient, like fuzz.
         let solver = match v.get("solver").and_then(Json::as_arr) {
             Some(items) => items
@@ -275,7 +263,6 @@ impl Report {
             notes,
             prepare,
             fuzz,
-            coverage,
             solver,
             certificate,
         })
@@ -372,8 +359,6 @@ fn cert_from_value(v: &Json) -> Result<Certificate, ReadError> {
 fn fuzz_to_value(s: &FuzzStats) -> Json {
     let mut pairs = vec![
         ("trials", Json::Int(s.trials as i64)),
-        ("corpus_trials", Json::Int(s.corpus_trials as i64)),
-        ("random_trials", Json::Int(s.random_trials as i64)),
         ("sim_cycles", Json::Int(s.sim_cycles as i64)),
         ("wall", duration_to_value(s.wall)),
     ];
@@ -385,6 +370,9 @@ fn fuzz_to_value(s: &FuzzStats) -> Json {
     Json::obj(pairs)
 }
 
+/// Documents from before coverage-guided fuzzing was removed also split
+/// `trials` into corpus mutants and fresh random draws; the split is
+/// ignored.
 fn fuzz_from_value(v: &Json) -> Result<FuzzStats, ReadError> {
     let count = |key: &str| -> Result<i64, ReadError> {
         v.get(key)
@@ -402,18 +390,8 @@ fn fuzz_from_value(v: &Json) -> Result<FuzzStats, ReadError> {
                 .ok_or_else(|| ReadError::Schema("bad fuzz leak_cycle".into()))?,
         ),
     };
-    // The trial-provenance split is absent in pre-coverage documents;
-    // `0` (no corpus draws) is then both lenient and true.
-    let lenient = |key: &str| -> Result<usize, ReadError> {
-        match v.get(key) {
-            None => Ok(0),
-            Some(_) => usize_of(key),
-        }
-    };
     Ok(FuzzStats {
         trials: usize_of("trials")?,
-        corpus_trials: lenient("corpus_trials")?,
-        random_trials: lenient("random_trials")?,
         sim_cycles: count("sim_cycles")? as u64,
         wall: duration_from_value(
             v.get("wall")
@@ -511,38 +489,6 @@ fn pass_stats_from_value(v: &Json) -> Result<PassStats, ReadError> {
         pass,
         before,
         after,
-    })
-}
-
-fn coverage_to_value(s: &CoverageStats) -> Json {
-    Json::obj(vec![
-        ("latches_toggled", Json::Int(s.latches_toggled as i64)),
-        ("latches_total", Json::Int(s.latches_total as i64)),
-        ("signatures", Json::Int(s.signatures as i64)),
-        (
-            "new_coverage_trials",
-            Json::Int(s.new_coverage_trials as i64),
-        ),
-        ("corpus_size", Json::Int(s.corpus_size as i64)),
-    ])
-}
-
-/// Older documents also carry `obligations_exported` and
-/// `stimuli_rejected`, counters of the removed exchange bus; they are
-/// ignored.
-fn coverage_from_value(v: &Json) -> Result<CoverageStats, ReadError> {
-    let count = |key: &str| -> Result<usize, ReadError> {
-        v.get(key)
-            .and_then(Json::as_int)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| ReadError::Schema(format!("bad coverage {key}")))
-    };
-    Ok(CoverageStats {
-        latches_toggled: count("latches_toggled")?,
-        latches_total: count("latches_total")?,
-        signatures: count("signatures")?,
-        new_coverage_trials: count("new_coverage_trials")?,
-        corpus_size: count("corpus_size")?,
     })
 }
 
@@ -1187,20 +1133,11 @@ mod tests {
                 ],
                 fuzz: Some(FuzzStats {
                     trials: 832,
-                    corpus_trials: 512,
-                    random_trials: 320,
                     sim_cycles: 19_968,
                     wall: Duration::from_millis(413),
                     leak_cycle: Some(11),
                     seed: 0xF0_55,
                     lanes: 64,
-                }),
-                coverage: Some(CoverageStats {
-                    latches_toggled: 141,
-                    latches_total: 200,
-                    signatures: 57,
-                    new_coverage_trials: 61,
-                    corpus_size: 48,
                 }),
                 solver: Vec::new(),
                 certificate: None,
@@ -1214,7 +1151,6 @@ mod tests {
                 notes: vec![],
                 prepare: vec![],
                 fuzz: None,
-                coverage: None,
                 solver: Vec::new(),
                 certificate: Some(Certificate {
                     restored: vec![(7, false), (2, true)],
@@ -1235,7 +1171,6 @@ mod tests {
                 notes: vec!["note".into()],
                 prepare: vec![],
                 fuzz: None,
-                coverage: None,
                 solver: Vec::new(),
                 certificate: None,
             },
@@ -1248,7 +1183,6 @@ mod tests {
                 notes: vec![],
                 prepare: vec![],
                 fuzz: None,
-                coverage: None,
                 solver: Vec::new(),
                 certificate: None,
             },
@@ -1263,7 +1197,6 @@ mod tests {
                 notes: vec![],
                 prepare: vec![],
                 fuzz: None,
-                coverage: None,
                 solver: Vec::new(),
                 certificate: None,
             },
@@ -1325,11 +1258,11 @@ mod tests {
     #[test]
     fn pre_coverage_artifacts_parse_and_diff_cleanly() {
         // A report archived before the coverage subsystem existed: the
-        // fuzz block has no trial-provenance split, the exchange stats
-        // carry no obligation/policy keys, and there is no coverage
-        // block. It must load leniently (zeros/None, exchange ignored)
-        // and diff cleanly against a re-serialization of itself — the CI
-        // reportdiff gate reads exactly such artifacts.
+        // fuzz block has no trial-provenance split and the exchange stats
+        // carry no obligation/policy keys. It must load leniently
+        // (exchange ignored) and diff cleanly against a re-serialization
+        // of itself — the CI reportdiff gate reads exactly such
+        // artifacts.
         let legacy = "{\"schema\": \"csl-report-v1\", \"scheme\": \"UPEC\", \
                       \"design\": \"InOrder(Sodor)\", \"contract\": \"constant-time\", \
                       \"verdict\": {\"kind\": \"timeout\"}, \
@@ -1339,12 +1272,6 @@ mod tests {
                        \"wall\": {\"secs\": 1, \"nanos\": 0}, \"seed\": 7, \"lanes\": 64}}";
         let report = Report::from_json(legacy).unwrap();
         assert_eq!(report.fuzz.as_ref().unwrap().trials, 640);
-        assert_eq!(report.fuzz.as_ref().unwrap().corpus_trials, 0);
-        assert_eq!(report.fuzz.as_ref().unwrap().random_trials, 0);
-        assert!(
-            report.coverage.is_none(),
-            "documents without a coverage block must parse leniently"
-        );
         // The round trip is stable from the new serialization onwards,
         // and a campaign diff against the reparsed report is clean.
         let reserialized = report.to_json();
@@ -1362,60 +1289,61 @@ mod tests {
         assert!(before.diff(&after).is_clean());
     }
 
-    /// A document written while the exchange bus existed: an `exchange`
-    /// array with the full per-lane counter set, and a coverage block
-    /// with the bus-fed `obligations_exported`/`stimuli_rejected`
-    /// counters. It parses, and re-serialises without any of them.
+    /// Documents written while the exchange bus and coverage-guided
+    /// fuzzing existed: an `exchange` array with the full per-lane
+    /// counter set, a `coverage` block (once with the bus-fed counters,
+    /// once with counters a hand edit turned into strings), and a fuzz
+    /// block that splits its trials into corpus mutants and random
+    /// draws. They parse, and re-serialise without any of them; the fuzz
+    /// block keeps its remaining counters.
     #[test]
     fn retired_exchange_and_coverage_counters_parse_and_are_dropped() {
-        let old = "{\"schema\": \"csl-report-v1\", \"scheme\": \"ContractShadowLogic\", \
-                   \"design\": \"SimpleOoO\", \"contract\": \"sandboxing\", \
-                   \"verdict\": {\"kind\": \"timeout\"}, \
-                   \"elapsed\": {\"secs\": 5, \"nanos\": 0}, \
-                   \"exchange\": [{\"lane\": \"bmc\", \"imports\": 2, \"exports\": 17, \
-                   \"obligations\": 0, \"policy_len\": 8, \"policy_lbd\": 4, \"adaptive\": false}, \
-                   {\"lane\": \"pdr\", \"imports\": 9, \"exports\": 1, \"obligations\": 3, \
-                   \"policy_len\": 8, \"policy_lbd\": 4, \"adaptive\": false}], \
-                   \"notes\": [\"pdr [5.00s]: timeout/canceled (imports 9, exports 1)\"], \
-                   \"prepare\": [], \
-                   \"coverage\": {\"latches_toggled\": 141, \"latches_total\": 200, \
-                   \"signatures\": 57, \"new_coverage_trials\": 61, \"corpus_size\": 48, \
-                   \"obligations_exported\": 9, \"stimuli_rejected\": 17}}";
-        let report = Report::from_json(old).unwrap();
-        assert_eq!(report.verdict, Verdict::Timeout);
-        assert_eq!(
-            report.coverage,
-            Some(CoverageStats {
-                latches_toggled: 141,
-                latches_total: 200,
-                signatures: 57,
-                new_coverage_trials: 61,
-                corpus_size: 48,
-            })
-        );
-        let text = report.to_json();
-        for retired in ["exchange", "obligations", "stimuli_rejected", "policy_len"] {
-            assert!(!text.contains(retired), "{retired} in {text}");
+        let fuzz = "\"fuzz\": {\"trials\": 832, \"corpus_trials\": 512, \"random_trials\": 320, \
+                    \"sim_cycles\": 19968, \"wall\": {\"secs\": 0, \"nanos\": 413000000}, \
+                    \"leak_cycle\": 11, \"seed\": 61525, \"lanes\": 64}";
+        let coverage_blocks = [
+            "\"coverage\": {\"latches_toggled\": 141, \"latches_total\": 200, \
+             \"signatures\": 57, \"new_coverage_trials\": 61, \"corpus_size\": 48, \
+             \"obligations_exported\": 9, \"stimuli_rejected\": 17}",
+            "\"coverage\": {\"latches_toggled\": \"141\", \"latches_total\": \"200\", \
+             \"signatures\": \"57\", \"new_coverage_trials\": \"61\", \"corpus_size\": \"48\"}",
+        ];
+        for coverage in coverage_blocks {
+            let old = format!(
+                "{{\"schema\": \"csl-report-v1\", \"scheme\": \"ContractShadowLogic\", \
+                 \"design\": \"SimpleOoO\", \"contract\": \"sandboxing\", \
+                 \"verdict\": {{\"kind\": \"timeout\"}}, \
+                 \"elapsed\": {{\"secs\": 5, \"nanos\": 0}}, \
+                 \"exchange\": [{{\"lane\": \"bmc\", \"imports\": 2, \"exports\": 17, \
+                 \"obligations\": 0, \"policy_len\": 8, \"policy_lbd\": 4, \"adaptive\": false}}, \
+                 {{\"lane\": \"pdr\", \"imports\": 9, \"exports\": 1, \"obligations\": 3, \
+                 \"policy_len\": 8, \"policy_lbd\": 4, \"adaptive\": false}}], \
+                 \"notes\": [\"pdr [5.00s]: timeout/canceled (imports 9, exports 1)\"], \
+                 \"prepare\": [], {fuzz}, {coverage}}}"
+            );
+            let report = Report::from_json(&old).unwrap();
+            assert_eq!(report.verdict, Verdict::Timeout);
+            assert_eq!(report.fuzz, sample_reports()[0].fuzz);
+            let text = report.to_json();
+            for retired in [
+                "exchange",
+                "obligations",
+                "stimuli_rejected",
+                "policy_len",
+                "coverage",
+                "corpus",
+                "random_trials",
+            ] {
+                assert!(!text.contains(retired), "{retired} in {text}");
+            }
+            assert_eq!(Report::from_json(&text).unwrap(), report);
+            let campaign = format!(
+                "{{\"schema\": \"csl-campaign-v1\", \"wall\": {{\"secs\": 5, \"nanos\": 0}}, \
+                 \"reports\": [{old}]}}"
+            );
+            let parsed = CampaignReport::from_json(&campaign).unwrap();
+            assert_eq!(parsed.reports, vec![report]);
         }
-        assert_eq!(Report::from_json(&text).unwrap(), report);
-        let campaign = format!(
-            "{{\"schema\": \"csl-campaign-v1\", \"wall\": {{\"secs\": 5, \"nanos\": 0}}, \
-             \"reports\": [{old}]}}"
-        );
-        let parsed = CampaignReport::from_json(&campaign).unwrap();
-        assert_eq!(parsed.reports, vec![report]);
-    }
-
-    #[test]
-    fn coverage_block_stays_absent_for_blind_campaigns() {
-        let mut r = sample_reports()[0].clone();
-        r.coverage = None;
-        let text = r.to_json();
-        assert!(
-            !text.contains("coverage"),
-            "blind-campaign reports must not write the block"
-        );
-        assert!(Report::from_json(&text).unwrap().coverage.is_none());
     }
 
     #[test]
@@ -1425,8 +1353,6 @@ mod tests {
         let mut r = sample_reports()[1].clone();
         r.fuzz = Some(FuzzStats {
             trials: 2000,
-            corpus_trials: 0,
-            random_trials: 2000,
             sim_cycles: 48_000,
             wall: Duration::from_secs(2),
             leak_cycle: None,

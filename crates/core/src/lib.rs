@@ -20,9 +20,8 @@
 //!   contrast class): a [`FuzzPlan`] runs on the 64-way bit-parallel
 //!   simulator, races the solver lanes through [`FuzzBackend`] (a
 //!   `csl_mc::Backend`), and reports findings as replayable
-//!   counterexample traces; with `FuzzPlan::coverage(true)` the
-//!   campaign is coverage-guided (see `csl_cover`): latch-toggle
-//!   coverage drives a mutation corpus,
+//!   counterexample traces; every trial is drawn blind from the seeded
+//!   stimulus stream,
 //! * [`campaign`] — the scheme × design × contract matrix evaluated on a
 //!   worker pool with per-cell budgets and a deterministic result table
 //!   (the Table-2 reproduction engine),

@@ -43,6 +43,6 @@ pub use config::IsaConfig;
 pub use inst::{decode, encode, mnemonic, opcode, Inst};
 pub use interp::{resolve_load, transient_load_word, ArchState, Exception, StepInfo};
 pub use progen::{
-    mutate_stimulus, random_dmem, random_imem, random_inst, random_program, random_stimulus,
-    random_stimulus_batch, Mutation, OpMix, StimulusPair,
+    random_dmem, random_imem, random_inst, random_program, random_stimulus, random_stimulus_batch,
+    OpMix, StimulusPair,
 };

@@ -162,86 +162,6 @@ pub fn random_stimulus(
     }
 }
 
-/// Which corpus mutation [`mutate_stimulus`] applied — returned so
-/// campaigns can account for mutator effectiveness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mutation {
-    /// A contiguous instruction range copied from a donor program.
-    Splice,
-    /// One bit flipped in an instruction word or a secret word.
-    Flip,
-    /// One instruction repeated over the following slots, stretching
-    /// the window a mispredicted branch or delayed load keeps open.
-    Stretch,
-}
-
-/// Derives a new trial from a corpus entry (Revizor-style mutation
-/// rather than fresh random generation). `base` supplies the starting
-/// stimulus, `donor` the foreign material for splicing — both normally
-/// come from the corpus. Exactly one mutation is applied per call, and
-/// the RNG draw count depends only on the drawn mutation kind, so a
-/// fixed seed reproduces the identical mutant stream.
-///
-/// Invariants preserved: instruction words stay within
-/// [`IsaConfig::inst_bits`], data words within [`IsaConfig::xmask`],
-/// and the two secrets always differ somewhere.
-pub fn mutate_stimulus(
-    cfg: &IsaConfig,
-    rng: &mut impl Rng,
-    base: &StimulusPair,
-    donor: &StimulusPair,
-) -> (StimulusPair, Mutation) {
-    let mut out = base.clone();
-    let kind = match rng.gen_range(0..3u32) {
-        0 => {
-            // Splice: copy a contiguous imem range from the donor.
-            let start = rng.gen_range(0..cfg.imem_size);
-            let len = rng.gen_range(1..=cfg.imem_size - start);
-            out.imem[start..start + len].copy_from_slice(&donor.imem[start..start + len]);
-            Mutation::Splice
-        }
-        1 => {
-            // Flip one bit of an instruction word (operand/opcode) or
-            // of a secret word.
-            match rng.gen_range(0..3u32) {
-                0 => {
-                    let w = rng.gen_range(0..cfg.imem_size);
-                    let b = rng.gen_range(0..cfg.inst_bits());
-                    out.imem[w] ^= 1 << b;
-                }
-                1 => {
-                    let w = rng.gen_range(0..out.secret_a.len());
-                    let b = rng.gen_range(0..cfg.xlen);
-                    out.secret_a[w] ^= 1 << b;
-                }
-                _ => {
-                    let w = rng.gen_range(0..out.secret_b.len());
-                    let b = rng.gen_range(0..cfg.xlen);
-                    out.secret_b[w] ^= 1 << b;
-                }
-            }
-            Mutation::Flip
-        }
-        _ => {
-            // Stretch: repeat one instruction over the following slots,
-            // widening the speculation window it opens.
-            let at = rng.gen_range(0..cfg.imem_size);
-            let reps = rng.gen_range(1..=(cfg.imem_size - at).max(1));
-            let word = out.imem[at];
-            for slot in out.imem[at..(at + reps).min(cfg.imem_size)].iter_mut() {
-                *slot = word;
-            }
-            Mutation::Stretch
-        }
-    };
-    if out.secret_a == out.secret_b {
-        // A flip can re-converge the secrets; restore the threat
-        // model's "differ in at least one location".
-        out.secret_b[0] ^= 1;
-    }
-    (out, kind)
-}
-
 /// Draws `n` fuzzing trials, alternating structured and raw programs
 /// (even index structured, odd raw — the mix the scalar fuzzer has
 /// always used). Consuming trial `i` of the batch advances the RNG
@@ -334,49 +254,6 @@ mod tests {
             {
                 assert!(v <= cfg.xmask());
             }
-        }
-    }
-
-    #[test]
-    fn mutants_preserve_stimulus_invariants() {
-        let cfg = IsaConfig::default();
-        let mix = OpMix::default();
-        let mut rng = StdRng::seed_from_u64(77);
-        let base = random_stimulus(&cfg, &mix, &mut rng, false);
-        let donor = random_stimulus(&cfg, &mix, &mut rng, true);
-        let mut seen = [false; 3];
-        for _ in 0..200 {
-            let (m, kind) = mutate_stimulus(&cfg, &mut rng, &base, &donor);
-            seen[match kind {
-                Mutation::Splice => 0,
-                Mutation::Flip => 1,
-                Mutation::Stretch => 2,
-            }] = true;
-            assert_eq!(m.imem.len(), cfg.imem_size);
-            assert_ne!(m.secret_a, m.secret_b, "mutant secrets converged");
-            for &w in &m.imem {
-                assert!(w < (1 << cfg.inst_bits()), "imem word out of width");
-            }
-            for &v in m.public.iter().chain(&m.secret_a).chain(&m.secret_b) {
-                assert!(v <= cfg.xmask(), "data word out of width");
-            }
-        }
-        assert_eq!(seen, [true; 3], "all three mutators must be reachable");
-    }
-
-    #[test]
-    fn mutant_stream_is_seed_deterministic() {
-        let cfg = IsaConfig::default();
-        let mix = OpMix::default();
-        let mut setup = StdRng::seed_from_u64(78);
-        let base = random_stimulus(&cfg, &mix, &mut setup, false);
-        let donor = random_stimulus(&cfg, &mix, &mut setup, false);
-        let mut a = StdRng::seed_from_u64(79);
-        let mut b = StdRng::seed_from_u64(79);
-        for i in 0..50 {
-            let ma = mutate_stimulus(&cfg, &mut a, &base, &donor);
-            let mb = mutate_stimulus(&cfg, &mut b, &base, &donor);
-            assert_eq!(ma, mb, "mutant {i} diverged under the same seed");
         }
     }
 

@@ -147,11 +147,6 @@ impl std::fmt::Display for InconclusiveReason {
 pub struct FuzzStats {
     /// Program/secret pairs simulated (including the leaking one).
     pub trials: usize,
-    /// Of `trials`, how many were corpus-sourced mutants (coverage-guided
-    /// mode; zero for the blind fuzzer).
-    pub corpus_trials: usize,
-    /// Of `trials`, how many were drawn fresh from the random generator.
-    pub random_trials: usize,
     /// Total trial-cycles simulated: each simulated cycle of each lane
     /// counts once, so scalar and batched runs are directly comparable.
     pub sim_cycles: u64,
@@ -176,24 +171,6 @@ impl FuzzStats {
         }
         self.trials as f64 / secs
     }
-}
-
-/// Coverage accounting from a coverage-guided fuzzing lane (see the
-/// `csl_cover` crate), surfaced in [`CheckReport::coverage`] and — one
-/// layer up — as the lenient `coverage` block of the session report
-/// JSON. All plain counters, so the block is cheap to persist and diff.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CoverageStats {
-    /// Distinct latches observed toggling at least once.
-    pub latches_toggled: usize,
-    /// Latches the coverage map tracks (the simulated netlist's total).
-    pub latches_total: usize,
-    /// Distinct per-trial coverage signatures (stable-hash dedup keys).
-    pub signatures: usize,
-    /// Trials that reached coverage no earlier trial had reached.
-    pub new_coverage_trials: usize,
-    /// Corpus entries at the end of the campaign.
-    pub corpus_size: usize,
 }
 
 /// The paper's verification outcomes (§5.3 "Model Checking with Contract
@@ -353,9 +330,6 @@ pub struct CheckReport {
     /// Fuzzing-lane campaign statistics (`None` when no fuzzing lane
     /// ran — the default).
     pub fuzz: Option<FuzzStats>,
-    /// Coverage accounting from a coverage-guided fuzzing lane (`None`
-    /// unless a fuzz lane ran with coverage tracking on).
-    pub coverage: Option<CoverageStats>,
     /// Per-lane solver activity, in pipeline order (empty when no SAT
     /// lane reported — e.g. a fuzz-only check). Several runs of one lane
     /// (sequential stages, a portfolio Houdini lane's nested tail) sum
@@ -579,7 +553,6 @@ pub(crate) fn drive(
         )],
         prepare: Vec::new(),
         fuzz: None,
-        coverage: None,
         solver: Vec::new(),
         certificate: None,
     };
@@ -736,9 +709,6 @@ fn record(report: &mut CheckReport, lane: &mut LaneResult, replay_failed: bool, 
     }
     if report.fuzz.is_none() {
         report.fuzz = lane.run.fuzz.take();
-    }
-    if report.coverage.is_none() {
-        report.coverage = lane.run.coverage;
     }
 }
 

@@ -68,7 +68,7 @@ pub mod unroll;
 pub use bmc::{bmc, BmcResult, BmcSession};
 pub use cert::{CertKind, Certificate};
 pub use engine::{
-    check_safety, check_schedule, CheckOptions, CheckReport, CoverageStats, ExecMode, FuzzStats,
+    check_safety, check_schedule, CheckOptions, CheckReport, ExecMode, FuzzStats,
     InconclusiveReason, ProofEngine, SafetyCheck, Schedule, Step, Undecided, Verdict,
 };
 pub use houdini::{houdini, houdini_with_stats, Candidate, HoudiniOutcome, HoudiniResult};

@@ -3,7 +3,7 @@
 //! A lane is a [`Backend`]: a named engine that checks a transition
 //! system under a cancellable [`Budget`] and returns a [`LaneRun`] — its
 //! [`EngineOutcome`] plus whatever counters it keeps (solver activity,
-//! fuzzing campaign, coverage). The built-in lanes are the paper's
+//! fuzzing campaign). The built-in lanes are the paper's
 //! engines: [`BmcBackend`] (attack finding, their `Ht`),
 //! [`KindBackend`] and [`PdrBackend`] (unbounded proofs, their
 //! `Mp`/`AM`) and [`HoudiniBackend`] (relational invariants, LEAVE's
@@ -38,8 +38,7 @@ use csl_sat::{Budget, SolverStats};
 use crate::bmc::{BmcResult, BmcSession};
 use crate::cert::{CertKind, Certificate};
 use crate::engine::{
-    drive, CheckOptions, CoverageStats, FuzzStats, InconclusiveReason, ProofEngine, SafetyCheck,
-    Schedule, Verdict,
+    drive, CheckOptions, FuzzStats, InconclusiveReason, ProofEngine, SafetyCheck, Schedule, Verdict,
 };
 use crate::houdini::{houdini_with_stats, Candidate, HoudiniResult};
 use crate::kind::{KindResult, KindSession};
@@ -86,8 +85,6 @@ pub struct LaneRun {
     pub solver: Option<LaneSolverStats>,
     /// Campaign statistics (fuzzing lanes).
     pub fuzz: Option<FuzzStats>,
-    /// Coverage accounting (coverage-guided fuzzing lanes).
-    pub coverage: Option<CoverageStats>,
 }
 
 impl From<EngineOutcome> for LaneRun {
@@ -97,7 +94,6 @@ impl From<EngineOutcome> for LaneRun {
             outcome,
             solver: None,
             fuzz: None,
-            coverage: None,
         }
     }
 }

@@ -291,7 +291,6 @@ pub fn undecided_report(
         notes,
         prepare: Vec::new(),
         fuzz: None,
-        coverage: None,
         solver: Vec::new(),
         certificate: None,
     }

@@ -2,8 +2,9 @@
 //! truncation and a seeded set of single-ASCII-byte substitutions of a
 //! small campaign document (attack trace, proof certificate, non-ASCII
 //! note text) are fed to `CampaignReport::from_json`, and the same
-//! mutations of a journal holding its reports to `Journal::load`. Each
-//! call must return a value or a typed error.
+//! mutations of a journal holding its reports to `Journal::load`; the
+//! same treatment of a wire-protocol `submit` line goes to
+//! `Request::parse`. Each call must return a value or a typed error.
 
 use std::time::Duration;
 
@@ -12,7 +13,7 @@ use csl_core::api::{CampaignReport, FuzzStats, Report};
 use csl_core::{DesignKind, Scheme};
 use csl_cpu::Defense;
 use csl_mc::{CertKind, Certificate, Lane, LaneSolverStats, ProofEngine, Trace, Verdict};
-use csl_serve::Journal;
+use csl_serve::{CellSpec, Journal, Request, ServeOptions};
 
 fn campaign() -> CampaignReport {
     let trace = Trace {
@@ -44,15 +45,12 @@ fn campaign() -> CampaignReport {
         prepare: Vec::new(),
         fuzz: Some(FuzzStats {
             trials: 64,
-            corpus_trials: 0,
-            random_trials: 64,
             sim_cycles: 1_280,
             wall: Duration::from_millis(3),
             leak_cycle: Some(9),
             seed: 7,
             lanes: 64,
         }),
-        coverage: None,
         solver: vec![solver],
         certificate: None,
     };
@@ -65,7 +63,6 @@ fn campaign() -> CampaignReport {
         notes: vec!["houdini [0.25s]: proof — 2/2 candidates survive".into()],
         prepare: Vec::new(),
         fuzz: None,
-        coverage: None,
         solver: Vec::new(),
         certificate: Some(Certificate {
             restored: vec![(7, false)],
@@ -155,4 +152,48 @@ fn journal_loading_survives_truncations_and_substitutions() {
         let _ = journal.load();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn submit_parsing_survives_truncations_and_substitutions() {
+    // Cells carry no free text, so the multi-byte text rides in the job
+    // id; the cells exercise the fault-injection keys and the options
+    // object every knob off its default.
+    let request = Request::Submit {
+        id: "größe δ=3 — 日本 \"quoted\"\\".into(),
+        cells: vec![
+            CellSpec {
+                poison: true,
+                delay_ms: 25,
+                ..CellSpec::new(
+                    Scheme::Shadow,
+                    DesignKind::SimpleOoo(Defense::None),
+                    Contract::Sandboxing,
+                )
+            },
+            CellSpec::new(
+                Scheme::Leave,
+                DesignKind::SingleCycle,
+                Contract::ConstantTime,
+            ),
+        ],
+        options: Box::new(ServeOptions {
+            budget: Duration::from_secs(7),
+            bmc_depth: 6,
+            attack_only: true,
+            portfolio: true,
+            prepare: false,
+            certify: false,
+        }),
+    };
+    let line = request.to_line();
+    assert_eq!(Request::parse(&line).unwrap(), request);
+    assert!(!line.is_ascii(), "the line must carry multi-byte text");
+    // A strict prefix of the object is never a whole request.
+    for cut in truncations(&line) {
+        assert!(Request::parse(cut).is_err(), "{cut:?}");
+    }
+    for mutated in substitutions(&line, 0x5ab_3147, 2000) {
+        let _ = Request::parse(&mutated);
+    }
 }

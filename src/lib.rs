@@ -14,7 +14,6 @@
 //! | [`sat`] | `csl-sat` | CDCL SAT solver (the decision procedure) |
 //! | [`hdl`] | `csl-hdl` | word-level hardware DSL over an AIG netlist |
 //! | [`mc`]  | `csl-mc`  | BMC / k-induction / Houdini / PDR engines |
-//! | [`cover`] | `csl-cover` | coverage-guided fuzzing: toggle maps, mutation corpus |
 //! | [`isa`] | `csl-isa` | MiniISA: encoding, assembler, interpreter |
 //! | [`contracts`] | `csl-contracts` | sandboxing & constant-time contracts |
 //! | [`cpu`] | `csl-cpu` | in-order, SimpleOoO (+5 defences), superscalar, BigOoO |
@@ -50,7 +49,6 @@
 pub use csl_certify as certify;
 pub use csl_contracts as contracts;
 pub use csl_core as core;
-pub use csl_cover as cover;
 pub use csl_cpu as cpu;
 pub use csl_hdl as hdl;
 pub use csl_isa as isa;
@@ -65,8 +63,8 @@ pub mod prelude {
     pub use csl_certify::{check_certificate, check_witness, Rejection, Witness};
     pub use csl_contracts::{Contract, ObsAtom, ObsSet};
     pub use csl_core::api::{
-        Budget, CampaignDiff, CampaignReport, CoverageStats, FuzzPlan, FuzzStats, Lane, LaneBudget,
-        Matrix, Mode, PrepareConfig, PreparedInstance, Query, Report, ReportCache, Verifier,
+        Budget, CampaignDiff, CampaignReport, FuzzPlan, FuzzStats, Lane, LaneBudget, Matrix, Mode,
+        PrepareConfig, PreparedInstance, Query, Report, ReportCache, Verifier,
     };
     pub use csl_core::{
         matrix, CampaignCell, DesignKind, ExcludeRule, InstanceConfig, Scheme, ShadowOptions,
