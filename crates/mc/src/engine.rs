@@ -986,6 +986,40 @@ mod tests {
         assert!(cert.survivors.is_empty());
     }
 
+    /// LEAVE's schedule on a design whose reachable bad state has no
+    /// assume-satisfying successor — `r` rises after reset and `q`
+    /// follows it one cycle behind under `assume(!q)` — must not report a
+    /// proof: Houdini's safety check, like the certificate checker's,
+    /// assumes nothing at frame 1.
+    #[test]
+    fn leave_schedule_sees_a_bad_state_whose_successors_violate_an_assume() {
+        let mut d = Design::new("t");
+        let r = d.reg("r", 1, Init::Zero);
+        let q = d.reg("q", 1, Init::Zero);
+        let one = d.lit(1, 1);
+        d.set_next(&r, one);
+        d.set_next(&q, r.q());
+        d.assume(q.q().bit(0).not());
+        d.assert_always("r_low", r.q().bit(0).not());
+        let task = SafetyCheck {
+            aig: d.finish(),
+            candidates: vec![],
+        };
+        let leave =
+            Schedule::new(Undecided::InvariantsInsufficient).stage([Step::Houdini { tail: false }]);
+        let report = check_schedule(&task, &CheckOptions::default(), &leave);
+        assert_eq!(
+            report.verdict,
+            Verdict::Unknown {
+                reason: InconclusiveReason::InvariantsInsufficient { survivors: 0 }
+            },
+            "{:?}",
+            report.notes
+        );
+        let report = check_safety(&task, &CheckOptions::default());
+        assert!(report.verdict.is_attack(), "{:?}", report.notes);
+    }
+
     /// The portfolio prefers an attack over a proof when both lanes report
     /// (can happen when a canceled-but-decided proof lane drains late).
     #[test]

@@ -26,6 +26,14 @@
 //! what it feeds forward) and shares the logic two machine copies
 //! compute identically from them. Free-initialised sessions have no
 //! frame-0 constants, so they still depend on the sweep.
+//!
+//! A free-initialised session may instead start from *aliased* latches
+//! (`Unroller::with_aliases`): each class of latch outputs equated by
+//! the caller shares one frame-0 literal, which is exactly assuming the
+//! equalities at frame 0. The gate table then merges the logic the
+//! equated latches feed identically, so the two copies' next-state
+//! functions encode once wherever their inputs agree. Houdini's first
+//! consecution round runs on such a session.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -70,6 +78,22 @@ pub struct Unroller {
 
 impl Unroller {
     pub fn new(ts: &Arc<TransitionSystem>, init_mode: InitMode) -> Unroller {
+        Unroller::build(ts, init_mode, &[])
+    }
+
+    /// A free-initialised session in which the two latch outputs of each
+    /// pair in `aliases` — and so each class of outputs the pairs chain
+    /// together — share one frame-0 literal: every frame-0 state
+    /// satisfies the equalities by construction, as if each were assumed.
+    /// Latches outside the cone of influence are aliased too.
+    ///
+    /// # Panics
+    /// Panics if a pair member is not an uncomplemented latch output.
+    pub(crate) fn with_aliases(ts: &Arc<TransitionSystem>, aliases: &[(Bit, Bit)]) -> Unroller {
+        Unroller::build(ts, InitMode::Free, aliases)
+    }
+
+    fn build(ts: &Arc<TransitionSystem>, init_mode: InitMode, aliases: &[(Bit, Bit)]) -> Unroller {
         let mut solver = Solver::new();
         let const_true = solver.new_var().positive();
         solver.add_clause(&[const_true]);
@@ -86,7 +110,7 @@ impl Unroller {
             init_mode,
             const_true,
         };
-        u.push_frame0();
+        u.push_frame0(aliases);
         u
     }
 
@@ -171,15 +195,43 @@ impl Unroller {
         v
     }
 
-    fn push_frame0(&mut self) {
+    /// Encodes frame 0's latches: the active ones, plus every aliased one
+    /// (see [`Unroller::with_aliases`]), in latch order. The members of an
+    /// alias class share the literal first created for any of them.
+    fn push_frame0(&mut self, aliases: &[(Bit, Bit)]) {
         let ts = Arc::clone(&self.ts);
+        // Union-find over latch nodes; a class's root is its lowest node.
+        let mut parent: HashMap<u32, u32> = HashMap::new();
+        let root = |parent: &HashMap<u32, u32>, mut n: u32| {
+            while let Some(&p) = parent.get(&n) {
+                n = p;
+            }
+            n
+        };
+        for &(a, b) in aliases {
+            for x in [a, b] {
+                assert!(
+                    !x.is_complemented() && matches!(ts.aig().node(x), Node::Latch(_)),
+                    "alias {x:?} is not a latch output"
+                );
+            }
+            let (ra, rb) = (root(&parent, a.node()), root(&parent, b.node()));
+            if ra != rb {
+                parent.insert(ra.max(rb), ra.min(rb));
+            }
+        }
         let mut map = self.fresh_map();
-        for &li in ts.active_latches() {
-            let node = ts.aig().latches()[li as usize].output.node();
-            let l = match self.reset_const(li) {
-                Some(c) => c,
-                None => self.solver.new_var().positive(),
+        for (li, latch) in ts.aig().latches().iter().enumerate() {
+            let node = latch.output.node();
+            let r = root(&parent, node);
+            if r == node && !ts.in_coi(latch.output) {
+                continue;
+            }
+            let l = match (map[r as usize], self.reset_const(li as u32)) {
+                (Some(l), _) | (None, Some(l)) => l,
+                (None, None) => self.solver.new_var().positive(),
             };
+            map[r as usize] = Some(l);
             map[node as usize] = Some(l);
         }
         self.frame_lits.push(map);

@@ -1,6 +1,7 @@
 //! Test support shared by the encoder and invariant tests: a random design
-//! generator and a naive reference encoder to check the production
-//! [`csl_mc::Unroller`] against.
+//! generator, a naive reference encoder to check the production
+//! [`csl_mc::Unroller`] against, and a reference Houdini over it to check
+//! [`csl_mc::houdini`] against.
 
 #![allow(dead_code)]
 
@@ -10,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use csl_hdl::{Aig, Bit, Design, Init, Node, Reg};
-use csl_mc::{InitMode, TransitionSystem};
+use csl_mc::{Candidate, InitMode, TransitionSystem};
 use csl_sat::{Lit, SolveResult, Solver};
 
 /// A random small sequential design with enough structure to make the
@@ -177,6 +178,88 @@ impl NaiveUnroller {
 
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.solver.solve_with(assumptions)
+    }
+}
+
+/// What [`reference_houdini`] computes.
+#[derive(Debug)]
+pub struct ReferenceHoudini {
+    /// Candidates that hold in every constrained initial state.
+    pub initiated: Vec<usize>,
+    /// The greatest inductive subset of `initiated`.
+    pub survivors: Vec<usize>,
+    /// Whether no state satisfying the survivors and the assumes fires a
+    /// bad bit.
+    pub proves_safety: bool,
+}
+
+/// The reference Houdini: the plain fixpoint over [`NaiveUnroller`], with
+/// none of the production filter's shortcuts. Every consecution round
+/// builds a fresh instance and assumes each survivor's frame-0 literal —
+/// no aliasing, no incremental reuse — and the safety check asserts the
+/// assumes at frame 0 only.
+pub fn reference_houdini(ts: &Arc<TransitionSystem>, candidates: &[Candidate]) -> ReferenceHoudini {
+    let mut init = NaiveUnroller::new(ts, InitMode::Reset);
+    init.assert_assumes_through(0);
+    let initiated: Vec<usize> = (0..candidates.len())
+        .filter(|&i| {
+            let l = init.lit_of(candidates[i].bit, 0);
+            init.solve_with(&[!l]) == SolveResult::Unsat
+        })
+        .collect();
+
+    let mut survivors = initiated.clone();
+    loop {
+        let mut u = NaiveUnroller::new(ts, InitMode::Free);
+        u.assert_assumes_through(1);
+        let mut assumptions: Vec<Lit> = survivors
+            .iter()
+            .map(|&i| u.lit_of(candidates[i].bit, 0))
+            .collect();
+        let next: Vec<Lit> = survivors
+            .iter()
+            .map(|&i| u.lit_of(candidates[i].bit, 1))
+            .collect();
+        // y -> (some survivor is false at frame 1)
+        let y = u.solver.new_var().positive();
+        let clause: Vec<Lit> = std::iter::once(!y)
+            .chain(next.iter().map(|&l| !l))
+            .collect();
+        u.solver.add_clause(&clause);
+        assumptions.push(y);
+        match u.solve_with(&assumptions) {
+            SolveResult::Unsat => break,
+            SolveResult::Sat => {
+                survivors = survivors
+                    .iter()
+                    .zip(&next)
+                    .filter(|&(_, &l)| u.solver.value(l) != Some(false))
+                    .map(|(&i, _)| i)
+                    .collect();
+            }
+            SolveResult::Canceled => unreachable!("no budget is set"),
+        }
+    }
+
+    let mut u = NaiveUnroller::new(ts, InitMode::Free);
+    u.assert_assumes_through(0);
+    let mut assumptions: Vec<Lit> = survivors
+        .iter()
+        .map(|&i| u.lit_of(candidates[i].bit, 0))
+        .collect();
+    // bad -> (some bad bit fires at frame 0)
+    let bad = u.solver.new_var().positive();
+    let bads: Vec<Bit> = ts.aig().bads().iter().map(|b| b.bit).collect();
+    let clause: Vec<Lit> = std::iter::once(!bad)
+        .chain(bads.into_iter().map(|b| u.lit_of(b, 0)))
+        .collect();
+    u.solver.add_clause(&clause);
+    assumptions.push(bad);
+    let proves_safety = u.solve_with(&assumptions) == SolveResult::Unsat;
+    ReferenceHoudini {
+        initiated,
+        survivors,
+        proves_safety,
     }
 }
 
