@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the substrate layers: SAT solving,
-//! netlist construction, simulation throughput, and BMC frame encoding.
+//! netlist construction and preparation, simulation throughput, and BMC
+//! frame encoding.
 //! These track the performance of the infrastructure the experiment
 //! harnesses sit on.
 
@@ -9,7 +10,7 @@ use csl_core::api::Verifier;
 use csl_core::{DesignKind, Scheme};
 use csl_cpu::{build_standalone, CoreKind, CpuConfig, Defense};
 use csl_isa::progen;
-use csl_mc::{InitMode, Sim, TransitionSystem, Unroller};
+use csl_mc::{prepare, InitMode, Sim, TransitionSystem, Unroller};
 use csl_sat::{Lit, SolveResult, Solver, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,6 +54,16 @@ fn bench_netlist_build(c: &mut Criterion) {
             // perfbench's `prepare` layer, not this substrate benchmark's.
             let task = query.raw_instance();
             assert!(task.aig.num_ands() > 1000);
+        })
+    });
+    c.bench_function("mc/prepare_shadow_instance", |b| {
+        let query = shadow_query();
+        let raw = query.raw_instance();
+        let opts = query.options();
+        b.iter(|| {
+            // The four reduction passes alone, on a prebuilt raw instance.
+            let prepared = prepare(&raw, &opts.prepare, opts.keep_probes);
+            assert!(prepared.aig().num_ands() < raw.aig.num_ands());
         })
     });
 }

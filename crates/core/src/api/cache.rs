@@ -507,6 +507,63 @@ mod tests {
         }
     }
 
+    /// The raw and prepared netlists of four benchmark cells, and their
+    /// cache keys, are pinned: tuning hash-consing or the preparation
+    /// rebuilds must not renumber a node, and result caches already on
+    /// disk must stay valid.
+    #[test]
+    fn netlists_and_cache_keys_are_pinned() {
+        use crate::api::Verifier;
+        use crate::{DesignKind, Scheme};
+        use csl_contracts::Contract;
+        use csl_cpu::Defense;
+
+        for (scheme, design, raw, prepared, key) in [
+            (
+                Scheme::Shadow,
+                DesignKind::SimpleOoo(Defense::None),
+                0x7342_31fb_2dd5_ff37_u64,
+                0x6e5e_7b46_3cfd_015f_u64,
+                0xcd7c_d2e5_6cac_ae3b_u64,
+            ),
+            (
+                Scheme::Shadow,
+                DesignKind::BigOoo,
+                0x23af_908e_5309_6434,
+                0xbe45_8c3c_0833_0bf3,
+                0x0d43_2bb3_1ed4_a19b,
+            ),
+            (
+                Scheme::Leave,
+                DesignKind::SimpleOoo(Defense::DelaySpectre),
+                0x9867_0790_28df_2b27,
+                0xac23_60a6_05f9_e3a5,
+                0xdef8_c899_5bb4_b5df,
+            ),
+            (
+                Scheme::Shadow,
+                DesignKind::SingleCycle,
+                0x35f3_b4ac_4bce_5df6,
+                0xe165_7c21_f757_0680,
+                0xafbc_077a_5456_ab85,
+            ),
+        ] {
+            let query = Verifier::new()
+                .design(design)
+                .contract(Contract::Sandboxing)
+                .scheme(scheme)
+                .query()
+                .expect("design and contract are set");
+            let cell = format!("{}/{}", scheme.name(), design.name());
+            let got = (
+                netlist_fingerprint(&query.raw_instance().aig),
+                netlist_fingerprint(query.instance().aig()),
+                query.cache_key(),
+            );
+            assert_eq!(got, (raw, prepared, key), "{cell}: {got:#018x?}");
+        }
+    }
+
     #[test]
     fn cache_stores_only_decided_reports() {
         use csl_contracts::Contract;

@@ -54,7 +54,7 @@ use crate::campaign::{matrix, run_cells, CampaignCell};
 use crate::fuzz::fuzz_lane;
 use crate::harness::{DesignKind, ExcludeRule, InstanceConfig};
 use crate::shadow::ShadowOptions;
-use crate::verify::{instance_for, run_scheme, Scheme};
+use crate::verify::{instance_for, run_instance, Scheme};
 
 pub use crate::fuzz::FuzzPlan;
 pub use cache::{may_store, CacheStats, ReportCache};
@@ -464,7 +464,12 @@ impl Query {
 
     /// Runs the scheme to a verdict.
     pub fn run(&self) -> Report {
-        let check = run_scheme(self.scheme, &self.cfg, &self.opts);
+        self.run_on(&self.raw_instance())
+    }
+
+    /// [`Query::run`] on this query's raw instance, already built.
+    fn run_on(&self, task: &SafetyCheck) -> Report {
+        let check = run_instance(self.scheme, task, &self.opts);
         Report::from_check(self.scheme, self.design, self.contract, check)
     }
 
@@ -497,12 +502,17 @@ impl Query {
     /// reduced instance — and building it costs netlist-construction
     /// time, trivial next to any solving the key would spare.
     pub fn cache_key(&self) -> u64 {
+        self.key_of(&self.raw_instance())
+    }
+
+    /// [`Query::cache_key`] of this query's raw instance, already built.
+    fn key_of(&self, task: &SafetyCheck) -> u64 {
         let mut h = cache::Fingerprint::new();
         h.str(self.scheme.name());
         h.str(&self.design.name());
         h.str(&self.contract.name());
         cache::options_fingerprint(&mut h, &self.opts);
-        cache::instance_fingerprint(&mut h, &self.raw_instance());
+        cache::instance_fingerprint(&mut h, task);
         h.finish()
     }
 
@@ -519,41 +529,43 @@ impl Query {
     /// check evicts the entry (counted in [`CacheStats::rejected`]) and
     /// the cell re-solves.
     pub fn run_cached(&self, cache: &ReportCache) -> Report {
-        let key = self.cache_key();
+        // One build serves the key, the audit of a hit and the solve of
+        // a miss.
+        let task = self.raw_instance();
+        let key = self.key_of(&task);
         if let Some(hit) = cache.serve(key) {
-            if !self.opts.certify || self.cached_report_is_sound(&hit) {
+            if !self.opts.certify || cached_report_is_sound(&task, &hit) {
                 return hit;
             }
             cache.reject(key);
         }
-        let report = self.run();
+        let report = self.run_on(&task);
         if may_store(&report, self.opts.certify) {
             let _ = cache.store(key, &report);
         }
         report
     }
+}
 
-    /// The verify-on-load check: does this cache-served report's
-    /// evidence re-check against the freshly built raw instance? Attacks
-    /// must replay to a bad state with every assume held; proofs must
-    /// carry a certificate whose three obligations pass. A proof with no
-    /// certificate fails — under certification the cache only trusts
-    /// what it can audit.
-    fn cached_report_is_sound(&self, report: &Report) -> bool {
-        use csl_certify::{check_certificate, check_witness, Witness};
-        match &report.verdict {
-            csl_mc::Verdict::Attack(trace) => {
-                let task = self.raw_instance();
-                check_witness(&task.aig, &Witness::new((**trace).clone())).is_ok()
-            }
-            csl_mc::Verdict::Proof(_) => match &report.certificate {
-                Some(cert) => check_certificate(&self.raw_instance(), cert).is_ok(),
-                None => false,
-            },
-            // Undecided verdicts are never stored; if one slips in, it
-            // carries no claim worth auditing.
-            _ => true,
+/// The verify-on-load check: does this cache-served report's evidence
+/// re-check against `task`, the query's freshly built raw instance?
+/// Attacks must replay to a bad state with every assume held; proofs
+/// must carry a certificate whose three obligations pass. A proof with
+/// no certificate fails — under certification the cache only trusts
+/// what it can audit.
+fn cached_report_is_sound(task: &SafetyCheck, report: &Report) -> bool {
+    use csl_certify::{check_certificate, check_witness, Witness};
+    match &report.verdict {
+        csl_mc::Verdict::Attack(trace) => {
+            check_witness(&task.aig, &Witness::new((**trace).clone())).is_ok()
         }
+        csl_mc::Verdict::Proof(_) => match &report.certificate {
+            Some(cert) => check_certificate(task, cert).is_ok(),
+            None => false,
+        },
+        // Undecided verdicts are never stored; if one slips in, it
+        // carries no claim worth auditing.
+        _ => true,
     }
 }
 
@@ -680,20 +692,23 @@ impl Matrix {
         let mut slots: Vec<Option<Report>> = vec![None; self.cells.len()];
         let mut keys: Vec<Option<u64>> = vec![None; self.cells.len()];
         if let Some(cache) = &cache {
-            // Serial key pass: cache_key builds each cell's instance once
-            // more than the pool will. Netlist construction is
-            // milliseconds against multi-second per-cell SAT budgets, so
-            // the lookup stays simple rather than threading key
-            // computation through the worker pool.
+            // Serial key pass: it builds each cell's instance once more
+            // than the pool will. Netlist construction is milliseconds
+            // against multi-second per-cell SAT budgets, so the lookup
+            // stays simple rather than threading key computation through
+            // the worker pool.
             for (i, cell) in self.cells.iter().enumerate() {
                 let query = self.cell_query(cell);
-                let key = query.cache_key();
+                let task = query.raw_instance();
+                let key = query.key_of(&task);
                 keys[i] = Some(key);
                 // Verify-on-load (see `Query::run_cached`): a served
                 // entry whose certificate or witness fails to re-check
                 // is evicted and the cell re-solves on the pool.
                 slots[i] = match cache.serve(key) {
-                    Some(hit) if !query.options().certify || query.cached_report_is_sound(&hit) => {
+                    Some(hit)
+                        if !query.options().certify || cached_report_is_sound(&task, &hit) =>
+                    {
                         Some(hit)
                     }
                     Some(_) => {

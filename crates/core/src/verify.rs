@@ -76,9 +76,14 @@ pub(crate) fn instance_for(scheme: Scheme, cfg: &InstanceConfig) -> SafetyCheck 
 /// `api::Query::run`). LEAVE and UPEC ignore the execution mode and the
 /// extra lanes.
 pub(crate) fn run_scheme(scheme: Scheme, cfg: &InstanceConfig, opts: &CheckOptions) -> CheckReport {
-    let task = instance_for(scheme, cfg);
+    run_instance(scheme, &instance_for(scheme, cfg), opts)
+}
+
+/// [`run_scheme`] on the scheme's raw instance, already built by
+/// [`instance_for`].
+pub(crate) fn run_instance(scheme: Scheme, task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
     let schedule = match scheme {
-        Scheme::Shadow | Scheme::Baseline => Schedule::for_options(&task, opts),
+        Scheme::Shadow | Scheme::Baseline => Schedule::for_options(task, opts),
         // Houdini-filtered relational invariants or bust: survivors that
         // do not imply safety mean UNKNOWN ("false counterexamples").
         Scheme::Leave => {
@@ -90,5 +95,5 @@ pub(crate) fn run_scheme(scheme: Scheme, cfg: &InstanceConfig, opts: &CheckOptio
             .stage([Step::Bmc])
             .stage([Step::KInduction { max_k: 1 }]),
     };
-    check_schedule(&task, opts, &schedule)
+    check_schedule(task, opts, &schedule)
 }

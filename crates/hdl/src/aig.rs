@@ -10,8 +10,9 @@
 //! Nodes are hash-consed, so structurally equal expressions share one node,
 //! and simple constant/absorption rules fold at construction time.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use crate::fxhash::FxHashMap;
 
 /// A literal in the netlist: a node index plus a complement flag.
 ///
@@ -160,16 +161,27 @@ pub struct Aig {
     assumes: Vec<Bit>,
     bads: Vec<BadInfo>,
     probes: Vec<ProbeInfo>,
-    strash: HashMap<(Bit, Bit), u32>,
+    /// Hash-consing table, by ordered operand pair. Only ever looked up,
+    /// never iterated, so node numbering does not depend on its hasher.
+    strash: FxHashMap<(Bit, Bit), u32>,
 }
 
 impl Aig {
     /// Creates an empty netlist (containing only the constant node).
     pub fn new() -> Aig {
-        Aig {
-            nodes: vec![Node::Const],
+        Aig::with_capacity(1)
+    }
+
+    /// An empty netlist with room for `nodes` nodes, so a rebuild of a
+    /// netlist of known size does not regrow its tables.
+    pub(crate) fn with_capacity(nodes: usize) -> Aig {
+        let mut aig = Aig {
+            nodes: Vec::with_capacity(nodes),
+            strash: FxHashMap::with_capacity_and_hasher(nodes, Default::default()),
             ..Aig::default()
-        }
+        };
+        aig.nodes.push(Node::Const);
+        aig
     }
 
     /// Total node count (constant + inputs + latches + ANDs).

@@ -45,6 +45,7 @@
 pub mod aig;
 pub mod aiger;
 pub mod design;
+pub mod fxhash;
 pub mod mem;
 pub mod word;
 pub mod xform;
@@ -53,6 +54,7 @@ pub use aig::{
     Aig, BadInfo, Bit, CoiMarks, Init, InputInfo, LatchInfo, Node, PrefixStats, ProbeInfo,
 };
 pub use design::{Design, Reg, RegMark};
+pub use fxhash::FxHashMap;
 pub use mem::MemArray;
 pub use word::Word;
 pub use xform::{

@@ -361,6 +361,8 @@ struct Rebuilder<'a> {
     subst: Vec<Option<Bit>>,
     /// Latches created whose next-state still needs translation.
     pending: Vec<(u32, Bit)>,
+    /// Work list of [`Rebuilder::translate`], kept to reuse its buffer.
+    stack: Vec<u32>,
 }
 
 impl<'a> Rebuilder<'a> {
@@ -370,14 +372,16 @@ impl<'a> Rebuilder<'a> {
         latches: Creation,
         inputs: Creation,
     ) -> Rebuilder<'a> {
+        // A rebuild creates at most one node per old node.
         let mut r = Rebuilder {
             old,
-            new: Aig::new(),
+            new: Aig::with_capacity(old.num_nodes()),
             map: vec![None; old.num_nodes()],
             latch_back: Vec::new(),
             input_back: Vec::new(),
             subst,
             pending: Vec::new(),
+            stack: Vec::new(),
         };
         if inputs == Creation::Eager {
             for i in 0..old.num_inputs() as u32 {
@@ -428,7 +432,8 @@ impl<'a> Rebuilder<'a> {
     /// its cone needs. Iterative, so product-machine depth cannot blow
     /// the stack.
     fn translate(&mut self, b: Bit) -> Bit {
-        let mut stack = vec![b.node()];
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push(b.node());
         while let Some(&n) = stack.last() {
             if self.map[n as usize].is_some() {
                 stack.pop();
@@ -470,6 +475,7 @@ impl<'a> Rebuilder<'a> {
                 }
             }
         }
+        self.stack = stack;
         let img = self.map[b.node() as usize].expect("just translated");
         if b.is_complemented() {
             img.not()
@@ -623,8 +629,10 @@ fn stuck_latches(aig: &Aig) -> Vec<Option<bool>> {
             Init::Symbolic => None,
         })
         .collect();
+    // One memo for every iteration, cleared as each one starts.
+    let mut memo: Vec<Option<Option<bool>>> = vec![None; aig.num_nodes()];
     loop {
-        let mut memo: Vec<Option<Option<bool>>> = vec![None; aig.num_nodes()];
+        memo.fill(None);
         let mut changed = false;
         for (i, l) in aig.latches().iter().enumerate() {
             let Some(v) = cand[i] else { continue };

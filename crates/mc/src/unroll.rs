@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use csl_hdl::{Bit, Node};
+use csl_hdl::{Bit, FxHashMap, Node};
 use csl_sat::{Budget, Lit, SolveResult, Solver, SolverStats};
 
 use crate::trace::Trace;
@@ -67,7 +67,9 @@ pub struct Unroller {
     /// Encoded AND gates by ordered operand-literal pair, shared by all
     /// frames. Only ever looked up, never iterated, so the encoding (and
     /// with it every solver counter) is deterministic.
-    gates: HashMap<(Lit, Lit), Lit>,
+    gates: FxHashMap<(Lit, Lit), Lit>,
+    /// Work list of [`Unroller::lit_of`], kept to reuse its buffer.
+    stack: Vec<u32>,
     /// Frames whose assume bits have been asserted.
     assumes_added: usize,
     /// Cached per-frame "some bad fired" indicator literals.
@@ -104,7 +106,8 @@ impl Unroller {
             ts: Arc::clone(ts),
             solver,
             frame_lits: Vec::new(),
-            gates: HashMap::new(),
+            gates: FxHashMap::default(),
+            stack: Vec::new(),
             assumes_added: 0,
             bad_any: HashMap::new(),
             init_mode,
@@ -272,7 +275,8 @@ impl Unroller {
     pub fn lit_of(&mut self, b: Bit, t: usize) -> Lit {
         assert!(t < self.frame_lits.len(), "frame {t} not unrolled yet");
         // Iterative DFS over the combinational cone at frame t.
-        let mut stack = vec![b.node()];
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push(b.node());
         while let Some(n) = stack.pop() {
             if self.frame_lits[t][n as usize].is_some() {
                 continue;
@@ -312,6 +316,7 @@ impl Unroller {
             };
             self.frame_lits[t][n as usize] = Some(lit);
         }
+        self.stack = stack;
         let raw = self.frame_lits[t][b.node() as usize].unwrap();
         if b.is_complemented() {
             !raw

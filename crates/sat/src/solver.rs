@@ -156,6 +156,8 @@ pub struct Solver {
     minimize_stack: Vec<Lit>,
     /// Failed-assumption set from the last Unsat answer.
     conflict: Vec<Lit>,
+    /// Scratch for [`Solver::add_clause`]'s normalisation.
+    add_buf: Vec<Lit>,
     /// Learnt-clause cap; grows geometrically.
     max_learnts: f64,
     budget: Budget,
@@ -194,6 +196,7 @@ impl Solver {
             analyze_toclear: Vec::new(),
             minimize_stack: Vec::new(),
             conflict: Vec::new(),
+            add_buf: Vec::new(),
             max_learnts: 0.0,
             budget: Budget::unlimited(),
             canceled: false,
@@ -270,7 +273,16 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut c: Vec<Lit> = lits.to_vec();
+        let mut c = std::mem::take(&mut self.add_buf);
+        c.clear();
+        c.extend_from_slice(lits);
+        let ok = self.add_normalised(&mut c);
+        self.add_buf = c;
+        ok
+    }
+
+    /// [`Solver::add_clause`]'s body, normalising `c` in place.
+    fn add_normalised(&mut self, c: &mut Vec<Lit>) -> bool {
         c.sort_unstable();
         c.dedup();
         // Tautology or satisfied-at-top-level check; drop false literals.
@@ -376,18 +388,19 @@ impl Solver {
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.lits(cref).len();
-                for k in 2..len {
-                    let lk = self.db.lits(cref)[k];
-                    if self.lit_value(lk) != LBool::False {
-                        let lits = self.db.lits_mut(cref);
-                        lits.swap(1, k);
-                        self.watches[(!lk).index()].push(Watcher {
-                            cref,
-                            blocker: first,
-                        });
-                        continue 'watches;
-                    }
+                let found = {
+                    let lits = self.db.lits(cref);
+                    (2..lits.len()).find(|&k| self.lit_value(lits[k]) != LBool::False)
+                };
+                if let Some(k) = found {
+                    let lits = self.db.lits_mut(cref);
+                    lits.swap(1, k);
+                    let lk = lits[1];
+                    self.watches[(!lk).index()].push(Watcher {
+                        cref,
+                        blocker: first,
+                    });
+                    continue 'watches;
                 }
                 // No new watch: clause is unit or conflicting.
                 ws[j] = Watcher {
@@ -738,7 +751,7 @@ impl Solver {
                 } else {
                     let lbd = self.lbd_of(&learnt);
                     let asserting = learnt[0];
-                    let cref = self.db.add(learnt, true, lbd);
+                    let cref = self.db.add(&learnt, true, lbd);
                     self.attach(cref);
                     self.bump_clause(cref);
                     self.unchecked_enqueue(asserting, cref);
