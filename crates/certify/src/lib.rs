@@ -55,8 +55,7 @@
 //! conjunct false at reset, a non-inductive conjunct, a blocked cube that
 //! does not exclude bad, an exhausted budget — is a distinct [`Rejection`]
 //! variant, so callers (the `csl-certify` binary, the report cache's
-//! verify-on-load path, the serve daemon) can report *why* an artifact was
-//! refused.
+//! verify-on-load path) can report *why* an artifact was refused.
 
 use std::time::{Duration, Instant};
 

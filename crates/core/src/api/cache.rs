@@ -19,14 +19,14 @@
 //! configured (see `Matrix::cache`); the bench bins expose the
 //! `--no-cache` escape hatch.
 //!
-//! The directory is safe to share between concurrent processes (the
-//! `csl-serve` daemon points every worker at one cache): stores write to
-//! a tempfile in the cache directory and `rename` it into place, so a
-//! reader never observes torn JSON. Hit/miss/store counts are kept per
-//! cache handle (shared across clones) and readable via
-//! [`ReportCache::stats`].
+//! The directory is safe to share between concurrent writers (the
+//! `Matrix` worker threads store into one cache, and separate processes
+//! may share a directory): stores write to a tempfile in the cache
+//! directory and `rename` it into place, so a reader never observes torn
+//! JSON. Hit/miss/store counts are kept per cache handle (shared across
+//! clones) and readable via [`ReportCache::stats`].
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -180,7 +180,7 @@ pub(crate) fn options_fingerprint(h: &mut Fingerprint, opts: &CheckOptions) {
     h.bool(p.dead_latches);
     h.bool(p.compact);
     // The removed warm-start knob's slot. This and the exchange slots
-    // above keep existing caches and journals hitting.
+    // above keep existing cache entries hitting.
     h.bool(false);
     // Certificate emission changes the report's certificate block (and
     // whether a cached proof can pass verify-on-load), so it keys too.
@@ -194,11 +194,11 @@ pub(crate) fn options_fingerprint(h: &mut Fingerprint, opts: &CheckOptions) {
     }
 }
 
-/// Whether `report` may be stored in a [`ReportCache`] or a serve
-/// journal: it must be decided, and under certification (`certify`) a
-/// proof must carry its certificate. Loads under certification audit the
-/// evidence and reject a proof without one, so storing it would only
-/// make the cell re-solve, one more rejection on every run.
+/// Whether `report` may be stored in a [`ReportCache`]: it must be
+/// decided, and under certification (`certify`) a proof must carry its
+/// certificate. Loads under certification audit the evidence and reject
+/// a proof without one, so storing it would only make the cell re-solve,
+/// one more rejection on every run.
 pub fn may_store(report: &Report, certify: bool) -> bool {
     match report.verdict {
         Verdict::Attack(_) => true,
@@ -269,11 +269,6 @@ impl ReportCache {
     pub fn with_max_entries_opt(mut self, n: Option<usize>) -> ReportCache {
         self.max_entries = n;
         self
-    }
-
-    /// The cache root.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The configured size cap, if any.

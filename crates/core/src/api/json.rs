@@ -146,49 +146,6 @@ impl Json {
         }
     }
 
-    /// Renders the compact single-line form (no newlines, no spaces) —
-    /// the framing used by line-delimited protocols and journals, where
-    /// one value must occupy exactly one line. Parsing and re-rendering
-    /// is byte-stable, same as [`Json::render`].
-    pub fn render_line(&self) -> String {
-        let mut out = String::new();
-        self.write_line(&mut out);
-        out
-    }
-
-    fn write_line(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_line(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write_line(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
@@ -438,21 +395,6 @@ mod tests {
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed, v);
         assert_eq!(parsed.render(), text);
-    }
-
-    #[test]
-    fn render_line_is_single_line_and_round_trips() {
-        let v = Json::obj(vec![
-            ("name", Json::Str("multi\nline \"text\"".into())),
-            ("arr", Json::Arr(vec![Json::Int(1), Json::Null])),
-            ("obj", Json::obj(vec![("k", Json::Bool(false))])),
-            ("empty", Json::Arr(vec![])),
-        ]);
-        let line = v.render_line();
-        assert!(!line.contains('\n'), "{line:?}");
-        let parsed = Json::parse(&line).unwrap();
-        assert_eq!(parsed, v);
-        assert_eq!(parsed.render_line(), line);
     }
 
     #[test]

@@ -820,13 +820,17 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("csl-verify-on-load-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ReportCache::new(&dir);
-        let q = Verifier::new()
-            .design(DesignKind::SingleCycle)
-            .contract(Contract::Sandboxing)
-            .scheme(Scheme::Leave)
-            .wall(Duration::from_secs(60))
-            .query()
-            .unwrap();
+        let query = |certify: bool| {
+            Verifier::new()
+                .design(DesignKind::SingleCycle)
+                .contract(Contract::Sandboxing)
+                .scheme(Scheme::Leave)
+                .wall(Duration::from_secs(60))
+                .certify(certify)
+                .query()
+                .unwrap()
+        };
+        let q = query(true);
         let first = q.run_cached(&cache);
         assert!(
             first.verdict.is_attack() || first.verdict.is_proof(),
@@ -869,6 +873,18 @@ mod tests {
         // The re-solve stored a fresh, valid entry.
         let fourth = q.run_cached(&cache);
         assert!(fourth.notes.iter().any(|n| n.contains("served from cache")));
+        assert_eq!(cache.stats().rejected, 1);
+
+        // With certification off nothing audits the entry: the same
+        // forged report is served as-is.
+        let unaudited = query(false);
+        cache.store(unaudited.cache_key(), &forged).unwrap();
+        let blind = unaudited.run_cached(&cache);
+        assert!(blind.notes.iter().any(|n| n.contains("served from cache")));
+        assert_eq!(
+            (&blind.verdict, &blind.certificate),
+            (&forged.verdict, &forged.certificate)
+        );
         assert_eq!(cache.stats().rejected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

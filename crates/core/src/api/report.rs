@@ -157,11 +157,8 @@ impl Report {
         .join(",")
     }
 
-    /// The report as a [`Json`] value — the embedding form used when a
-    /// report travels inside a larger document (the `csl-serve` wire
-    /// protocol nests reports in its `update` messages and journal
-    /// lines). [`Report::to_json`] is `to_value().render()`.
-    pub fn to_value(&self) -> Json {
+    /// The report as a [`Json`] value, as nested in a campaign document.
+    fn to_value(&self) -> Json {
         let mut pairs = vec![
             ("schema", Json::Str("csl-report-v1".into())),
             ("scheme", Json::Str(self.scheme.name().into())),
@@ -199,8 +196,8 @@ impl Report {
         Json::obj(pairs)
     }
 
-    /// Parses an embedded report value (inverse of [`Report::to_value`]).
-    pub fn from_value(v: &Json) -> Result<Report, ReadError> {
+    /// Parses a report value (inverse of [`Report::to_value`]).
+    fn from_value(v: &Json) -> Result<Report, ReadError> {
         match v.get("schema").and_then(Json::as_str) {
             Some("csl-report-v1") => {}
             other => return schema_err(format!("unsupported report schema {other:?}")),
@@ -601,10 +598,6 @@ fn reason_to_value(r: &InconclusiveReason) -> Json {
         InconclusiveReason::FuzzExhausted { trials } => {
             usize_obj("fuzz-exhausted", "trials", *trials)
         }
-        InconclusiveReason::WorkerCrashed { detail } => Json::obj(vec![
-            ("kind", Json::Str("worker-crashed".into())),
-            ("detail", Json::Str(detail.clone())),
-        ]),
         InconclusiveReason::AllInconclusive => {
             Json::obj(vec![("kind", Json::Str("all-inconclusive".into()))])
         }
@@ -653,13 +646,14 @@ fn reason_from_value(v: &Json) -> Result<InconclusiveReason, ReadError> {
         Some("fuzz-exhausted") => Ok(InconclusiveReason::FuzzExhausted {
             trials: usize_field("trials")?,
         }),
-        Some("worker-crashed") => Ok(InconclusiveReason::WorkerCrashed {
-            detail: v
-                .get("detail")
+        // Written by the retired campaign daemon when a worker process
+        // died; read back as free text that displays the same.
+        Some("worker-crashed") => Ok(InconclusiveReason::Other(format!(
+            "worker crashed ({})",
+            v.get("detail")
                 .and_then(Json::as_str)
                 .ok_or_else(|| ReadError::Schema("missing reason detail".into()))?
-                .to_string(),
-        }),
+        ))),
         Some("all-inconclusive") => Ok(InconclusiveReason::AllInconclusive),
         Some("other") => Ok(InconclusiveReason::Other(
             v.get("text")
@@ -841,10 +835,7 @@ impl CampaignReport {
         self.to_value().render()
     }
 
-    /// The campaign as a [`Json`] value — the embedding form used when a
-    /// whole campaign travels inside a larger document (the `csl-serve`
-    /// wire protocol nests it in its `done` message).
-    pub fn to_value(&self) -> Json {
+    fn to_value(&self) -> Json {
         Json::obj(vec![
             ("schema", Json::Str("csl-campaign-v1".into())),
             ("wall", duration_to_value(self.wall)),
@@ -860,9 +851,7 @@ impl CampaignReport {
         CampaignReport::from_value(&Json::parse(text)?)
     }
 
-    /// Parses an embedded campaign value (inverse of
-    /// [`CampaignReport::to_value`]).
-    pub fn from_value(v: &Json) -> Result<CampaignReport, ReadError> {
+    fn from_value(v: &Json) -> Result<CampaignReport, ReadError> {
         match v.get("schema").and_then(Json::as_str) {
             Some("csl-campaign-v1") => {}
             other => return schema_err(format!("unsupported campaign schema {other:?}")),
@@ -1289,13 +1278,15 @@ mod tests {
         assert!(before.diff(&after).is_clean());
     }
 
-    /// Documents written while the exchange bus and coverage-guided
-    /// fuzzing existed: an `exchange` array with the full per-lane
-    /// counter set, a `coverage` block (once with the bus-fed counters,
-    /// once with counters a hand edit turned into strings), and a fuzz
-    /// block that splits its trials into corpus mutants and random
-    /// draws. They parse, and re-serialise without any of them; the fuzz
-    /// block keeps its remaining counters.
+    /// Documents written while the exchange bus, coverage-guided fuzzing
+    /// and the campaign daemon existed: an `exchange` array with the
+    /// full per-lane counter set, a `coverage` block (once with the
+    /// bus-fed counters, once with counters a hand edit turned into
+    /// strings), a fuzz block that splits its trials into corpus mutants
+    /// and random draws, and a `worker-crashed` reason the daemon gave a
+    /// cell whose worker process died. They parse, and re-serialise
+    /// without any of them; the fuzz block keeps its remaining counters,
+    /// and the crash reads back as free text that displays the same.
     #[test]
     fn retired_exchange_and_coverage_counters_parse_and_are_dropped() {
         let fuzz = "\"fuzz\": {\"trials\": 832, \"corpus_trials\": 512, \"random_trials\": 320, \
@@ -1308,11 +1299,24 @@ mod tests {
             "\"coverage\": {\"latches_toggled\": \"141\", \"latches_total\": \"200\", \
              \"signatures\": \"57\", \"new_coverage_trials\": \"61\", \"corpus_size\": \"48\"}",
         ];
-        for coverage in coverage_blocks {
+        let timeout = "{\"kind\": \"timeout\"}";
+        let crashed = "{\"kind\": \"unknown\", \"reason\": {\"kind\": \"worker-crashed\", \
+                       \"detail\": \"signal 9\"}}";
+        let crash = InconclusiveReason::Other("worker crashed (signal 9)".into());
+        let inputs = [
+            (timeout, Verdict::Timeout, coverage_blocks[0]),
+            (timeout, Verdict::Timeout, coverage_blocks[1]),
+            (
+                crashed,
+                Verdict::Unknown { reason: crash },
+                coverage_blocks[0],
+            ),
+        ];
+        for (verdict, expected, coverage) in inputs {
             let old = format!(
                 "{{\"schema\": \"csl-report-v1\", \"scheme\": \"ContractShadowLogic\", \
                  \"design\": \"SimpleOoO\", \"contract\": \"sandboxing\", \
-                 \"verdict\": {{\"kind\": \"timeout\"}}, \
+                 \"verdict\": {verdict}, \
                  \"elapsed\": {{\"secs\": 5, \"nanos\": 0}}, \
                  \"exchange\": [{{\"lane\": \"bmc\", \"imports\": 2, \"exports\": 17, \
                  \"obligations\": 0, \"policy_len\": 8, \"policy_lbd\": 4, \"adaptive\": false}}, \
@@ -1322,7 +1326,7 @@ mod tests {
                  \"prepare\": [], {fuzz}, {coverage}}}"
             );
             let report = Report::from_json(&old).unwrap();
-            assert_eq!(report.verdict, Verdict::Timeout);
+            assert_eq!(report.verdict, expected);
             assert_eq!(report.fuzz, sample_reports()[0].fuzz);
             let text = report.to_json();
             for retired in [
@@ -1333,6 +1337,7 @@ mod tests {
                 "coverage",
                 "corpus",
                 "random_trials",
+                "worker-crashed",
             ] {
                 assert!(!text.contains(retired), "{retired} in {text}");
             }
@@ -1491,9 +1496,6 @@ mod tests {
             InconclusiveReason::InvariantsInsufficient { survivors: 3 },
             InconclusiveReason::NoAttackWithinDepth { depth: 20 },
             InconclusiveReason::FuzzExhausted { trials: 2000 },
-            InconclusiveReason::WorkerCrashed {
-                detail: "signal 9".into(),
-            },
             InconclusiveReason::AllInconclusive,
             InconclusiveReason::Other("free text".into()),
         ];

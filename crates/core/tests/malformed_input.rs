@@ -2,18 +2,17 @@
 //! truncation and a seeded set of single-ASCII-byte substitutions of a
 //! small campaign document (attack trace, proof certificate, non-ASCII
 //! note text) are fed to `CampaignReport::from_json`, and the same
-//! mutations of a journal holding its reports to `Journal::load`; the
-//! same treatment of a wire-protocol `submit` line goes to
-//! `Request::parse`. Each call must return a value or a typed error.
+//! mutations of a result-cache entry holding one of its reports to
+//! `ReportCache::load`. Each call must return a value or a typed error.
 
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use csl_contracts::Contract;
-use csl_core::api::{CampaignReport, FuzzStats, Report};
+use csl_core::api::{CampaignReport, FuzzStats, Report, ReportCache};
 use csl_core::{DesignKind, Scheme};
 use csl_cpu::Defense;
 use csl_mc::{CertKind, Certificate, Lane, LaneSolverStats, ProofEngine, Trace, Verdict};
-use csl_serve::{CellSpec, Journal, Request, ServeOptions};
 
 fn campaign() -> CampaignReport {
     let trace = Trace {
@@ -113,6 +112,16 @@ fn substitutions(text: &str, seed: u64, n: usize) -> Vec<String> {
         .collect()
 }
 
+/// The one entry file of a cache directory holding a single report.
+fn entry_file(dir: &Path) -> PathBuf {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), 1, "{files:?}");
+    files.pop().unwrap()
+}
+
 #[test]
 fn campaign_decoding_survives_truncations_and_substitutions() {
     let text = campaign().to_json();
@@ -129,71 +138,31 @@ fn campaign_decoding_survives_truncations_and_substitutions() {
 }
 
 #[test]
-fn journal_loading_survives_truncations_and_substitutions() {
-    let dir = std::env::temp_dir().join(format!("csl-journal-fuzz-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let journal = Journal::new(dir.join("cells.journal"));
-    let reports = campaign().reports;
-    for (key, report) in reports.iter().enumerate() {
-        journal.append(key as u64, report).unwrap();
-    }
-    let text = std::fs::read_to_string(journal.path()).unwrap();
-    let entries = journal.load();
-    assert_eq!(entries.len(), reports.len());
+fn cache_entry_loading_survives_truncations_and_substitutions() {
+    let root = std::env::temp_dir().join(format!("csl-cache-fuzz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for (key, report) in campaign().reports.into_iter().enumerate() {
+        let key = key as u64;
+        let dir = root.join(key.to_string());
+        let cache = ReportCache::new(&dir);
+        cache.store(key, &report).unwrap();
+        assert_eq!(cache.load(key), Some(report));
+        let entry = entry_file(&dir);
+        let text = std::fs::read_to_string(&entry).unwrap();
 
-    for cut in truncations(&text) {
-        std::fs::write(journal.path(), cut).unwrap();
-        // A torn line is skipped; the whole lines before it load intact.
-        let loaded = journal.load();
-        assert_eq!(loaded, entries[..loaded.len()], "{cut:?}");
+        // A torn entry is never a whole report: it loads as a miss, and
+        // the cell would just re-solve.
+        let mut cuts = 0;
+        for cut in truncations(text.trim_end()) {
+            std::fs::write(&entry, cut).unwrap();
+            assert_eq!(cache.load(key), None, "{cut:?}");
+            cuts += 1;
+        }
+        assert_eq!(cache.stats().misses, cuts);
+        for mutated in substitutions(&text, 0x0dd_ba11, 2000) {
+            std::fs::write(&entry, &mutated).unwrap();
+            let _ = cache.load(key);
+        }
     }
-    for mutated in substitutions(&text, 0x0dd_ba11, 2000) {
-        std::fs::write(journal.path(), &mutated).unwrap();
-        let _ = journal.load();
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn submit_parsing_survives_truncations_and_substitutions() {
-    // Cells carry no free text, so the multi-byte text rides in the job
-    // id; the cells exercise the fault-injection keys and the options
-    // object every knob off its default.
-    let request = Request::Submit {
-        id: "größe δ=3 — 日本 \"quoted\"\\".into(),
-        cells: vec![
-            CellSpec {
-                poison: true,
-                delay_ms: 25,
-                ..CellSpec::new(
-                    Scheme::Shadow,
-                    DesignKind::SimpleOoo(Defense::None),
-                    Contract::Sandboxing,
-                )
-            },
-            CellSpec::new(
-                Scheme::Leave,
-                DesignKind::SingleCycle,
-                Contract::ConstantTime,
-            ),
-        ],
-        options: Box::new(ServeOptions {
-            budget: Duration::from_secs(7),
-            bmc_depth: 6,
-            attack_only: true,
-            portfolio: true,
-            prepare: false,
-            certify: false,
-        }),
-    };
-    let line = request.to_line();
-    assert_eq!(Request::parse(&line).unwrap(), request);
-    assert!(!line.is_ascii(), "the line must carry multi-byte text");
-    // A strict prefix of the object is never a whole request.
-    for cut in truncations(&line) {
-        assert!(Request::parse(cut).is_err(), "{cut:?}");
-    }
-    for mutated in substitutions(&line, 0x5ab_3147, 2000) {
-        let _ = Request::parse(&mutated);
-    }
+    let _ = std::fs::remove_dir_all(&root);
 }

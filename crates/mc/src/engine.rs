@@ -89,12 +89,6 @@ pub enum InconclusiveReason {
     /// A fuzzing lane ran out of trials without observing a leak — *not*
     /// a proof (fuzzing offers no coverage guarantee).
     FuzzExhausted { trials: usize },
-    /// The isolated worker process solving the cell died (solver crash,
-    /// OOM kill, deliberate abort) before producing a verdict; `detail`
-    /// records the exit code or signal. Emitted by the `csl-serve`
-    /// campaign daemon so a crashed cell stays visible in the report
-    /// instead of taking the campaign down with it.
-    WorkerCrashed { detail: String },
     /// Every engine finished without a verdict.
     AllInconclusive,
     /// Anything else (joined engine notes, external causes).
@@ -127,9 +121,6 @@ impl std::fmt::Display for InconclusiveReason {
             }
             InconclusiveReason::FuzzExhausted { trials } => {
                 write!(f, "fuzz exhausted {trials} trials without a leak")
-            }
-            InconclusiveReason::WorkerCrashed { detail } => {
-                write!(f, "worker crashed ({detail})")
             }
             InconclusiveReason::AllInconclusive => write!(f, "all engines inconclusive"),
             InconclusiveReason::Other(text) => f.write_str(text),

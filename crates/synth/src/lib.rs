@@ -33,9 +33,7 @@
 //! re-runs, neighbouring designs sharing sub-queries) are served from
 //! disk — with verify-on-load auditing each served verdict. The descent
 //! can also fan its independent drop-queries out over the
-//! [`csl_core::api::Matrix`] worker pool (and from there over a
-//! `csl-serve` shard fleet, whose cells accept any `obs:`-named
-//! contract).
+//! [`csl_core::api::Matrix`] worker pool.
 
 pub mod cex;
 
@@ -402,9 +400,9 @@ impl Synthesizer {
     }
 
     /// One descent round on the matrix worker pool: the drop-queries are
-    /// independent cells of a `scheme × design × contracts` campaign (the
-    /// same shape a `csl-serve` fleet consumes, with each cell named
-    /// `obs:<atoms>`). Reports come back in `pending` order.
+    /// independent cells of a `scheme × design × contracts` campaign,
+    /// each contract named `obs:<atoms>`. Reports come back in `pending`
+    /// order.
     fn descent_round_parallel(
         &self,
         design: DesignKind,

@@ -1,7 +1,8 @@
-//! CEGIS soundness on a small design: the synthesized contract carries a
-//! certified proof that independently re-checks, and dropping any single
-//! atom from it re-attacks — i.e. the result is sound *and* a confirmed
-//! local minimum of the observation lattice.
+//! CEGIS soundness on the small secure designs (SingleCycle, InOrder):
+//! the synthesized contract carries a certified proof, dropping any
+//! single atom from it re-attacks — i.e. the result is sound *and* a
+//! confirmed local minimum of the observation lattice — and every step's
+//! evidence, grow-phase attacks included, independently re-checks.
 
 use std::time::Duration;
 
@@ -10,7 +11,7 @@ use csl_contracts::Contract;
 use csl_core::api::{Budget, Verifier};
 use csl_core::DesignKind;
 use csl_mc::Verdict;
-use csl_synth::{SynthOutcome, SynthPhase, Synthesizer};
+use csl_synth::{SynthOutcome, SynthPhase, SynthesisResult, Synthesizer};
 
 fn synthesizer() -> Synthesizer {
     Synthesizer::new().verifier(
@@ -20,10 +21,39 @@ fn synthesizer() -> Synthesizer {
     )
 }
 
-#[test]
-fn single_cycle_synthesis_is_sound_and_minimal() {
+/// Re-checks every step's evidence through `csl_certify` against an
+/// independently rebuilt raw instance: an attack (grow or descent)
+/// replays as a witness, a proof's certificate passes its obligations.
+fn audit_steps(synth: &Synthesizer, result: &SynthesisResult) {
+    for step in &result.steps {
+        let at = format!("{:?} step on {}", step.phase, step.candidate.encode());
+        let task = synth
+            .query_for(result.design, step.candidate)
+            .raw_instance();
+        match &step.report.verdict {
+            Verdict::Attack(trace) => {
+                if let Err(why) = check_witness(&task.aig, &Witness::new((**trace).clone())) {
+                    panic!("{at}: attack witness rejected: {why:?}");
+                }
+            }
+            Verdict::Proof(_) => {
+                let cert = step
+                    .report
+                    .certificate
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{at}: proof without a certificate"));
+                if let Err(why) = check_certificate(&task, cert) {
+                    panic!("{at}: certificate rejected: {why:?}");
+                }
+            }
+            other => panic!("{at}: undecided step {other:?}"),
+        }
+    }
+}
+
+fn assert_sound_and_minimal(design: DesignKind) {
     let synth = synthesizer();
-    let result = synth.synthesize(DesignKind::SingleCycle);
+    let result = synth.synthesize(design);
     println!("{}", result.render());
 
     assert_eq!(result.outcome, SynthOutcome::Sound, "{}", result.render());
@@ -40,27 +70,19 @@ fn single_cycle_synthesis_is_sound_and_minimal() {
         result.contract.encode()
     );
 
-    // Soundness: the final grow step is a proof whose certificate
-    // re-checks against an independently rebuilt instance.
+    // Soundness: the final grow step is a certified proof, and every
+    // attack on the way to it and on the way down replays.
     let proof = result
         .steps
         .iter()
         .rfind(|s| s.phase == SynthPhase::Grow)
         .expect("a sound run ends its grow phase with a proof step");
     assert!(proof.report.verdict.is_proof());
-    let cert = proof
-        .report
-        .certificate
-        .as_ref()
-        .expect("certification is on by default");
-    let task = synth
-        .query_for(DesignKind::SingleCycle, result.contract)
-        .raw_instance();
-    check_certificate(&task, cert).expect("the synthesized contract's proof certificate re-checks");
+    assert!(proof.report.certificate.is_some(), "certification is on");
+    audit_steps(&synth, &result);
 
     // Minimality: every single-atom drop was refuted — either by a
-    // descent attack whose witness replays, or by reuse of a grow-phase
-    // refutation.
+    // descent attack, or by reuse of a grow-phase refutation.
     assert!(result.minimal_confirmed, "{}", result.render());
     let atoms: Vec<_> = result.contract.atoms().collect();
     assert_eq!(
@@ -72,14 +94,11 @@ fn single_cycle_synthesis_is_sound_and_minimal() {
         .iter()
         .filter(|s| s.phase == SynthPhase::Descent)
     {
-        let Verdict::Attack(trace) = &step.report.verdict else {
-            panic!("descent step on {} must attack", step.candidate.encode());
-        };
-        let task = synth
-            .query_for(DesignKind::SingleCycle, step.candidate)
-            .raw_instance();
-        check_witness(&task.aig, &Witness::new((**trace).clone()))
-            .expect("descent attack witness replays");
+        assert!(
+            step.report.verdict.is_attack(),
+            "descent step on {} must attack",
+            step.candidate.encode()
+        );
     }
 
     // Reuse accounting: grow-phase refutations feed the descent, so at
@@ -99,20 +118,32 @@ fn single_cycle_synthesis_is_sound_and_minimal() {
 }
 
 #[test]
+fn single_cycle_synthesis_is_sound_and_minimal() {
+    assert_sound_and_minimal(DesignKind::SingleCycle);
+}
+
+#[test]
+fn in_order_synthesis_is_sound_and_minimal() {
+    assert_sound_and_minimal(DesignKind::InOrder);
+}
+
+#[test]
 fn repeated_synthesis_is_served_from_cache() {
     let dir = std::env::temp_dir().join(format!("csl-synth-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let synth = synthesizer().cache(&dir);
-    let first = synth.synthesize(DesignKind::SingleCycle);
-    assert_eq!(first.outcome, SynthOutcome::Sound);
-    let second = synth.synthesize(DesignKind::SingleCycle);
-    assert_eq!(second.outcome, SynthOutcome::Sound);
-    assert_eq!(second.contract, first.contract);
-    assert_eq!(
-        second.cache_hits,
-        second.steps.len(),
-        "a repeated walk re-solves nothing:\n{}",
-        second.render()
-    );
+    for design in [DesignKind::SingleCycle, DesignKind::InOrder] {
+        let first = synth.synthesize(design);
+        assert_eq!(first.outcome, SynthOutcome::Sound);
+        let second = synth.synthesize(design);
+        assert_eq!(second.outcome, SynthOutcome::Sound);
+        assert_eq!(second.contract, first.contract);
+        assert_eq!(
+            second.cache_hits,
+            second.steps.len(),
+            "a repeated walk re-solves nothing:\n{}",
+            second.render()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

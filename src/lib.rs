@@ -19,7 +19,6 @@
 //! | [`cpu`] | `csl-cpu` | in-order, SimpleOoO (+5 defences), superscalar, BigOoO |
 //! | [`certify`] | `csl-certify` | independent checking of proof certificates & attack witnesses |
 //! | [`core`] | `csl-core` | **the paper's contribution**: shadow logic + schemes |
-//! | [`serve`] | `csl-serve` | campaign daemon: wire protocol, worker processes, dedup, resume |
 //! | [`synth`] | `csl-synth` | CEGIS contract synthesis over the observation-set lattice |
 //!
 //! # Quickstart
@@ -54,7 +53,6 @@ pub use csl_hdl as hdl;
 pub use csl_isa as isa;
 pub use csl_mc as mc;
 pub use csl_sat as sat;
-pub use csl_serve as serve;
 pub use csl_synth as synth;
 
 /// The commonly-needed types in one import: the [`csl_core::api`]
@@ -75,6 +73,5 @@ pub mod prelude {
         CertKind, Certificate, CheckOptions, CheckReport, ExecMode, InconclusiveReason,
         ProofEngine, Verdict,
     };
-    pub use csl_serve::{CellSpec, Client, Daemon, DaemonConfig, ServeAddr, ServeOptions};
     pub use csl_synth::{SynthOutcome, SynthPhase, SynthStep, SynthesisResult, Synthesizer};
 }
