@@ -133,7 +133,7 @@ fn main() {
     println!();
     println!("-- (3) attack finding: baseline vs shadow on insecure SimpleOoO --");
     for scheme in [Scheme::Baseline, Scheme::Shadow] {
-        let report = verifier(budget_secs(120), bmc_depth(10), true)
+        let report = verifier(&Verifier::new(), budget_secs(120), bmc_depth(10), true)
             .design(DesignKind::SimpleOoo(Defense::None))
             .contract(Contract::Sandboxing)
             .scheme(scheme)

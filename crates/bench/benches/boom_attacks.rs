@@ -11,11 +11,12 @@
 
 use csl_bench::{bmc_depth, budget_secs, header, show, verifier};
 use csl_contracts::Contract;
+use csl_core::api::Verifier;
 use csl_core::{DesignKind, ExcludeRule, Scheme};
 use csl_mc::Verdict;
 
 fn round(excludes: Vec<ExcludeRule>, scheme: Scheme, label: &str) -> Option<String> {
-    let report = verifier(budget_secs(240), bmc_depth(12), true)
+    let report = verifier(&Verifier::new(), budget_secs(240), bmc_depth(12), true)
         .design(DesignKind::BigOoo)
         .contract(Contract::Sandboxing)
         .scheme(scheme)

@@ -21,6 +21,7 @@
 
 use csl_bench::{bmc_depth, budget_secs, header, paper_cell, verifier};
 use csl_contracts::Contract;
+use csl_core::api::Verifier;
 use csl_core::{DesignKind, Scheme};
 use csl_cpu::{CpuConfig, Defense};
 use csl_isa::IsaConfig;
@@ -61,7 +62,7 @@ fn sweep(title: &str, defense: Defense, contract: Contract) {
                 defense,
             };
             let cpu = configure(base, axis, n);
-            let report = verifier(budget_secs(120), bmc_depth(8), true)
+            let report = verifier(&Verifier::new(), budget_secs(120), bmc_depth(8), true)
                 .design(DesignKind::SimpleOoo(defense))
                 .contract(contract)
                 .scheme(Scheme::Shadow)

@@ -18,6 +18,7 @@
 //! (uniform override) or `CSL_FAST=1`.
 
 use csl_bench::{bmc_depth, budget_secs, header, show, show_campaign, table2_matrix};
+use csl_core::api::Verifier;
 
 fn main() {
     header(
@@ -27,7 +28,7 @@ fn main() {
     // Proof-capable budget; the BMC prefix is kept shallow so the proof
     // engines (Houdini/k-induction/PDR) are not starved. The baseline is
     // expected to burn its budget on secure designs and time out.
-    let report = table2_matrix(budget_secs(180), bmc_depth(6)).run_all();
+    let report = table2_matrix(&Verifier::new(), budget_secs(180), bmc_depth(6)).run_all();
     for r in &report.reports {
         show(&r.label(), r);
     }

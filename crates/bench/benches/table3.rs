@@ -17,6 +17,7 @@
 
 use csl_bench::{bmc_depth, budget_secs, header, paper_cell, show, verifier};
 use csl_contracts::Contract;
+use csl_core::api::Verifier;
 use csl_core::{DesignKind, Scheme};
 use csl_cpu::Defense;
 
@@ -34,9 +35,9 @@ fn main() {
             // full proof pipeline and a larger budget, mirroring the
             // paper's attack-fast / proof-slow asymmetry.
             let base = if expect_secure {
-                verifier(budget_secs(300), bmc_depth(8), false)
+                verifier(&Verifier::new(), budget_secs(300), bmc_depth(8), false)
             } else {
-                verifier(budget_secs(120), bmc_depth(14), true)
+                verifier(&Verifier::new(), budget_secs(120), bmc_depth(14), true)
             };
             let report = base
                 .design(DesignKind::SimpleOoo(defense))

@@ -7,37 +7,25 @@
 //! are served from the session cache (the two modes key separately —
 //! the mode is part of the cache key) unless `--no-cache`.
 
-use std::time::Duration;
-
-use csl_bench::{bmc_depth, budget_secs, report_args, write_reports};
+use csl_bench::{bmc_depth, budget_secs, report_args, verifier, write_reports};
 use csl_contracts::Contract;
-use csl_core::api::{Budget, CampaignReport, Mode, ReportCache, Verifier};
+use csl_core::api::{CampaignReport, Mode};
 use csl_core::{DesignKind, Scheme};
 
 fn main() {
     let args = report_args("portfolioprobe");
-    let cache = args
-        .cache
-        .as_ref()
-        .map(|dir| ReportCache::new(dir).with_max_entries_opt(args.cache_max_entries));
     let wall = std::time::Instant::now();
     let mut reports = Vec::new();
     for scheme in Scheme::ALL {
         for mode in [Mode::Sequential, Mode::Portfolio] {
-            let query = Verifier::new()
+            let query = verifier(&args.verifier, budget_secs(45), bmc_depth(6), false)
                 .design(DesignKind::SingleCycle)
                 .contract(Contract::Sandboxing)
                 .scheme(scheme)
                 .mode(mode)
-                .prepare(args.prepare_config())
-                .budget(Budget::wall(Duration::from_secs(budget_secs(45))))
-                .bmc_depth(bmc_depth(6))
                 .query()
                 .expect("design and contract are set");
-            let report = match &cache {
-                Some(cache) => query.run_cached(cache),
-                None => query.run(),
-            };
+            let report = args.run(&query);
             println!(
                 "{:<22} {:?}: {} in {:.1}s",
                 scheme.name(),

@@ -1,11 +1,13 @@
 //! Fast end-to-end smoke run: a handful of representative single cells
 //! (insecure designs yield CEX, secure designs stay clean in attack-only
-//! mode) followed by the smoke campaign matrix. `--json <path>` /
-//! `--csv <path>` dump the campaign as a structured report so CI can
-//! archive it and diff verdicts across commits.
+//! mode) followed by the smoke campaign matrix. Every run honours the
+//! preparation and result-cache flags. `--json <path>` / `--csv <path>`
+//! dump the campaign as a structured report so CI can archive it and
+//! diff verdicts across commits.
 
 use csl_bench::{
     bmc_depth, budget_secs, report_args, show_campaign, smoke_matrix, verifier, write_reports,
+    BinArgs,
 };
 use csl_contracts::Contract;
 use csl_core::api::Report;
@@ -14,6 +16,7 @@ use csl_cpu::Defense;
 use csl_mc::Verdict;
 
 fn run(
+    args: &BinArgs,
     design: DesignKind,
     contract: Contract,
     scheme: Scheme,
@@ -21,13 +24,18 @@ fn run(
     budget: u64,
     depth: usize,
 ) -> Report {
-    let report = verifier(budget_secs(budget), bmc_depth(depth), attack_only)
-        .design(design)
-        .contract(contract)
-        .scheme(scheme)
-        .query()
-        .expect("design and contract are set")
-        .run();
+    let query = verifier(
+        &args.verifier,
+        budget_secs(budget),
+        bmc_depth(depth),
+        attack_only,
+    )
+    .design(design)
+    .contract(contract)
+    .scheme(scheme)
+    .query()
+    .expect("design and contract are set");
+    let report = args.run(&query);
     let extra = match &report.verdict {
         Verdict::Attack(tr) => format!("depth {} bad `{}`", tr.depth(), tr.bad_name),
         Verdict::Proof(e) => format!("{e:?}"),
@@ -52,6 +60,7 @@ fn main() {
     let args = report_args("smoke");
     // Insecure: expect CEX.
     run(
+        &args,
         DesignKind::SimpleOoo(Defense::None),
         Sandboxing,
         Shadow,
@@ -60,6 +69,7 @@ fn main() {
         14,
     );
     run(
+        &args,
         DesignKind::SimpleOoo(Defense::None),
         ConstantTime,
         Shadow,
@@ -68,6 +78,7 @@ fn main() {
         14,
     );
     run(
+        &args,
         DesignKind::SimpleOoo(Defense::NoFwdFuturistic),
         ConstantTime,
         Shadow,
@@ -77,6 +88,7 @@ fn main() {
     );
     // Secure: expect NO cex within depth 12 (UNK in attack-only mode).
     run(
+        &args,
         DesignKind::SimpleOoo(Defense::DelaySpectre),
         Sandboxing,
         Shadow,
@@ -85,6 +97,7 @@ fn main() {
         12,
     );
     run(
+        &args,
         DesignKind::SimpleOoo(Defense::DelayFuturistic),
         Sandboxing,
         Shadow,
@@ -92,11 +105,22 @@ fn main() {
         300,
         12,
     );
-    run(DesignKind::InOrder, Sandboxing, Shadow, true, 120, 12);
+    run(
+        &args,
+        DesignKind::InOrder,
+        Sandboxing,
+        Shadow,
+        true,
+        120,
+        12,
+    );
     // The smoke matrix through the campaign runner: every scheme on the
     // single-cycle design, cells in parallel, engines racing per cell.
     // Decided cells are served from the session cache unless --no-cache.
-    let matrix = args.apply_cache(smoke_matrix(budget_secs(60), bmc_depth(8)));
+    let mut matrix = smoke_matrix(&args.verifier, budget_secs(60), bmc_depth(8));
+    if let Some(cache) = &args.cache {
+        matrix = matrix.cache(cache.clone());
+    }
     let report = matrix.run_all();
     show_campaign(&report);
     write_reports(&report, &args);

@@ -13,7 +13,8 @@
 //!
 //! ```text
 //! cargo run --release -p csl-bench --bin csl-synth -- [--json <path>]
-//!     [--csv <path>] [--cache <dir> | --no-cache]
+//!     [--csv <path>] [--cache <dir> | --no-cache] [--max-entries <n>]
+//!     [--no-prepare]
 //! ```
 
 use csl_bench::{bmc_depth, budget_secs, header, report_args, table2_designs, verifier};
@@ -88,10 +89,9 @@ fn main() {
         "the contract-lattice view of Table 2",
     );
 
-    let mut synth =
-        Synthesizer::new().verifier(verifier(budget, depth, false).prepare(args.prepare_config()));
-    if let Some(dir) = &args.cache {
-        synth = synth.cache(dir);
+    let mut synth = Synthesizer::new().verifier(verifier(&args.verifier, budget, depth, false));
+    if let Some(cache) = &args.cache {
+        synth = synth.cache(cache.clone());
     }
 
     let mut designs = vec![DesignKind::SingleCycle];

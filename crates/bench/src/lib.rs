@@ -7,17 +7,20 @@
 //! to raise or lower them uniformly, and `CSL_FAST=1` to shrink everything
 //! for smoke runs.
 //!
-//! All harnesses drive the session API: [`verifier`] pre-configures a
-//! `csl_core::api::Verifier` with the standard budget/depth knobs, and
+//! All harnesses drive the session API: [`verifier`] sets the standard
+//! budget/depth knobs on a base `csl_core::api::Verifier`, and
 //! [`smoke_matrix`]/[`table2_matrix`] build the standard campaigns. The
-//! `--json <path>` / `--csv <path>` flags the bins accept are parsed by
-//! [`report_args`] and written by [`write_reports`], so CI can archive a
-//! run and diff it against another commit's.
+//! bins' flags are parsed by [`report_args`] into one base session and
+//! one result-cache handle that every run of the bin uses, and
+//! `--json <path>` / `--csv <path>` are written by [`write_reports`], so
+//! CI can archive a run and diff it against another commit's.
 
 use std::time::Duration;
 
 use csl_contracts::Contract;
-use csl_core::api::{Budget, CampaignReport, Matrix, Mode, Report, Verifier};
+use csl_core::api::{
+    CampaignReport, Matrix, Mode, PrepareConfig, Query, Report, ReportCache, Verifier,
+};
 use csl_core::{CampaignCell, DesignKind, Scheme};
 use csl_cpu::Defense;
 
@@ -48,11 +51,11 @@ pub fn bmc_depth(default: usize) -> usize {
     }
 }
 
-/// A session builder with the standard budget/depth/attack knobs set.
-/// Chain `.design(..).contract(..).scheme(..)` and run.
-pub fn verifier(budget_s: u64, depth: usize, attack_only: bool) -> Verifier {
-    Verifier::new()
-        .budget(Budget::wall(Duration::from_secs(budget_s)))
+/// `base` with the standard budget/depth/attack knobs set. Chain
+/// `.design(..).contract(..).scheme(..)` and run.
+pub fn verifier(base: &Verifier, budget_s: u64, depth: usize, attack_only: bool) -> Verifier {
+    base.clone()
+        .wall(Duration::from_secs(budget_s))
         .bmc_depth(depth)
         .attack_only(attack_only)
 }
@@ -118,24 +121,23 @@ pub fn smoke_cells() -> Vec<CampaignCell> {
     )
 }
 
-/// The full Table-2 campaign: every scheme × every design, sandboxing,
-/// cells in parallel on the worker pool, engines racing per cell.
-pub fn table2_matrix(budget_s: u64, depth: usize) -> Matrix {
-    campaign(&table2_designs(), budget_s, depth)
+/// The full Table-2 campaign on `base`: every scheme × every design,
+/// sandboxing, cells in parallel on the worker pool, engines racing per
+/// cell.
+pub fn table2_matrix(base: &Verifier, budget_s: u64, depth: usize) -> Matrix {
+    campaign(base, &table2_designs(), budget_s, depth)
 }
 
-/// The smoke campaign: every scheme on the smallest design (LEAVE proves
-/// it fast; the other schemes spend their full per-cell budget, so total
-/// wall clock scales with the budget). Exercised by `cargo run --bin
-/// smoke` and the campaign tests.
-pub fn smoke_matrix(budget_s: u64, depth: usize) -> Matrix {
-    campaign(&[DesignKind::SingleCycle], budget_s, depth)
+/// The smoke campaign on `base`: every scheme on the smallest design
+/// (LEAVE proves it fast; the other schemes spend their full per-cell
+/// budget, so total wall clock scales with the budget). Exercised by
+/// `cargo run --bin smoke` and the campaign tests.
+pub fn smoke_matrix(base: &Verifier, budget_s: u64, depth: usize) -> Matrix {
+    campaign(base, &[DesignKind::SingleCycle], budget_s, depth)
 }
 
-fn campaign(designs: &[DesignKind], budget_s: u64, depth: usize) -> Matrix {
-    Verifier::new()
-        .budget(Budget::wall(Duration::from_secs(budget_s)))
-        .bmc_depth(depth)
+fn campaign(base: &Verifier, designs: &[DesignKind], budget_s: u64, depth: usize) -> Matrix {
+    verifier(base, budget_s, depth, false)
         .mode(Mode::Portfolio)
         .into_matrix(&Scheme::ALL, designs, &[Contract::Sandboxing])
 }
@@ -150,44 +152,27 @@ pub fn show_campaign(report: &CampaignReport) {
     );
 }
 
-/// The standard bin arguments: report dump paths plus the session-cache
-/// and instance-preparation controls.
+/// The standard bin arguments: report dump paths, plus the base session
+/// and the result-cache handle every run of the bin goes through.
 pub struct BinArgs {
     pub json: Option<String>,
     pub csv: Option<String>,
-    /// Cache directory for campaign runs; defaults to
-    /// [`DEFAULT_CACHE_DIR`], `None` after `--no-cache`.
-    pub cache: Option<String>,
-    /// Size cap for the on-disk cache (`--max-entries <n>`): stores
-    /// prune the least-recently-used reports down to this count.
-    pub cache_max_entries: Option<usize>,
-    /// Instance preparation (`--no-prepare` turns the reduction pipeline
-    /// off; default on).
-    pub prepare: bool,
+    /// The session every run starts from: preparation on, or off after
+    /// `--no-prepare`.
+    pub verifier: Verifier,
+    /// The session result cache: rooted at [`DEFAULT_CACHE_DIR`] or
+    /// `--cache <dir>`, capped by `--max-entries <n>` (stores prune the
+    /// least-recently-used reports down to that count), `None` after
+    /// `--no-cache`.
+    pub cache: Option<ReportCache>,
 }
 
 impl BinArgs {
-    /// Applies the cache and preparation settings to a campaign matrix.
-    pub fn apply_cache(&self, matrix: Matrix) -> Matrix {
-        let matrix = match &self.cache {
-            Some(dir) => {
-                let m = matrix.cache(dir);
-                match self.cache_max_entries {
-                    Some(n) => m.cache_max_entries(n),
-                    None => m,
-                }
-            }
-            None => matrix.no_cache(),
-        };
-        matrix.prepare(self.prepare_config())
-    }
-
-    /// The preparation pipeline these arguments select.
-    pub fn prepare_config(&self) -> csl_core::api::PrepareConfig {
-        if self.prepare {
-            csl_core::api::PrepareConfig::on()
-        } else {
-            csl_core::api::PrepareConfig::off()
+    /// Runs `query`, through the result cache when one is configured.
+    pub fn run(&self, query: &Query) -> Report {
+        match &self.cache {
+            Some(cache) => query.run_cached(cache),
+            None => query.run(),
         }
     }
 }
@@ -200,13 +185,10 @@ pub fn report_args(bin: &str) -> BinArgs {
         "usage: {bin} [--json <path>] [--csv <path>] \
          [--cache <dir> | --no-cache] [--max-entries <n>] [--no-prepare]"
     );
-    let mut parsed = BinArgs {
-        json: None,
-        csv: None,
-        cache: Some(DEFAULT_CACHE_DIR.to_string()),
-        cache_max_entries: None,
-        prepare: true,
-    };
+    let (mut json, mut csv) = (None, None);
+    let mut cache_dir = Some(DEFAULT_CACHE_DIR.to_string());
+    let mut max_entries = None;
+    let mut prepare = PrepareConfig::on();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let value = |args: &mut dyn Iterator<Item = String>| {
@@ -216,25 +198,37 @@ pub fn report_args(bin: &str) -> BinArgs {
             })
         };
         match arg.as_str() {
-            "--json" => parsed.json = Some(value(&mut args)),
-            "--csv" => parsed.csv = Some(value(&mut args)),
-            "--cache" => parsed.cache = Some(value(&mut args)),
-            "--no-cache" => parsed.cache = None,
+            "--json" => json = Some(value(&mut args)),
+            "--csv" => csv = Some(value(&mut args)),
+            "--cache" => cache_dir = Some(value(&mut args)),
+            "--no-cache" => cache_dir = None,
             "--max-entries" => {
                 let n = value(&mut args);
-                parsed.cache_max_entries = Some(n.parse().unwrap_or_else(|_| {
+                max_entries = Some(n.parse().unwrap_or_else(|_| {
                     eprintln!("--max-entries takes a number; {usage}");
                     std::process::exit(2);
                 }));
             }
-            "--no-prepare" => parsed.prepare = false,
+            "--no-prepare" => prepare = PrepareConfig::off(),
             _ => {
                 eprintln!("unknown argument `{arg}`; {usage}");
                 std::process::exit(2);
             }
         }
     }
-    parsed
+    let cache = cache_dir.map(|dir| {
+        let cache = ReportCache::new(dir);
+        match max_entries {
+            Some(n) => cache.with_max_entries(n),
+            None => cache,
+        }
+    });
+    BinArgs {
+        json,
+        csv,
+        verifier: Verifier::new().prepare(prepare),
+        cache,
+    }
 }
 
 /// Writes the serialized campaign to the paths `report_args` collected.

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use csl_certify::CertKind;
 use csl_contracts::Contract;
-use csl_core::api::{Budget, Report, Verifier};
+use csl_core::api::{Report, Verifier};
 use csl_core::{DesignKind, Scheme};
 use csl_cpu::Defense;
 use csl_mc::Verdict;
@@ -21,7 +21,7 @@ fn run(scheme: Scheme, design: DesignKind) -> Report {
         .design(design)
         .contract(Contract::Sandboxing)
         .scheme(scheme)
-        .budget(Budget::wall(Duration::from_secs(60)))
+        .wall(Duration::from_secs(60))
         .bmc_depth(8)
         .query()
         .expect("design and contract are set")

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use csl_bench::{smoke_cells, table2_designs};
 use csl_contracts::Contract;
-use csl_core::api::{Budget, Mode, PrepareConfig, Query, Report, Verifier};
+use csl_core::api::{Mode, PrepareConfig, Query, Report, Verifier};
 use csl_core::{CampaignCell, Scheme};
 use csl_mc::{Sim, Verdict};
 
@@ -30,7 +30,7 @@ fn query(cell: &CampaignCell, prepare: PrepareConfig) -> Query {
         .scheme(cell.scheme)
         .mode(Mode::Portfolio)
         .prepare(prepare)
-        .budget(Budget::wall(Duration::from_secs(10)))
+        .wall(Duration::from_secs(10))
         .bmc_depth(4)
         .query()
         .expect("cell carries design and contract")

@@ -1,10 +1,12 @@
 //! Certificate-subsystem soundness (property tests over random AIGs).
 //!
 //! * **Completeness of evidence**: every decided verdict `check_safety`
-//!   produces on a random design comes with evidence the independent
-//!   checker accepts — proofs a certificate passing its three
-//!   obligations against the *raw* (unprepared) netlist, attacks a
-//!   witness that replays to a bad state with every assume held.
+//!   produces on a random design, in every engine configuration
+//!   (sequential or portfolio, preparation on or off), comes with
+//!   evidence the independent checker accepts — proofs a certificate
+//!   passing its three obligations against the *raw* (unprepared)
+//!   netlist, attacks a witness that replays to a bad state with every
+//!   assume held — and the configurations agree on the verdict kind.
 //! * **Tamper rejection**: mutated certificates (an injected clause
 //!   that blocks the reset state, a flipped restored-constant literal,
 //!   dropped clauses, out-of-range indices, a zeroed `k`) and mutated
@@ -68,16 +70,27 @@ fn random_design(seed: u64) -> Aig {
 
 /// Generous engine set (k-induction plus PDR behind deep BMC) so every
 /// tiny instance decides, with preparation on so certificates exercise
-/// the restore maps. Certification itself defaults on.
+/// the restore maps.
 fn opts() -> CheckOptions {
     CheckOptions {
         bmc_depth: 24,
         kind_max_k: 4,
-        use_pdr: true,
         pdr_max_frames: 64,
         prepare: PrepareConfig::on(),
         ..CheckOptions::default()
     }
+}
+
+/// Every engine configuration: {sequential, portfolio} × {prepare on,
+/// off}.
+fn configurations() -> Vec<(&'static str, CheckOptions)> {
+    let off = || opts().with_prepare(PrepareConfig::off());
+    vec![
+        ("sequential", opts()),
+        ("sequential+unprepared", off()),
+        ("portfolio", opts().portfolio()),
+        ("portfolio+unprepared", off().portfolio()),
+    ]
 }
 
 fn task(seed: u64) -> SafetyCheck {
@@ -111,54 +124,61 @@ fn task_with_candidates(seed: u64) -> SafetyCheck {
 
 const SEEDS: u64 = 24;
 
-/// Every seed runs plain and, with Houdini candidates, in both execution
-/// modes, so certificates of proofs on strengthened instances are
-/// audited too.
+/// Every seed runs plain and with Houdini candidates (so certificates of
+/// proofs on strengthened instances are audited too) under every engine
+/// configuration; the configurations must agree on the verdict kind.
 #[test]
 fn every_decided_verdict_carries_accepted_evidence() {
     let mut proofs = 0usize;
     let mut attacks = 0usize;
     let mut strengthened = 0usize;
     for seed in 0..SEEDS {
-        let inputs = [
-            ("plain", task(seed), opts()),
-            ("sequential+candidates", task_with_candidates(seed), opts()),
-            (
-                "portfolio+candidates",
-                task_with_candidates(seed),
-                opts().portfolio(),
-            ),
-        ];
-        for (input, task, opts) in inputs {
-            let report = check_safety(&task, &opts);
-            match &report.verdict {
-                Verdict::Proof(engine) => {
-                    proofs += 1;
-                    let cert = report.certificate.as_ref().unwrap_or_else(|| {
-                        panic!("seed {seed} {input}: proof ({engine:?}) must carry a certificate")
-                    });
-                    let check = check_certificate(&task, cert);
-                    let check = check.unwrap_or_else(|e| {
+        for (shape, task) in [
+            ("plain", task(seed)),
+            ("candidates", task_with_candidates(seed)),
+        ] {
+            let mut kinds: Vec<(&str, &str)> = Vec::new();
+            for (config, opts) in configurations() {
+                let input = format!("{shape} {config}");
+                let report = check_safety(&task, &opts);
+                kinds.push((config, report.verdict.cell()));
+                match &report.verdict {
+                    Verdict::Proof(engine) => {
+                        proofs += 1;
+                        let cert = report.certificate.as_ref().unwrap_or_else(|| {
+                            panic!(
+                                "seed {seed} {input}: proof ({engine:?}) must carry a certificate"
+                            )
+                        });
+                        let check = check_certificate(&task, cert);
+                        let check = check.unwrap_or_else(|e| {
                         panic!("seed {seed} {input}: certificate must validate ({engine:?}): {e:?}")
                     });
-                    assert!(
-                        check.sat_calls > 0,
-                        "seed {seed} {input}: validation must query SAT"
-                    );
-                    if opts.mode == ExecMode::Sequential && !cert.survivors.is_empty() {
-                        strengthened += 1;
+                        assert!(
+                            check.sat_calls > 0,
+                            "seed {seed} {input}: validation must query SAT"
+                        );
+                        if opts.mode == ExecMode::Sequential && !cert.survivors.is_empty() {
+                            strengthened += 1;
+                        }
+                    }
+                    Verdict::Attack(trace) => {
+                        attacks += 1;
+                        let check = check_witness(&task.aig, &Witness::new((**trace).clone()));
+                        assert!(
+                            check.is_ok(),
+                            "seed {seed} {input}: witness must replay: {check:?}"
+                        );
+                    }
+                    other => {
+                        panic!("seed {seed} {input}: tiny instance failed to decide: {other:?}")
                     }
                 }
-                Verdict::Attack(trace) => {
-                    attacks += 1;
-                    let check = check_witness(&task.aig, &Witness::new((**trace).clone()));
-                    assert!(
-                        check.is_ok(),
-                        "seed {seed} {input}: witness must replay: {check:?}"
-                    );
-                }
-                other => panic!("seed {seed} {input}: tiny instance failed to decide: {other:?}"),
             }
+            assert!(
+                kinds.iter().all(|&(_, kind)| kind == kinds[0].1),
+                "seed {seed} {shape}: configurations disagree on the verdict: {kinds:?}"
+            );
         }
     }
     // Both outcomes must occur, or half the property went unexercised.

@@ -13,11 +13,11 @@
 //!
 //! Only *decided* cells (attack or proof) are stored: a timeout or
 //! unknown depends on the machine and the budget draw, and caching one
-//! would mask a later, luckier run. Under certification the callers also
-//! skip proofs without a certificate, which the load audit would reject
-//! (see [`may_store`]). `Matrix::run_all` consults the cache when one is
-//! configured (see `Matrix::cache`); the bench bins expose the
-//! `--no-cache` escape hatch.
+//! would mask a later, luckier run. The callers also skip proofs without
+//! a certificate, which the load audit would reject (see [`may_store`]).
+//! `Matrix::run_all` consults the cache when one is configured (see
+//! `Matrix::cache`); the bench bins expose the `--no-cache` escape
+//! hatch.
 //!
 //! The directory is safe to share between concurrent writers (the
 //! `Matrix` worker threads store into one cache, and separate processes
@@ -135,32 +135,27 @@ pub(crate) fn instance_fingerprint(h: &mut Fingerprint, task: &SafetyCheck) {
     }
 }
 
-/// Folds every engine knob into the hasher.
+/// Folds every engine knob into the hasher. A removed knob's slot keeps
+/// the constant its default hashed, so existing cache entries keep
+/// hitting.
 pub(crate) fn options_fingerprint(h: &mut Fingerprint, opts: &CheckOptions) {
     h.u64(opts.total_budget.as_nanos() as u64);
     h.usize(opts.bmc_depth);
     h.bool(opts.attack_only);
     h.usize(opts.kind_max_k);
-    h.bool(opts.use_pdr);
+    // The removed PDR switch's slot (on).
+    h.bool(true);
     h.usize(opts.pdr_max_frames);
     h.bool(opts.keep_probes);
     h.u64(match opts.mode {
         csl_mc::ExecMode::Sequential => 0,
         csl_mc::ExecMode::Portfolio => 1,
     });
-    for lane in csl_mc::Lane::ALL {
-        let b = opts.lanes.get(lane);
-        match b.wall {
-            Some(w) => {
-                h.bool(true);
-                h.u64(w.as_nanos() as u64);
-            }
-            None => h.bool(false),
-        }
-        h.usize(b.depth_schedule.len());
-        for &d in &b.depth_schedule {
-            h.usize(d);
-        }
+    for _ in csl_mc::Lane::ALL {
+        // The removed per-lane budget's slots: no wall cap, no BMC depth
+        // schedule.
+        h.bool(false);
+        h.usize(0);
         // The removed exchange bus's per-lane import/export slots.
         h.bool(true);
         h.bool(true);
@@ -173,18 +168,15 @@ pub(crate) fn options_fingerprint(h: &mut Fingerprint, opts: &CheckOptions) {
     h.usize(64);
     h.usize(4096);
     h.bool(false);
-    let p = &opts.prepare;
-    h.bool(p.enabled);
-    h.bool(p.coi);
-    h.bool(p.const_sweep);
-    h.bool(p.dead_latches);
-    h.bool(p.compact);
-    // The removed warm-start knob's slot. This and the exchange slots
-    // above keep existing cache entries hitting.
+    // The master switch, then the removed per-pass switches' slots, which
+    // always followed it.
+    for _ in 0..5 {
+        h.bool(opts.prepare.enabled);
+    }
+    // The removed warm-start knob's slot.
     h.bool(false);
-    // Certificate emission changes the report's certificate block (and
-    // whether a cached proof can pass verify-on-load), so it keys too.
-    h.bool(opts.certify);
+    // The removed certificate switch's slot (on).
+    h.bool(true);
     // Extra lanes (the fuzzing backend) hash through their labels: a
     // LaneFactory's label is required to change whenever the backend it
     // produces does (see its docs), so plan edits miss the cache.
@@ -195,14 +187,13 @@ pub(crate) fn options_fingerprint(h: &mut Fingerprint, opts: &CheckOptions) {
 }
 
 /// Whether `report` may be stored in a [`ReportCache`]: it must be
-/// decided, and under certification (`certify`) a proof must carry its
-/// certificate. Loads under certification audit the evidence and reject
-/// a proof without one, so storing it would only make the cell re-solve,
-/// one more rejection on every run.
-pub fn may_store(report: &Report, certify: bool) -> bool {
+/// decided, and a proof must carry its certificate. Every load audits
+/// the evidence and rejects a proof without one, so storing it would only
+/// make the cell re-solve, one more rejection on every run.
+pub fn may_store(report: &Report) -> bool {
     match report.verdict {
         Verdict::Attack(_) => true,
-        Verdict::Proof(_) => !certify || report.certificate.is_some(),
+        Verdict::Proof(_) => report.certificate.is_some(),
         Verdict::Timeout | Verdict::Unknown { .. } => false,
     }
 }
@@ -260,14 +251,6 @@ impl ReportCache {
     /// LRU by file mtime.
     pub fn with_max_entries(mut self, n: usize) -> ReportCache {
         self.max_entries = Some(n);
-        self
-    }
-
-    /// [`ReportCache::with_max_entries`] with an optional cap (`None` =
-    /// unbounded) — the one-liner for callers threading a `--max-entries`
-    /// style knob through.
-    pub fn with_max_entries_opt(mut self, n: Option<usize>) -> ReportCache {
-        self.max_entries = n;
         self
     }
 
@@ -449,16 +432,6 @@ mod tests {
             },
             CheckOptions::default().portfolio(),
             CheckOptions::default().with_prepare(csl_mc::PrepareConfig::off()),
-            CheckOptions::default().with_prepare(csl_mc::PrepareConfig {
-                const_sweep: false,
-                ..csl_mc::PrepareConfig::on()
-            }),
-            CheckOptions {
-                lanes: csl_mc::LanePlan::new()
-                    .with(csl_mc::Lane::Bmc, csl_mc::LaneBudget::depths(&[2, 4])),
-                ..CheckOptions::default()
-            },
-            CheckOptions::default().certify(false),
             CheckOptions::default().with_extra_lane(crate::fuzz::fuzz_lane(
                 csl_isa::IsaConfig::default(),
                 crate::fuzz::FuzzPlan::default(),
@@ -471,11 +444,11 @@ mod tests {
         }
     }
 
-    /// The fingerprints of four common option sets, as printed before
-    /// the exchange bus and coverage-guided fuzzing were removed: the
-    /// constants hashed into removed knobs' slots, and the blind fuzz
-    /// plan's label, must not drift, or every existing cache entry and
-    /// serve journal would silently miss.
+    /// The fingerprints of three common option sets, as printed before
+    /// the exchange bus, coverage-guided fuzzing, the per-lane budgets and
+    /// the certificate switch were removed: the constants hashed into
+    /// removed knobs' slots, and the blind fuzz plan's label, must not
+    /// drift, or every existing cache entry would silently miss.
     #[test]
     fn options_fingerprint_is_pinned() {
         let plan = crate::fuzz::FuzzPlan::default();
@@ -486,10 +459,6 @@ mod tests {
         for (opts, pinned) in [
             (CheckOptions::default(), 0x0fc5_920d_fa71_5e0f_u64),
             (CheckOptions::default().portfolio(), 0xdea3_9e33_dac1_bcc2),
-            (
-                CheckOptions::default().certify(false),
-                0x7c5b_3cb0_65d6_67fc,
-            ),
             (
                 CheckOptions::default()
                     .with_extra_lane(crate::fuzz::fuzz_lane(csl_isa::IsaConfig::default(), plan)),
@@ -608,26 +577,20 @@ mod tests {
         };
         let proof = || Verdict::Proof(ProofEngine::KInduction { k: 2 });
         let bare_proof = report(proof(), None);
-        assert!(!may_store(&bare_proof, true), "the load audit rejects it");
-        assert!(may_store(&bare_proof, false), "nothing audits it");
+        assert!(!may_store(&bare_proof), "the load audit rejects it");
         let cert = Certificate {
             restored: vec![],
             survivors: vec![],
             kind: CertKind::KInduction { k: 2 },
         };
-        assert!(may_store(&report(proof(), Some(cert)), true));
+        assert!(may_store(&report(proof(), Some(cert))));
         let trace = Trace {
             initial_latches: vec![],
             inputs: vec![],
             bad_name: "leak".into(),
         };
-        assert!(may_store(
-            &report(Verdict::Attack(Box::new(trace)), None),
-            true
-        ));
-        for certify in [true, false] {
-            assert!(!may_store(&report(Verdict::Timeout, None), certify));
-        }
+        assert!(may_store(&report(Verdict::Attack(Box::new(trace)), None)));
+        assert!(!may_store(&report(Verdict::Timeout, None)));
     }
 
     #[test]

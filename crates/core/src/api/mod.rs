@@ -5,13 +5,13 @@
 //! entry point. A fluent [`Verifier`] builder produces a typed [`Query`];
 //! running the query yields a structured [`Report`] that can be persisted
 //! (JSON/CSV), reloaded, and diffed against another run. The same builder
-//! fans out to a whole matrix via [`Verifier::matrix`], which subsumes
-//! the old campaign runner.
+//! fans out to a whole matrix via [`Verifier::into_matrix`], which
+//! subsumes the old campaign runner.
 //!
 //! ```no_run
 //! use std::time::Duration;
 //! use csl_contracts::Contract;
-//! use csl_core::api::{Budget, Lane, LaneBudget, Mode, Verifier};
+//! use csl_core::api::{Mode, ReportCache, Verifier};
 //! use csl_core::{DesignKind, Scheme};
 //! use csl_cpu::Defense;
 //!
@@ -20,21 +20,27 @@
 //!     .contract(Contract::Sandboxing)
 //!     .scheme(Scheme::Shadow)
 //!     .mode(Mode::Portfolio)
-//!     .budget(
-//!         Budget::wall(Duration::from_secs(30))
-//!             .lane(Lane::Bmc, LaneBudget::depths(&[4, 8, 16])),
-//!     )
+//!     .wall(Duration::from_secs(30))
 //!     .query()
 //!     .unwrap()
 //!     .run();
 //! println!("{}", report.cell()); // "CEX": Spectre found
 //! std::fs::write("report.json", report.to_json()).unwrap();
+//!
+//! // A campaign: configure the per-cell options, then fan out.
+//! let campaign = Verifier::new()
+//!     .mode(Mode::Portfolio)
+//!     .wall(Duration::from_secs(30))
+//!     .into_matrix(&Scheme::ALL, &[DesignKind::InOrder], &[Contract::Sandboxing])
+//!     .cache(ReportCache::new("target/csl-report-cache").with_max_entries(256))
+//!     .run_all();
+//! print!("{}", campaign.render_table());
 //! ```
 //!
-//! Decided verdicts carry independently checkable evidence by default:
-//! proofs an inductive-invariant certificate and attacks a replayable
-//! witness, both in raw-netlist vocabulary, re-validated by the
-//! `csl-certify` crate. The same evidence gates the result cache —
+//! Decided verdicts carry independently checkable evidence: proofs an
+//! inductive-invariant certificate and attacks a replayable witness,
+//! both in raw-netlist vocabulary, re-validated by the `csl-certify`
+//! crate. The same evidence gates the result cache —
 //! [`Query::run_cached`] and [`Matrix::run_all`] re-check a served
 //! entry against a freshly built instance before trusting it
 //! (verify-on-load), evicting and re-solving anything that fails.
@@ -43,7 +49,6 @@ pub(crate) mod cache;
 mod json;
 mod report;
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use csl_contracts::Contract;
@@ -59,47 +64,11 @@ use crate::verify::{instance_for, run_instance, Scheme};
 pub use crate::fuzz::FuzzPlan;
 pub use cache::{may_store, CacheStats, ReportCache};
 pub use csl_mc::{
-    ExecMode as Mode, FuzzStats, InconclusiveReason, Lane, LaneBudget, LanePlan, PrepareConfig,
-    PrepareStats, PreparedInstance,
+    ExecMode as Mode, FuzzStats, InconclusiveReason, Lane, PrepareConfig, PrepareStats,
+    PreparedInstance,
 };
 pub use json::{Json, JsonError};
 pub use report::{CampaignDiff, CampaignReport, ReadError, Report, VerdictChange};
-
-/// The verification budget: a total wall clock (standing in for the
-/// paper's 7-day timeout) plus optional per-lane shaping — wall caps per
-/// engine lane and a depth schedule for the BMC attack search.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Budget {
-    /// Total wall-clock budget shared by all lanes.
-    pub total: Duration,
-    /// Per-lane caps and schedules (empty = every lane on the shared
-    /// clock).
-    pub lanes: LanePlan,
-}
-
-impl Budget {
-    /// A plain wall-clock budget.
-    pub fn wall(total: Duration) -> Budget {
-        Budget {
-            total,
-            lanes: LanePlan::default(),
-        }
-    }
-
-    /// Shapes one lane (builder style): give BMC a depth schedule or a
-    /// short fuse, give PDR the full clock, and so on.
-    pub fn lane(mut self, lane: Lane, budget: LaneBudget) -> Budget {
-        self.lanes.set(lane, budget);
-        self
-    }
-}
-
-impl Default for Budget {
-    /// Matches the engine default (60 s, no lane shaping).
-    fn default() -> Budget {
-        Budget::wall(CheckOptions::default().total_budget)
-    }
-}
 
 /// A [`Verifier`] that is not yet a well-formed query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,58 +91,37 @@ impl std::fmt::Display for BuildError {
 impl std::error::Error for BuildError {}
 
 /// Fluent builder for verification sessions: pick a design, a contract,
-/// a scheme and a budget, then [`Verifier::query`] for one cell or
-/// [`Verifier::matrix`] for a whole campaign.
+/// a scheme and a wall clock, then [`Verifier::query`] for one cell or
+/// [`Verifier::into_matrix`] for a whole campaign.
 ///
-/// Every knob of the old `CheckOptions`/`InstanceConfig` pair is
-/// reachable from here; the defaults match theirs (Contract Shadow Logic
-/// scheme, sequential mode, 60 s budget, candidates enabled).
+/// The defaults match `CheckOptions`' and `InstanceConfig`'s (Contract
+/// Shadow Logic scheme, sequential mode, 60 s wall clock, candidates
+/// enabled).
 #[derive(Clone, Debug)]
 pub struct Verifier {
     design: Option<DesignKind>,
     contract: Option<Contract>,
     scheme: Scheme,
-    mode: Mode,
-    budget: Budget,
-    attack_only: bool,
-    bmc_depth: usize,
-    kind_max_k: usize,
-    use_pdr: bool,
-    pdr_max_frames: usize,
-    keep_probes: bool,
+    opts: CheckOptions,
     excludes: Vec<ExcludeRule>,
     cpu_override: Option<CpuConfig>,
     shadow: ShadowOptions,
     with_candidates: bool,
-    threads: usize,
-    prepare: PrepareConfig,
     fuzz: Option<FuzzPlan>,
-    certify: bool,
 }
 
 impl Default for Verifier {
     fn default() -> Verifier {
-        let opts = CheckOptions::default();
         Verifier {
             design: None,
             contract: None,
             scheme: Scheme::Shadow,
-            mode: opts.mode,
-            budget: Budget::default(),
-            attack_only: opts.attack_only,
-            bmc_depth: opts.bmc_depth,
-            kind_max_k: opts.kind_max_k,
-            use_pdr: opts.use_pdr,
-            pdr_max_frames: opts.pdr_max_frames,
-            keep_probes: opts.keep_probes,
+            opts: CheckOptions::default(),
             excludes: Vec::new(),
             cpu_override: None,
             shadow: ShadowOptions::default(),
             with_candidates: true,
-            threads: 0,
-            prepare: opts.prepare,
             fuzz: None,
-            certify: opts.certify,
         }
     }
 }
@@ -204,24 +152,25 @@ impl Verifier {
 
     /// Sequential engine pipeline or thread-racing portfolio.
     pub fn mode(mut self, mode: Mode) -> Verifier {
-        self.mode = mode;
+        self.opts.mode = mode;
         self
     }
 
-    /// Wall clock and per-lane shaping.
-    pub fn budget(mut self, budget: Budget) -> Verifier {
-        self.budget = budget;
+    /// The wall clock every engine of a check runs under (the paper's
+    /// 7-day timeout stand-in; default 60 s).
+    pub fn wall(mut self, total: Duration) -> Verifier {
+        self.opts.total_budget = total;
         self
     }
 
-    /// Configures instance preparation — the netlist reduction pipeline
-    /// every engine runs behind (cone-of-influence, constant sweep with
-    /// cross-copy re-strash, dead-latch elimination, compaction).
-    /// Default on; [`PrepareConfig::off()`] is the escape hatch that
-    /// hands the engines the raw instance. Counterexamples are always
-    /// expressed in raw-netlist vocabulary regardless.
+    /// Turns instance preparation — the netlist reduction pipeline every
+    /// engine runs behind (cone-of-influence, constant sweep with
+    /// cross-copy re-strash, dead-latch elimination, compaction) — on or
+    /// off. Default on; [`PrepareConfig::off()`] hands the engines the
+    /// raw instance. Counterexamples are always expressed in raw-netlist
+    /// vocabulary regardless.
     pub fn prepare(mut self, prepare: PrepareConfig) -> Verifier {
-        self.prepare = prepare;
+        self.opts.prepare = prepare;
         self
     }
 
@@ -241,78 +190,20 @@ impl Verifier {
         self
     }
 
-    /// Removes a previously configured fuzzing lane.
-    pub fn no_fuzz(mut self) -> Verifier {
-        self.fuzz = None;
-        self
-    }
-
-    /// Emits a checkable certificate with every proof and gates the
-    /// result cache on re-validation (default on): proofs carry their
-    /// inductive invariant in raw-netlist vocabulary, attacks their
-    /// replayable trace, and [`Query::run_cached`] / [`Matrix::run_all`]
-    /// re-check a cache-served verdict against a freshly built instance
-    /// before serving it — a failed check evicts the entry and the cell
-    /// re-solves. Turning it off skips both the emission and the
-    /// verify-on-load pass (trust-the-cache mode).
-    pub fn certify(mut self, on: bool) -> Verifier {
-        self.certify = on;
-        self
-    }
-
-    /// Shorthand for setting the total wall clock; lane shaping already
-    /// configured via [`Verifier::budget`] is preserved.
-    pub fn wall(mut self, total: Duration) -> Verifier {
-        self.budget.total = total;
-        self
-    }
-
     /// Skip the proof engines entirely (pure attack hunting).
     pub fn attack_only(mut self, on: bool) -> Verifier {
-        self.attack_only = on;
+        self.opts.attack_only = on;
         self
     }
 
     /// Maximum BMC depth for the attack search.
     pub fn bmc_depth(mut self, depth: usize) -> Verifier {
-        self.bmc_depth = depth;
+        self.opts.bmc_depth = depth;
         self
     }
 
-    /// Maximum k for k-induction (0 disables the engine).
-    pub fn kind_max_k(mut self, k: usize) -> Verifier {
-        self.kind_max_k = k;
-        self
-    }
-
-    /// Run PDR when earlier engines are inconclusive.
-    pub fn use_pdr(mut self, on: bool) -> Verifier {
-        self.use_pdr = on;
-        self
-    }
-
-    /// PDR frame cap.
-    pub fn pdr_max_frames(mut self, frames: usize) -> Verifier {
-        self.pdr_max_frames = frames;
-        self
-    }
-
-    /// Keep probe logic alive (larger encodings, readable traces).
-    pub fn keep_probes(mut self, on: bool) -> Verifier {
-        self.keep_probes = on;
-        self
-    }
-
-    /// Adds one program-space exclusion assumption (§7.1.4's "exclude the
-    /// first attack we found" workflow); callable repeatedly.
-    pub fn exclude(mut self, rule: ExcludeRule) -> Verifier {
-        if !self.excludes.contains(&rule) {
-            self.excludes.push(rule);
-        }
-        self
-    }
-
-    /// Replaces the whole exclusion set.
+    /// Replaces the program-space exclusion assumptions (§7.1.4's
+    /// "exclude the attacks found so far" workflow).
     pub fn excludes(mut self, rules: &[ExcludeRule]) -> Verifier {
         self.excludes = rules.to_vec();
         self
@@ -336,12 +227,6 @@ impl Verifier {
         self
     }
 
-    /// Worker threads for matrix runs (0 = sized from the core count).
-    pub fn threads(mut self, threads: usize) -> Verifier {
-        self.threads = threads;
-        self
-    }
-
     /// Resolves the builder into a typed single-cell [`Query`].
     pub fn query(self) -> Result<Query, BuildError> {
         let design = self.design.ok_or(BuildError::MissingDesign)?;
@@ -357,17 +242,9 @@ impl Verifier {
         })
     }
 
-    /// A whole scheme × design × contract campaign sharing this builder's
-    /// options. The associated-function form
-    /// `Verifier::matrix(schemes, designs, contracts)` starts from the
-    /// defaults; chain the usual builder calls on the result.
-    pub fn matrix(schemes: &[Scheme], designs: &[DesignKind], contracts: &[Contract]) -> Matrix {
-        Verifier::new().into_matrix(schemes, designs, contracts)
-    }
-
-    /// Fans this configured builder out over a cell matrix (design,
-    /// contract and scheme settings on `self` are superseded by the
-    /// matrix axes).
+    /// Fans this configured builder out over a scheme × design × contract
+    /// cell matrix (design, contract and scheme settings on `self` are
+    /// superseded by the matrix axes).
     pub fn into_matrix(
         self,
         schemes: &[Scheme],
@@ -377,33 +254,15 @@ impl Verifier {
         Matrix {
             cells: matrix(schemes, designs, contracts),
             base: self,
-            cache_dir: None,
-            cache_max_entries: None,
-        }
-    }
-
-    fn check_options(&self) -> CheckOptions {
-        CheckOptions {
-            total_budget: self.budget.total,
-            bmc_depth: self.bmc_depth,
-            attack_only: self.attack_only,
-            kind_max_k: self.kind_max_k,
-            use_pdr: self.use_pdr,
-            pdr_max_frames: self.pdr_max_frames,
-            keep_probes: self.keep_probes,
-            mode: self.mode,
-            lanes: self.budget.lanes.clone(),
-            prepare: self.prepare.clone(),
-            certify: self.certify,
-            extra_lanes: Vec::new(),
+            cache: None,
         }
     }
 
     /// The engine options for one resolved cell. The fuzzing lane needs
     /// the cell's ISA configuration (stimulus sizes follow the design),
-    /// so the factory is built here rather than in [`check_options`].
+    /// so its factory joins the options here.
     fn check_options_for(&self, design: DesignKind, contract: Contract) -> CheckOptions {
-        let mut opts = self.check_options();
+        let mut opts = self.opts.clone();
         if let Some(plan) = &self.fuzz {
             let isa = self.instance_config(design, contract).cpu_config().isa;
             opts.extra_lanes.push(fuzz_lane(isa, plan.clone()));
@@ -521,8 +380,7 @@ impl Query {
     /// appended; a decided miss is stored for next time when
     /// [`may_store`] admits it.
     ///
-    /// With certification on (the default, see [`Verifier::certify`]) a
-    /// hit is served only after *verify-on-load*: the stored proof
+    /// A hit is served only after *verify-on-load*: the stored proof
     /// certificate is re-checked — or the stored attack trace replayed —
     /// against a freshly built instance, so a stale, corrupted, or
     /// forged entry can never launder an unaudited verdict. A failed
@@ -534,13 +392,13 @@ impl Query {
         let task = self.raw_instance();
         let key = self.key_of(&task);
         if let Some(hit) = cache.serve(key) {
-            if !self.opts.certify || cached_report_is_sound(&task, &hit) {
+            if cached_report_is_sound(&task, &hit) {
                 return hit;
             }
             cache.reject(key);
         }
         let report = self.run_on(&task);
-        if may_store(&report, self.opts.certify) {
+        if may_store(&report) {
             let _ = cache.store(key, &report);
         }
         report
@@ -551,8 +409,7 @@ impl Query {
 /// re-check against `task`, the query's freshly built raw instance?
 /// Attacks must replay to a bad state with every assume held; proofs
 /// must carry a certificate whose three obligations pass. A proof with
-/// no certificate fails — under certification the cache only trusts
-/// what it can audit.
+/// no certificate fails — the cache only trusts what it can audit.
 fn cached_report_is_sound(task: &SafetyCheck, report: &Report) -> bool {
     use csl_certify::{check_certificate, check_witness, Witness};
     match &report.verdict {
@@ -570,14 +427,13 @@ fn cached_report_is_sound(task: &SafetyCheck, report: &Report) -> bool {
 }
 
 /// A campaign: a cell matrix plus the shared per-cell options, run on a
-/// worker pool. Produced by [`Verifier::matrix`] /
+/// worker pool sized from the core count. Produced by
 /// [`Verifier::into_matrix`].
 #[derive(Clone, Debug)]
 pub struct Matrix {
     base: Verifier,
     cells: Vec<CampaignCell>,
-    cache_dir: Option<PathBuf>,
-    cache_max_entries: Option<usize>,
+    cache: Option<ReportCache>,
 }
 
 impl Matrix {
@@ -586,85 +442,12 @@ impl Matrix {
         &self.cells
     }
 
-    /// Per-cell wall clock and lane shaping.
-    pub fn budget(mut self, budget: Budget) -> Matrix {
-        self.base = self.base.budget(budget);
-        self
-    }
-
-    /// Per-cell execution mode (sequential or portfolio).
-    pub fn mode(mut self, mode: Mode) -> Matrix {
-        self.base = self.base.mode(mode);
-        self
-    }
-
-    /// Per-cell instance-preparation configuration.
-    pub fn prepare(mut self, prepare: PrepareConfig) -> Matrix {
-        self.base = self.base.prepare(prepare);
-        self
-    }
-
-    /// Adds a per-cell differential-fuzzing lane (see
-    /// [`Verifier::fuzz`]); the stimulus sizes follow each cell's
-    /// design configuration.
-    pub fn fuzz(mut self, plan: FuzzPlan) -> Matrix {
-        self.base = self.base.fuzz(plan);
-        self
-    }
-
-    /// Enables the session result cache rooted at `dir`: `run_all` skips
-    /// cells whose [`Query::cache_key`] already has a decided report on
-    /// disk and stores newly decided ones. Timeouts/unknowns always
-    /// rerun.
-    pub fn cache(mut self, dir: impl Into<PathBuf>) -> Matrix {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Caps the on-disk cache at `n` reports: after each store the
-    /// oldest entries (LRU by file mtime — hits refresh it) are pruned
-    /// until the directory fits. The `cache --max-entries` knob of the
-    /// bench bins lands here.
-    pub fn cache_max_entries(mut self, n: usize) -> Matrix {
-        self.cache_max_entries = Some(n);
-        self
-    }
-
-    /// Drops a previously configured cache (the `--no-cache` escape
-    /// hatch).
-    pub fn no_cache(mut self) -> Matrix {
-        self.cache_dir = None;
-        self
-    }
-
-    /// Worker threads (0 = sized from the core count and mode).
-    pub fn threads(mut self, threads: usize) -> Matrix {
-        self.base = self.base.threads(threads);
-        self
-    }
-
-    /// Skip proof engines in every cell.
-    pub fn attack_only(mut self, on: bool) -> Matrix {
-        self.base = self.base.attack_only(on);
-        self
-    }
-
-    /// Per-cell BMC depth.
-    pub fn bmc_depth(mut self, depth: usize) -> Matrix {
-        self.base = self.base.bmc_depth(depth);
-        self
-    }
-
-    /// Per-cell certificate emission and cache verify-on-load (see
-    /// [`Verifier::certify`]).
-    pub fn certify(mut self, on: bool) -> Matrix {
-        self.base = self.base.certify(on);
-        self
-    }
-
-    /// Arbitrary builder access for the remaining knobs.
-    pub fn configure(mut self, f: impl FnOnce(Verifier) -> Verifier) -> Matrix {
-        self.base = f(self.base);
+    /// Runs through the session result cache `cache` (its size cap
+    /// included): `run_all` serves cells whose [`Query::cache_key`]
+    /// already has a decided report on disk and stores newly decided
+    /// ones. Timeouts/unknowns always rerun.
+    pub fn cache(mut self, cache: ReportCache) -> Matrix {
+        self.cache = Some(cache);
         self
     }
 
@@ -685,13 +468,10 @@ impl Matrix {
     /// a decided report on disk are skipped and served from it.
     pub fn run_all(&self) -> CampaignReport {
         let start = std::time::Instant::now();
-        let cache = self
-            .cache_dir
-            .as_ref()
-            .map(|dir| ReportCache::new(dir).with_max_entries_opt(self.cache_max_entries));
+        let cache = self.cache.as_ref();
         let mut slots: Vec<Option<Report>> = vec![None; self.cells.len()];
         let mut keys: Vec<Option<u64>> = vec![None; self.cells.len()];
-        if let Some(cache) = &cache {
+        if let Some(cache) = cache {
             // Serial key pass: it builds each cell's instance once more
             // than the pool will. Netlist construction is milliseconds
             // against multi-second per-cell SAT budgets, so the lookup
@@ -706,11 +486,7 @@ impl Matrix {
                 // entry whose certificate or witness fails to re-check
                 // is evicted and the cell re-solves on the pool.
                 slots[i] = match cache.serve(key) {
-                    Some(hit)
-                        if !query.options().certify || cached_report_is_sound(&task, &hit) =>
-                    {
-                        Some(hit)
-                    }
+                    Some(hit) if cached_report_is_sound(&task, &hit) => Some(hit),
                     Some(_) => {
                         cache.reject(key);
                         None
@@ -728,12 +504,12 @@ impl Matrix {
         // generator is sized from each cell's design configuration.
         let make_opts =
             |cell: &CampaignCell| self.base.check_options_for(cell.design, cell.contract);
-        let (checks, _pool_wall) = run_cells(&pending, &make_cfg, &make_opts, self.base.threads);
+        let (checks, _pool_wall) = run_cells(&pending, &make_cfg, &make_opts);
         for (&i, check) in to_run.iter().zip(checks) {
             let cell = self.cells[i];
             let report = Report::from_check(cell.scheme, cell.design, cell.contract, check);
-            if let (Some(cache), Some(key)) = (&cache, keys[i]) {
-                if may_store(&report, self.base.certify) {
+            if let (Some(cache), Some(key)) = (cache, keys[i]) {
+                if may_store(&report) {
                     let _ = cache.store(key, &report);
                 }
             }
@@ -782,32 +558,19 @@ mod tests {
             .contract(Contract::Sandboxing)
             .scheme(Scheme::Upec)
             .mode(Mode::Portfolio)
-            .budget(
-                Budget::wall(Duration::from_secs(7)).lane(Lane::Bmc, LaneBudget::depths(&[2, 4])),
-            )
+            .wall(Duration::from_secs(7))
             .attack_only(true)
             .bmc_depth(9)
-            .exclude(ExcludeRule::TakenBranches)
-            .exclude(ExcludeRule::TakenBranches)
+            .prepare(PrepareConfig::off())
+            .excludes(&[ExcludeRule::TakenBranches])
             .query()
             .unwrap();
         assert_eq!(q.options().total_budget, Duration::from_secs(7));
         assert_eq!(q.options().mode, Mode::Portfolio);
         assert!(q.options().attack_only);
         assert_eq!(q.options().bmc_depth, 9);
-        assert_eq!(q.options().lanes.get(Lane::Bmc).depth_schedule, vec![2, 4]);
-        // Duplicate excludes collapse.
+        assert_eq!(q.options().prepare, PrepareConfig::off());
         assert_eq!(q.config().excludes, vec![ExcludeRule::TakenBranches]);
-        // `wall` only replaces the total clock, never the lane shaping.
-        let q2 = Verifier::new()
-            .design(DesignKind::SingleCycle)
-            .contract(Contract::Sandboxing)
-            .budget(Budget::wall(Duration::from_secs(7)).lane(Lane::Bmc, LaneBudget::depths(&[2])))
-            .wall(Duration::from_secs(9))
-            .query()
-            .unwrap();
-        assert_eq!(q2.options().total_budget, Duration::from_secs(9));
-        assert_eq!(q2.options().lanes.get(Lane::Bmc).depth_schedule, vec![2]);
         // UPEC adds its fault exclusion at instance-build time, not here.
         let task = q.instance();
         assert!(task.aig().num_ands() > 0);
@@ -820,17 +583,13 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("csl-verify-on-load-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ReportCache::new(&dir);
-        let query = |certify: bool| {
-            Verifier::new()
-                .design(DesignKind::SingleCycle)
-                .contract(Contract::Sandboxing)
-                .scheme(Scheme::Leave)
-                .wall(Duration::from_secs(60))
-                .certify(certify)
-                .query()
-                .unwrap()
-        };
-        let q = query(true);
+        let q = Verifier::new()
+            .design(DesignKind::SingleCycle)
+            .contract(Contract::Sandboxing)
+            .scheme(Scheme::Leave)
+            .wall(Duration::from_secs(60))
+            .query()
+            .unwrap();
         let first = q.run_cached(&cache);
         assert!(
             first.verdict.is_attack() || first.verdict.is_proof(),
@@ -874,29 +633,16 @@ mod tests {
         let fourth = q.run_cached(&cache);
         assert!(fourth.notes.iter().any(|n| n.contains("served from cache")));
         assert_eq!(cache.stats().rejected, 1);
-
-        // With certification off nothing audits the entry: the same
-        // forged report is served as-is.
-        let unaudited = query(false);
-        cache.store(unaudited.cache_key(), &forged).unwrap();
-        let blind = unaudited.run_cached(&cache);
-        assert!(blind.notes.iter().any(|n| n.contains("served from cache")));
-        assert_eq!(
-            (&blind.verdict, &blind.certificate),
-            (&forged.verdict, &forged.certificate)
-        );
-        assert_eq!(cache.stats().rejected, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn matrix_cells_follow_matrix_order() {
-        let m = Verifier::matrix(
+        let m = Verifier::new().into_matrix(
             &Scheme::ALL,
             &[DesignKind::SingleCycle],
             &[Contract::Sandboxing],
-        )
-        .threads(2);
+        );
         assert_eq!(m.cells().len(), Scheme::ALL.len());
         assert_eq!(m.cells()[0].scheme, Scheme::ALL[0]);
     }

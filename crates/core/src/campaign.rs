@@ -59,21 +59,17 @@ pub fn matrix(
     cells
 }
 
-/// Sizes the worker pool: 0 = derive from the core count, accounting for
-/// the engine lanes each cell spawns in portfolio mode.
-fn worker_count(threads: usize, mode: ExecMode, cells: usize) -> usize {
-    let n = if threads == 0 {
-        let hw = std::thread::available_parallelism().map_or(4, |n| n.get());
-        // A portfolio cell spawns up to four engine lanes of its own;
-        // sizing the pool to the core count would oversubscribe the CPU
-        // 4x and let wall-clock contention flip borderline cells to
-        // timeouts. Budget cores to total threads, not to cells.
-        match mode {
-            ExecMode::Portfolio => (hw / 4).max(1),
-            ExecMode::Sequential => hw,
-        }
-    } else {
-        threads
+/// Sizes the worker pool from the core count, accounting for the engine
+/// lanes each cell spawns in portfolio mode.
+fn worker_count(mode: ExecMode, cells: usize) -> usize {
+    let hw = std::thread::available_parallelism().map_or(4, |n| n.get());
+    // A portfolio cell spawns up to four engine lanes of its own; sizing
+    // the pool to the core count would oversubscribe the CPU 4x and let
+    // wall-clock contention flip borderline cells to timeouts. Budget
+    // cores to total threads, not to cells.
+    let n = match mode {
+        ExecMode::Portfolio => (hw / 4).max(1),
+        ExecMode::Sequential => hw,
     };
     n.clamp(1, cells.max(1))
 }
@@ -87,13 +83,12 @@ pub(crate) fn run_cells(
     cells: &[CampaignCell],
     make_cfg: &(dyn Fn(&CampaignCell) -> InstanceConfig + Sync),
     make_opts: &(dyn Fn(&CampaignCell) -> CheckOptions + Sync),
-    threads: usize,
 ) -> (Vec<CheckReport>, Duration) {
     let start = Instant::now();
     let mode = cells
         .first()
         .map_or(ExecMode::default(), |c| make_opts(c).mode);
-    let workers = worker_count(threads, mode, cells.len());
+    let workers = worker_count(mode, cells.len());
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<CheckReport>>> =
         Mutex::new((0..cells.len()).map(|_| None).collect());
@@ -167,7 +162,7 @@ mod tests {
         };
         let make_cfg = |cell: &CampaignCell| InstanceConfig::new(cell.design, cell.contract);
         let make_opts = |_: &CampaignCell| opts.clone();
-        let (reports, _wall) = run_cells(&cells, &make_cfg, &make_opts, 4);
+        let (reports, _wall) = run_cells(&cells, &make_cfg, &make_opts);
         assert_eq!(reports.len(), cells.len());
     }
 }

@@ -17,8 +17,8 @@ use std::time::Duration;
 
 use csl_certify::{check_certificate, check_witness, Witness};
 use csl_contracts::Contract;
-use csl_core::api::{Budget, CampaignReport, Mode, Report, Verifier};
-use csl_core::{DesignKind, Scheme};
+use csl_core::api::{CampaignReport, Mode, PrepareConfig, Report, ReportCache, Verifier};
+use csl_core::{DesignKind, ExcludeRule, Scheme, ShadowOptions};
 use csl_mc::{ProofEngine, Verdict};
 
 const BUDGET: Duration = Duration::from_secs(10);
@@ -29,7 +29,7 @@ fn builder(scheme: Scheme) -> Verifier {
         .design(DesignKind::SingleCycle)
         .contract(Contract::Sandboxing)
         .scheme(scheme)
-        .budget(Budget::wall(BUDGET))
+        .wall(BUDGET)
         .bmc_depth(DEPTH)
 }
 
@@ -83,15 +83,14 @@ fn every_decided_smoke_cell_carries_validatable_evidence() {
     );
 }
 
-/// `Verifier::matrix(..).run_all()` agrees with running each cell's
+/// `Verifier::into_matrix(..).run_all()` agrees with running each cell's
 /// query individually: same cells, same order, same verdict kinds.
 #[test]
 fn matrix_matches_per_cell_queries() {
     let session = Verifier::new()
-        .budget(Budget::wall(BUDGET))
+        .wall(BUDGET)
         .bmc_depth(DEPTH)
         .mode(Mode::Portfolio)
-        .threads(2)
         .into_matrix(
             &Scheme::ALL,
             &[DesignKind::SingleCycle],
@@ -143,7 +142,7 @@ fn real_report_json_round_trips() {
 #[test]
 fn campaign_json_round_trips_with_live_verdicts() {
     let campaign = Verifier::new()
-        .budget(Budget::wall(BUDGET))
+        .wall(BUDGET)
         .bmc_depth(DEPTH)
         .mode(Mode::Portfolio)
         .into_matrix(
@@ -213,9 +212,14 @@ fn diff_flags_injected_verdict_flip() {
 }
 
 /// The cache key distinguishes every axis it claims to cover while
-/// staying stable for identical queries.
+/// staying stable for identical queries: each identity axis and each
+/// `Verifier` setter (the fuzz plan's is covered in `fuzz_backend.rs`)
+/// must reach `Query::cache_key`, or the cache would serve another
+/// query's report.
 #[test]
 fn cache_key_covers_the_query_identity() {
+    let mut bigger_imem = DesignKind::SingleCycle.cpu_config();
+    bigger_imem.isa.imem_size *= 2;
     let base = builder(Scheme::Shadow).query().unwrap();
     let again = builder(Scheme::Shadow).query().unwrap();
     assert_eq!(
@@ -245,6 +249,44 @@ fn cache_key_covers_the_query_identity() {
             .query()
             .unwrap()
             .cache_key(),
+        builder(Scheme::Shadow)
+            .wall(BUDGET * 2)
+            .query()
+            .unwrap()
+            .cache_key(),
+        builder(Scheme::Shadow)
+            .attack_only(true)
+            .query()
+            .unwrap()
+            .cache_key(),
+        builder(Scheme::Shadow)
+            .prepare(PrepareConfig::off())
+            .query()
+            .unwrap()
+            .cache_key(),
+        builder(Scheme::Shadow)
+            .excludes(&[ExcludeRule::TakenBranches])
+            .query()
+            .unwrap()
+            .cache_key(),
+        builder(Scheme::Shadow)
+            .cpu_override(bigger_imem)
+            .query()
+            .unwrap()
+            .cache_key(),
+        builder(Scheme::Shadow)
+            .shadow(ShadowOptions {
+                enable_drain: false,
+                ..ShadowOptions::default()
+            })
+            .query()
+            .unwrap()
+            .cache_key(),
+        builder(Scheme::Shadow)
+            .with_candidates(false)
+            .query()
+            .unwrap()
+            .cache_key(),
     ];
     for (i, key) in different.iter().enumerate() {
         assert_ne!(*key, base.cache_key(), "axis {i} must change the key");
@@ -259,24 +301,21 @@ fn matrix_rerun_serves_decided_cells_from_cache() {
     let dir = std::env::temp_dir().join(format!("csl-matrix-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let matrix = || {
-        Verifier::new()
-            .budget(Budget::wall(BUDGET))
-            .bmc_depth(DEPTH)
-            .into_matrix(
-                &[Scheme::Leave],
-                &[DesignKind::SingleCycle],
-                &[Contract::Sandboxing],
-            )
-            .cache(&dir)
+        Verifier::new().wall(BUDGET).bmc_depth(DEPTH).into_matrix(
+            &[Scheme::Leave],
+            &[DesignKind::SingleCycle],
+            &[Contract::Sandboxing],
+        )
     };
-    let first = matrix().run_all();
+    let cached = || matrix().cache(ReportCache::new(&dir));
+    let first = cached().run_all();
     assert!(first.reports[0].verdict.is_proof());
     assert!(
         !first.reports[0].notes.iter().any(|n| n.contains("cache")),
         "first run must be a miss"
     );
 
-    let second = matrix().run_all();
+    let second = cached().run_all();
     assert!(second.reports[0].verdict.is_proof());
     assert!(
         second.reports[0]
@@ -288,11 +327,11 @@ fn matrix_rerun_serves_decided_cells_from_cache() {
     );
     assert!(first.diff(&second).is_clean());
 
-    // The escape hatch bypasses the populated cache.
-    let bypass = matrix().no_cache().run_all();
+    // A matrix without a cache ignores the populated one.
+    let bypass = matrix().run_all();
     assert!(
         !bypass.reports[0].notes.iter().any(|n| n.contains("cache")),
-        "no_cache must force a fresh run"
+        "an uncached matrix must run fresh"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 use csl_contracts::Contract;
-use csl_core::api::{Budget, Lane, Mode, Report, Verifier};
+use csl_core::api::{Lane, Mode, Report, Verifier};
 use csl_core::{DesignKind, Scheme};
 use csl_cpu::Defense;
 use csl_mc::{InconclusiveReason, ProofEngine, Verdict};
@@ -24,7 +24,7 @@ fn single_cycle(scheme: Scheme, mode: Mode) -> Report {
         .contract(Contract::Sandboxing)
         .scheme(scheme)
         .mode(mode)
-        .budget(Budget::wall(Duration::from_secs(10)))
+        .wall(Duration::from_secs(10))
         .bmc_depth(4)
         .query()
         .expect("design and contract are set")
@@ -80,7 +80,7 @@ fn leave_houdini_proves_in_few_conflicts() {
             .design(design)
             .contract(Contract::Sandboxing)
             .scheme(Scheme::Leave)
-            .budget(Budget::wall(Duration::from_secs(30)))
+            .wall(Duration::from_secs(30))
             .query()
             .expect("design and contract are set")
             .run();
@@ -108,7 +108,7 @@ fn leave_houdini_proves_in_few_conflicts() {
 fn campaign_wall_clock_no_worse_than_sequential_loop() {
     let matrix = Verifier::new()
         .mode(Mode::Portfolio)
-        .budget(Budget::wall(Duration::from_secs(10)))
+        .wall(Duration::from_secs(10))
         .bmc_depth(4)
         .into_matrix(
             &Scheme::ALL,
@@ -163,7 +163,7 @@ fn leave_and_upec_report_typed_unknown_reasons_in_both_modes() {
                 .contract(Contract::Sandboxing)
                 .scheme(scheme)
                 .mode(mode)
-                .budget(Budget::wall(Duration::from_secs(120)))
+                .wall(Duration::from_secs(120))
                 .bmc_depth(2)
                 .query()
                 .expect("design and contract are set")

@@ -146,11 +146,12 @@ fn secure_design_has_no_shallow_attack() {
     assert!(!report.verdict.is_attack(), "{:?}", report.verdict);
 }
 
-/// The BMC lane drives one session through its depth schedule. On the
-/// secure SimpleOoO-S instance that session must answer every depth as a
-/// fresh solver does: clean to exactly that depth.
+/// A BMC session resumes where its previous run stopped. On the secure
+/// SimpleOoO-S instance, one session run to ever deeper depths must
+/// answer every depth as a fresh solver does: clean to exactly that
+/// depth.
 #[test]
-fn bmc_session_matches_fresh_bmc_through_a_depth_schedule() {
+fn bmc_session_matches_fresh_bmc_at_each_deeper_run() {
     let task = Verifier::new()
         .design(DesignKind::SimpleOoo(Defense::DelaySpectre))
         .contract(Contract::Sandboxing)

@@ -43,7 +43,6 @@
 //! ```
 
 pub mod aig;
-pub mod aiger;
 pub mod design;
 pub mod fxhash;
 pub mod mem;

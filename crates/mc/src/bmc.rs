@@ -44,9 +44,9 @@ pub fn bmc(ts: &Arc<TransitionSystem>, max_depth: usize, budget: Budget) -> BmcR
 
 /// An incremental BMC solving session: one reset-initialised
 /// [`Unroller`] whose learnt clauses and blocked-depth units survive
-/// across [`BmcSession::run_to`] calls. The BMC lane drives one session
-/// through its whole depth schedule, so each step continues where the
-/// previous step stopped instead of re-unrolling from frame 0.
+/// across [`BmcSession::run_to`] calls, so a run to a deeper depth
+/// continues where the previous run stopped instead of re-unrolling from
+/// frame 0.
 ///
 /// # Soundness
 /// Everything the session retains between runs is a consequence of the

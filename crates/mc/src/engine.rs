@@ -12,7 +12,7 @@
 //! and the [`Schedule`] they run on it. A schedule is a list of stages;
 //! the lanes of a stage race through [`crate::portfolio::race`] under the
 //! enclosing budget, and one merge rule applies after every stage: an
-//! attack beats a proof beats a global timeout beats going on. One
+//! attack beats a proof beats a timeout beats going on. One
 //! function, `drive`, runs every schedule and builds the
 //! [`CheckReport`] from the lane runs:
 //!
@@ -37,10 +37,10 @@ use csl_sat::Budget;
 
 use crate::cert::Certificate;
 use crate::houdini::Candidate;
-use crate::lane::{Lane, LanePlan, LaneSolverStats};
+use crate::lane::{Lane, LaneSolverStats};
 use crate::portfolio::{
     race, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneResult,
-    LaneSpec, PdrBackend,
+    PdrBackend,
 };
 use crate::prepare::{prepare, PrepareConfig};
 use crate::sim::Sim;
@@ -224,17 +224,12 @@ pub struct CheckOptions {
     pub attack_only: bool,
     /// Maximum k for k-induction (0 disables the engine).
     pub kind_max_k: usize,
-    /// Run PDR if earlier engines are inconclusive.
-    pub use_pdr: bool,
     /// PDR frame cap.
     pub pdr_max_frames: usize,
     /// Keep probe logic alive (larger encodings, readable traces).
     pub keep_probes: bool,
     /// Sequential or portfolio schedule.
     pub mode: ExecMode,
-    /// Per-lane budget shaping (wall caps, BMC depth schedule). The empty
-    /// default leaves every lane on the shared clock.
-    pub lanes: LanePlan,
     /// Instance preparation: the netlist reduction pipeline every engine
     /// runs behind (default on; `PrepareConfig::off()` hands the engines
     /// the raw instance). Attack traces are lifted back to the raw
@@ -245,12 +240,8 @@ pub struct CheckOptions {
     /// other caller-supplied [`crate::Backend`]) joins the check. In
     /// portfolio mode each factory's backend races the solver lanes
     /// (a concrete leak is decisive and cancels them); in sequential
-    /// mode each runs in its own stage ahead of BMC, under its
-    /// [`LanePlan`] budget. Empty by default.
+    /// mode each runs in its own stage ahead of BMC. Empty by default.
     pub extra_lanes: Vec<LaneFactory>,
-    /// Attach a checkable [`Certificate`] to every proof verdict (on by
-    /// default; capturing the material is free — no extra SAT calls).
-    pub certify: bool,
 }
 
 impl Default for CheckOptions {
@@ -260,14 +251,11 @@ impl Default for CheckOptions {
             bmc_depth: 20,
             attack_only: false,
             kind_max_k: 6,
-            use_pdr: true,
             pdr_max_frames: 40,
             keep_probes: true,
             mode: ExecMode::Sequential,
-            lanes: LanePlan::default(),
             prepare: PrepareConfig::default(),
             extra_lanes: Vec::new(),
-            certify: true,
         }
     }
 }
@@ -290,13 +278,6 @@ impl CheckOptions {
     /// (builder style) — see [`CheckOptions::extra_lanes`].
     pub fn with_extra_lane(mut self, lane: LaneFactory) -> CheckOptions {
         self.extra_lanes.push(lane);
-        self
-    }
-
-    /// The same options with certificate emission toggled
-    /// (builder style) — see [`CheckOptions::certify`].
-    pub fn certify(mut self, certify: bool) -> CheckOptions {
-        self.certify = certify;
         self
     }
 }
@@ -329,8 +310,9 @@ pub struct CheckReport {
     /// Checkable proof artifact for `Verdict::Proof` results, in the
     /// vocabulary of the netlist this report describes (after
     /// preparation lifting: the *raw* netlist). `None` for non-proof
-    /// verdicts, when [`CheckOptions::certify`] was off, or when lifting
-    /// through the preparation pipeline failed (noted in `notes`).
+    /// verdicts, for a proof from a caller-supplied lane that supplies
+    /// none, or when lifting through the preparation pipeline failed
+    /// (noted in `notes`).
     pub certificate: Option<Certificate>,
 }
 
@@ -339,8 +321,7 @@ pub struct CheckReport {
 /// the check's options and the prepared instance's candidates.
 #[derive(Clone, Debug)]
 pub enum Step {
-    /// BMC to [`CheckOptions::bmc_depth`], walking the lane plan's depth
-    /// schedule when it has one.
+    /// BMC to [`CheckOptions::bmc_depth`].
     Bmc,
     /// k-induction for `k = 1..=max_k`.
     KInduction { max_k: usize },
@@ -358,10 +339,7 @@ pub enum Step {
 impl Step {
     fn backend(&self, candidates: &[Candidate], opts: &CheckOptions) -> Box<dyn Backend> {
         match self {
-            Step::Bmc => Box::new(
-                BmcBackend::new(opts.bmc_depth)
-                    .schedule(opts.lanes.get(Lane::Bmc).depth_schedule.clone()),
-            ),
+            Step::Bmc => Box::new(BmcBackend::new(opts.bmc_depth)),
             Step::KInduction { max_k } => Box::new(KindBackend::new(*max_k)),
             Step::Pdr => Box::new(PdrBackend::new(opts.pdr_max_frames, opts.bmc_depth)),
             Step::Houdini { tail: false } => Box::new(HoudiniBackend::new(candidates.to_vec())),
@@ -395,10 +373,10 @@ pub enum Undecided {
 
 /// An engine schedule: stages run one after another, the lanes of a
 /// stage race concurrently. After every stage one merge rule applies —
-/// an attack beats a proof beats a global timeout beats going on to the
+/// an attack beats a proof beats a timeout beats going on to the
 /// next stage — and a schedule that runs out of stages reports
-/// [`Schedule::undecided`]. A lane whose own wall cap fired before the
-/// shared deadline timed out locally; the schedule goes on.
+/// [`Schedule::undecided`]. Every lane runs to the schedule's one
+/// deadline.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     pub stages: Vec<Vec<Step>>,
@@ -473,7 +451,8 @@ impl Schedule {
     }
 }
 
-/// `[Houdini] → [k-induction] → [PDR]`, each stage when configured.
+/// `[Houdini] → [k-induction] → [PDR]`, Houdini and k-induction when
+/// configured.
 fn proof_stages(opts: &CheckOptions, houdini: bool) -> Vec<Vec<Step>> {
     let mut stages = Vec::new();
     if houdini {
@@ -484,9 +463,7 @@ fn proof_stages(opts: &CheckOptions, houdini: bool) -> Vec<Vec<Step>> {
             max_k: opts.kind_max_k,
         }]);
     }
-    if opts.use_pdr {
-        stages.push(vec![Step::Pdr]);
-    }
+    stages.push(vec![Step::Pdr]);
     stages
 }
 
@@ -549,7 +526,7 @@ pub(crate) fn drive(
     };
     let (verdict, certificate) = run_stages(task, schedule, opts, budget, &mut report);
     report.verdict = verdict;
-    report.certificate = certificate.filter(|_| opts.certify);
+    report.certificate = certificate;
     report.elapsed = start.elapsed();
     report
 }
@@ -561,8 +538,6 @@ fn run_stages(
     budget: &Budget,
     report: &mut CheckReport,
 ) -> (Verdict, Option<Certificate>) {
-    let start = Instant::now();
-    let deadline = budget.deadline.expect("schedules run under a deadline");
     // The instance the stages run on: the task's, strengthened by the
     // Houdini survivors once a Houdini stage has found some.
     let mut strengthened: Option<Aig> = None;
@@ -571,11 +546,7 @@ fn run_stages(
     for stage in &schedule.stages {
         let lanes = stage
             .iter()
-            .map(|step| {
-                let backend = step.backend(&task.candidates, opts);
-                let lane_deadline = opts.lanes.deadline_for(backend.lane(), start, deadline);
-                LaneSpec::new(backend, lane_deadline)
-            })
+            .map(|step| step.backend(&task.candidates, opts))
             .collect();
         let mut attack: Option<Box<Trace>> = None;
         let mut proof = None;
@@ -614,7 +585,7 @@ fn run_stages(
                     bmc_clean = Some(depth);
                 }
                 EngineOutcome::Inconclusive(_) => {}
-                EngineOutcome::Timeout => timed_out |= lane.deadline >= deadline,
+                EngineOutcome::Timeout => timed_out = true,
             }
         }
         if let Some(trace) = attack {
@@ -833,21 +804,6 @@ mod tests {
                     ..Default::default()
                 },
             ),
-            // Attack-only with a spent BMC lane cap: both modes must
-            // report the same (global) timeout — there is no other lane
-            // to fall through to.
-            (
-                "attack-only with capped bmc",
-                counter_task(4, 6, false),
-                CheckOptions {
-                    attack_only: true,
-                    lanes: crate::lane::LanePlan::new().with(
-                        crate::lane::Lane::Bmc,
-                        crate::lane::LaneBudget::wall(Duration::ZERO),
-                    ),
-                    ..Default::default()
-                },
-            ),
         ];
         for (label, task, opts) in scenarios {
             let seq = check_safety(&task, &opts);
@@ -863,64 +819,14 @@ mod tests {
         }
     }
 
-    /// A wall-capped lane that exhausts only its own clock is skipped in
-    /// sequential mode and ignored in portfolio mode — the check still
-    /// reaches the proof engines instead of reporting a global timeout.
-    #[test]
-    fn bmc_lane_cap_skips_phase_instead_of_timing_out() {
-        use crate::lane::{Lane, LaneBudget, LanePlan};
-        let task = counter_task(4, 6, false);
-        for mode in [ExecMode::Sequential, ExecMode::Portfolio] {
-            let opts = CheckOptions {
-                lanes: LanePlan::new().with(Lane::Bmc, LaneBudget::wall(Duration::ZERO)),
-                mode,
-                ..Default::default()
-            };
-            let report = check_safety(&task, &opts);
-            assert!(
-                report.verdict.is_proof(),
-                "{mode:?}: {:?} {:?}",
-                report.verdict,
-                report.notes
-            );
-        }
-    }
-
-    /// A BMC depth schedule still finds attacks beyond its shallow steps
-    /// (and beyond `bmc_depth`, which the schedule overrides).
-    #[test]
-    fn bmc_depth_schedule_reaches_deep_attack() {
-        use crate::lane::{Lane, LaneBudget, LanePlan};
-        let task = counter_task(4, 6, true);
-        for mode in [ExecMode::Sequential, ExecMode::Portfolio] {
-            let opts = CheckOptions {
-                bmc_depth: 2,
-                attack_only: true,
-                lanes: LanePlan::new().with(Lane::Bmc, LaneBudget::depths(&[2, 4, 8])),
-                mode,
-                ..Default::default()
-            };
-            let report = check_safety(&task, &opts);
-            assert!(
-                report.verdict.is_attack(),
-                "{mode:?}: {:?} {:?}",
-                report.verdict,
-                report.notes
-            );
-        }
-    }
-
-    /// Attack-only checks report the depth BMC actually proved clean —
-    /// with a depth schedule, its last step rather than `bmc_depth`.
+    /// Attack-only checks report the depth BMC actually proved clean.
     #[test]
     fn attack_only_reports_the_depth_bmc_checked() {
-        use crate::lane::{Lane, LaneBudget, LanePlan};
         let task = counter_task(4, 6, false);
         for mode in [ExecMode::Sequential, ExecMode::Portfolio] {
             let opts = CheckOptions {
-                bmc_depth: 2,
+                bmc_depth: 8,
                 attack_only: true,
-                lanes: LanePlan::new().with(Lane::Bmc, LaneBudget::depths(&[2, 4, 8])),
                 mode,
                 ..Default::default()
             };

@@ -7,12 +7,12 @@
 //! * [`sim`] — concrete simulation, counterexample replay and waveforms,
 //!   including the 64-lane bit-parallel [`sim::BatchSim`] behind the
 //!   differential-fuzzing backend,
-//! * [`bmc`] — bounded model checking (attack finding; the paper's `Ht`
+//! * [`bmc`](mod@bmc) — bounded model checking (attack finding; the paper's `Ht`
 //!   engine role),
 //! * [`kind`] — k-induction with optional unique-state constraints,
-//! * [`houdini`] — invariant filtering over candidate relational
+//! * [`houdini`](mod@houdini) — invariant filtering over candidate relational
 //!   invariants (the mechanism behind the LEAVE comparison scheme),
-//! * [`pdr`] — IC3/property-directed reachability (unbounded proofs; the
+//! * [`pdr`](mod@pdr) — IC3/property-directed reachability (unbounded proofs; the
 //!   paper's `Mp`/`AM` engine role),
 //! * [`engine::check_safety`] — the engine driver producing the paper's
 //!   three outcomes (attack counterexample, unbounded proof, or
@@ -22,10 +22,8 @@
 //!   isolation (no lane sees another's clauses or lemmas), and the first
 //!   decisive lane cancels the rest through a stop flag shared via
 //!   `csl_sat::Budget`,
-//! * [`lane`] — per-lane budget shaping ([`LanePlan`]): wall caps and BMC
-//!   depth schedules threaded through [`CheckOptions::lanes`] into every
-//!   schedule,
-//! * [`prepare`] — instance preparation: the `csl_hdl::xform` reduction
+//! * [`lane`] — the engine lanes and their per-run solver counters,
+//! * [`prepare`](mod@prepare) — instance preparation: the `csl_hdl::xform` reduction
 //!   pipeline (cone-of-influence, constant sweep + cross-copy re-strash,
 //!   dead-latch elimination, compaction) every engine runs behind, with
 //!   [`prepare::PreparedInstance`] carrying the reconstruction that
@@ -73,11 +71,11 @@ pub use engine::{
 };
 pub use houdini::{houdini, houdini_with_stats, Candidate, HoudiniOutcome, HoudiniResult};
 pub use kind::{k_induction, KindOptions, KindResult, KindSession};
-pub use lane::{Lane, LaneBudget, LanePlan, LaneSolverStats, SharedContext};
+pub use lane::{Lane, LaneSolverStats, SharedContext};
 pub use pdr::{pdr, pdr_with_stats, Cube, PdrOptions, PdrResult};
 pub use portfolio::{
     race, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneResult,
-    LaneRun, LaneSpec, PdrBackend, RaceReport,
+    LaneRun, PdrBackend, RaceReport,
 };
 pub use prepare::{prepare, PrepareConfig, PrepareStats, PreparedInstance};
 pub use sim::{

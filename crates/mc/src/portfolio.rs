@@ -42,7 +42,7 @@ use crate::engine::{
 };
 use crate::houdini::{houdini_with_stats, Candidate, HoudiniResult};
 use crate::kind::{KindResult, KindSession};
-use crate::lane::{Lane, LanePlan, LaneSolverStats, SharedContext};
+use crate::lane::{Lane, LaneSolverStats, SharedContext};
 use crate::pdr::{pdr_with_stats, PdrOptions, PdrResult};
 use crate::sim::Sim;
 use crate::trace::Trace;
@@ -169,75 +169,18 @@ fn validated_attack(ts: &TransitionSystem, trace: Box<Trace>, engine: &str) -> E
     }
 }
 
-/// Bounded model checking — the attack-finding lane (the paper's `Ht`).
-///
-/// The lane drives a single [`BmcSession`] across its whole depth
-/// schedule, so each step continues the previous step's unrolling
-/// instead of re-encoding from frame 0. Its counterexamples are not
-/// replayed here: the driver replays them and counts them as attacks
-/// even when the replay fails.
+/// Bounded model checking — the attack-finding lane (the paper's `Ht`):
+/// one [`BmcSession`] checks every depth up to `depth`. Its
+/// counterexamples are not replayed here: the driver replays them and
+/// counts them as attacks even when the replay fails.
 pub struct BmcBackend {
     pub depth: usize,
-    /// Progressive depth schedule from the lane plan: each step gets an
-    /// even share of the lane's remaining clock, deeper steps inherit
-    /// whatever earlier steps left over, and the first counterexample
-    /// ends the walk. Empty = one pass at `depth`.
-    pub schedule: Vec<usize>,
 }
 
 impl BmcBackend {
-    /// A lane running one pass at `depth`.
+    /// A lane checking every depth up to `depth`.
     pub fn new(depth: usize) -> BmcBackend {
-        BmcBackend {
-            depth,
-            schedule: Vec::new(),
-        }
-    }
-
-    /// Sets the progressive depth schedule (builder style).
-    pub fn schedule(mut self, schedule: Vec<usize>) -> BmcBackend {
-        self.schedule = schedule;
-        self
-    }
-
-    fn walk(&self, session: &mut BmcSession, budget: Budget) -> EngineOutcome {
-        let steps = if self.schedule.is_empty() {
-            std::slice::from_ref(&self.depth)
-        } else {
-            &self.schedule
-        };
-        let mut clean_to: Option<usize> = None;
-        for (i, &depth) in steps.iter().enumerate() {
-            // Split the remaining lane clock evenly over the remaining
-            // steps; the final step always gets everything that is left.
-            let step_budget = match budget.deadline {
-                Some(dl) => {
-                    let now = Instant::now();
-                    let steps_left = (steps.len() - i) as u32;
-                    Budget {
-                        deadline: Some(now + dl.saturating_duration_since(now) / steps_left),
-                        ..budget.clone()
-                    }
-                }
-                None => budget.clone(),
-            };
-            match session.run_to(depth, step_budget, &mut SharedContext) {
-                BmcResult::Cex(trace) => return EngineOutcome::Attack(trace),
-                BmcResult::Clean { depth_checked } => clean_to = Some(depth_checked),
-                BmcResult::Timeout { depth_checked } => {
-                    clean_to = depth_checked.or(clean_to);
-                    // A step timeout only ends the lane when its *lane*
-                    // clock (not just the step slice) is gone.
-                    if budget.out_of_time() {
-                        return EngineOutcome::Timeout;
-                    }
-                }
-            }
-        }
-        match clean_to {
-            Some(d) => EngineOutcome::Inconclusive(InconclusiveReason::BoundedClean { depth: d }),
-            None => EngineOutcome::Timeout,
-        }
+        BmcBackend { depth }
     }
 }
 
@@ -248,7 +191,15 @@ impl Backend for BmcBackend {
 
     fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget) -> LaneRun {
         let mut session = BmcSession::new(ts);
-        let outcome = self.walk(&mut session, budget);
+        let outcome = match session.run_to(self.depth, budget, &mut SharedContext) {
+            BmcResult::Cex(trace) => EngineOutcome::Attack(trace),
+            BmcResult::Clean { depth_checked } => {
+                EngineOutcome::Inconclusive(InconclusiveReason::BoundedClean {
+                    depth: depth_checked,
+                })
+            }
+            BmcResult::Timeout { .. } => EngineOutcome::Timeout,
+        };
         LaneRun {
             solver: Some(LaneSolverStats::cold(Lane::Bmc, session.solver_stats())),
             ..outcome.into()
@@ -399,12 +350,9 @@ impl HoudiniBackend {
     }
 
     /// Runs the strengthened tail under `opts` (builder style). The tail
-    /// lanes share this lane's clock: per-lane caps do not apply inside.
+    /// lanes share this lane's clock.
     pub fn tail(mut self, opts: &CheckOptions) -> HoudiniBackend {
-        self.tail = Some(CheckOptions {
-            lanes: LanePlan::default(),
-            ..opts.clone()
-        });
+        self.tail = Some(opts.clone());
         self
     }
 
@@ -466,20 +414,6 @@ impl Backend for HoudiniBackend {
     }
 }
 
-/// One configured lane of a race: the backend and its deadline (per-lane
-/// wall caps from a [`crate::LanePlan`] arrive here as earlier
-/// deadlines).
-pub struct LaneSpec {
-    pub backend: Box<dyn Backend>,
-    pub deadline: Instant,
-}
-
-impl LaneSpec {
-    pub fn new(backend: Box<dyn Backend>, deadline: Instant) -> LaneSpec {
-        LaneSpec { backend, deadline }
-    }
-}
-
 /// The result of one lane, in arrival order.
 #[derive(Debug)]
 pub struct LaneResult {
@@ -487,11 +421,6 @@ pub struct LaneResult {
     pub lane: Lane,
     pub run: LaneRun,
     pub elapsed: Duration,
-    /// The deadline this lane ran under — earlier than the schedule's
-    /// shared deadline exactly when a per-lane wall cap shortened it,
-    /// which is how the driver tells a lane-local timeout from a global
-    /// one.
-    pub deadline: Instant,
 }
 
 /// Everything the race produced: per-lane results (in completion order)
@@ -506,7 +435,8 @@ pub struct RaceReport {
 const STOP_POLL: Duration = Duration::from_millis(2);
 
 /// Races `lanes` against each other, one thread per backend, until the
-/// first decisive outcome or each lane's deadline. Each lane builds its
+/// first decisive outcome or the `enclosing` budget's deadline, which
+/// every lane runs under. Each lane builds its
 /// own [`TransitionSystem`] from a clone of `aig` (the build is cheap
 /// relative to any SAT query) and gets a budget carrying the race's stop
 /// flag; when a lane reports a decisive outcome the flag is raised and
@@ -516,19 +446,19 @@ const STOP_POLL: Duration = Duration::from_millis(2);
 /// lane has no sibling to cancel: it runs on the calling thread under
 /// the enclosing stop flag.
 pub fn race(
-    mut lanes: Vec<LaneSpec>,
+    mut lanes: Vec<Box<dyn Backend>>,
     aig: &Aig,
     keep_probes: bool,
     enclosing: &Budget,
 ) -> RaceReport {
     if lanes.len() == 1 {
-        let spec = lanes.pop().expect("one lane");
+        let backend = lanes.pop().expect("one lane");
         return RaceReport {
             lanes: vec![run_lane(
-                spec,
+                backend,
                 aig.clone(),
                 keep_probes,
-                enclosing.stop.clone(),
+                enclosing.clone(),
             )],
             canceled_stragglers: false,
         };
@@ -536,13 +466,16 @@ pub fn race(
     let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::channel::<LaneResult>();
     let mut handles = Vec::with_capacity(lanes.len());
-    for spec in lanes {
+    for backend in lanes {
         let aig = aig.clone();
-        let stop = stop.clone();
+        let budget = Budget {
+            stop: Some(stop.clone()),
+            ..enclosing.clone()
+        };
         let tx = tx.clone();
         handles.push(std::thread::spawn(move || {
             // The receiver may be gone if the race was already decided.
-            let _ = tx.send(run_lane(spec, aig, keep_probes, Some(stop)));
+            let _ = tx.send(run_lane(backend, aig, keep_probes, budget));
         }));
     }
     drop(tx);
@@ -577,26 +510,16 @@ pub fn race(
     }
 }
 
-/// Runs one lane to its result under its deadline and `stop`.
-fn run_lane(
-    spec: LaneSpec,
-    aig: Aig,
-    keep_probes: bool,
-    stop: Option<Arc<AtomicBool>>,
-) -> LaneResult {
+/// Runs one lane to its result under `budget`.
+fn run_lane(backend: Box<dyn Backend>, aig: Aig, keep_probes: bool, budget: Budget) -> LaneResult {
     let start = Instant::now();
     let ts = TransitionSystem::shared(aig, keep_probes);
-    let budget = Budget {
-        stop,
-        ..Budget::until(spec.deadline)
-    };
-    let run = spec.backend.run(&ts, budget);
+    let run = backend.run(&ts, budget);
     LaneResult {
-        engine: spec.backend.name(),
-        lane: spec.backend.lane(),
+        engine: backend.name(),
+        lane: backend.lane(),
         run,
         elapsed: start.elapsed(),
-        deadline: spec.deadline,
     }
 }
 
@@ -683,10 +606,10 @@ mod tests {
         let start = Instant::now();
         let deadline = Instant::now() + Duration::from_secs(60);
         let report = race(
-            vec![LaneSpec::new(fast, deadline), LaneSpec::new(slow, deadline)],
+            vec![fast, slow],
             &trivial_aig(),
             false,
-            &Budget::unlimited(),
+            &Budget::until(deadline),
         );
         let wall = start.elapsed();
         // The fast proof decided the race and the slow lane was stopped
@@ -718,12 +641,7 @@ mod tests {
             EngineOutcome::Inconclusive(InconclusiveReason::Other("nothing".into()))
         });
         let deadline = Instant::now() + Duration::from_secs(60);
-        let report = race(
-            vec![LaneSpec::new(a, deadline), LaneSpec::new(b, deadline)],
-            &trivial_aig(),
-            false,
-            &Budget::unlimited(),
-        );
+        let report = race(vec![a, b], &trivial_aig(), false, &Budget::until(deadline));
         assert!(!report.canceled_stragglers);
         assert!(a_fin.load(Ordering::Relaxed));
         assert!(b_fin.load(Ordering::Relaxed));
@@ -746,7 +664,6 @@ mod tests {
                 Lane::Houdini
             }
             fn run(&self, ts: &Arc<TransitionSystem>, budget: Budget) -> LaneRun {
-                let deadline = Instant::now() + Duration::from_secs(60);
                 let inner = (0..self.lanes)
                     .map(|_| {
                         let slow = FakeBackend {
@@ -756,7 +673,7 @@ mod tests {
                             saw_stop: self.saw_stop.clone(),
                             finished_naturally: Arc::new(AtomicBool::new(false)),
                         };
-                        LaneSpec::new(Box::new(slow), deadline)
+                        Box::new(slow) as Box<dyn Backend>
                     })
                     .collect();
                 let mut report = race(inner, ts.aig(), false, &budget);
@@ -775,13 +692,10 @@ mod tests {
             let deadline = Instant::now() + Duration::from_secs(60);
             let start = Instant::now();
             let report = race(
-                vec![
-                    LaneSpec::new(fast, deadline),
-                    LaneSpec::new(Box::new(nested), deadline),
-                ],
+                vec![fast, Box::new(nested)],
                 &trivial_aig(),
                 false,
-                &Budget::unlimited(),
+                &Budget::until(deadline),
             );
             assert!(report.canceled_stragglers);
             assert!(
@@ -803,14 +717,10 @@ mod tests {
         let (l2, _, _) = fake("l2", Duration::from_secs(20), || EngineOutcome::Timeout);
         let deadline = Instant::now() + Duration::from_secs(60);
         let report = race(
-            vec![
-                LaneSpec::new(w, deadline),
-                LaneSpec::new(l1, deadline),
-                LaneSpec::new(l2, deadline),
-            ],
+            vec![w, l1, l2],
             &trivial_aig(),
             false,
-            &Budget::unlimited(),
+            &Budget::until(deadline),
         );
         assert_eq!(report.lanes.len(), 3);
     }

@@ -27,23 +27,16 @@ use crate::houdini::Candidate;
 
 pub use csl_hdl::xform::PipelineStats as PrepareStats;
 
-/// Which reduction passes run before the engines see an instance.
+/// Whether the reduction pipeline runs before the engines see an
+/// instance: all four passes, or none.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PrepareConfig {
-    /// Master switch; `false` hands the engines the raw instance.
+    /// `false` hands the engines the raw instance.
     pub enabled: bool,
-    /// Cone-of-influence reduction w.r.t. assumes/bads (+probes).
-    pub coi: bool,
-    /// Stuck-at-reset constant sweep + cross-copy re-strash.
-    pub const_sweep: bool,
-    /// Removal of latches orphaned by earlier passes.
-    pub dead_latches: bool,
-    /// Probe-preserving node compaction.
-    pub compact: bool,
 }
 
 impl Default for PrepareConfig {
-    /// Preparation on, all passes enabled.
+    /// Preparation on.
     fn default() -> PrepareConfig {
         PrepareConfig::on()
     }
@@ -52,47 +45,27 @@ impl Default for PrepareConfig {
 impl PrepareConfig {
     /// The full standard pipeline.
     pub fn on() -> PrepareConfig {
-        PrepareConfig {
-            enabled: true,
-            coi: true,
-            const_sweep: true,
-            dead_latches: true,
-            compact: true,
-        }
+        PrepareConfig { enabled: true }
     }
 
     /// Preparation disabled (engines run on the raw instance).
     pub fn off() -> PrepareConfig {
-        PrepareConfig {
-            enabled: false,
-            coi: false,
-            const_sweep: false,
-            dead_latches: false,
-            compact: false,
-        }
+        PrepareConfig { enabled: false }
     }
 
-    /// The `csl_hdl::xform` pipeline these knobs describe (empty when
-    /// disabled).
+    /// The `csl_hdl::xform` pipeline this configuration describes:
+    /// cone-of-influence reduction, constant sweep with cross-copy
+    /// re-strash, dead-latch elimination and probe-preserving compaction
+    /// (empty when disabled).
     pub fn pipeline(&self, keep_probes: bool) -> Pipeline {
-        let opts = PassOpts { keep_probes };
-        let mut p = Pipeline::new(opts);
+        let p = Pipeline::new(PassOpts { keep_probes });
         if !self.enabled {
             return p;
         }
-        if self.coi {
-            p = p.with_pass(CoiPass);
-        }
-        if self.const_sweep {
-            p = p.with_pass(ConstSweepPass);
-        }
-        if self.dead_latches {
-            p = p.with_pass(DeadLatchPass);
-        }
-        if self.compact {
-            p = p.with_pass(CompactPass);
-        }
-        p
+        p.with_pass(CoiPass)
+            .with_pass(ConstSweepPass)
+            .with_pass(DeadLatchPass)
+            .with_pass(CompactPass)
     }
 }
 

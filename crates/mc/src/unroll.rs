@@ -20,7 +20,7 @@
 //!
 //! Each `(frame, node)` literal still equals that node's value at that
 //! frame in every model; several `(frame, node)` pairs may share one
-//! literal. The constant sweep in [`crate::prepare`] runs once, over the
+//! literal. The constant sweep in [`crate::prepare`](mod@crate::prepare) runs once, over the
 //! netlist, and folds only latches stuck at their reset value forever;
 //! the encoder folds each frame's own constants (a reset frame 0 and
 //! what it feeds forward) and shares the logic two machine copies

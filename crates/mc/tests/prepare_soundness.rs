@@ -72,7 +72,6 @@ fn opts(prepare: PrepareConfig) -> CheckOptions {
         // compares decided verdicts, not budget luck.
         bmc_depth: 24,
         kind_max_k: 4,
-        use_pdr: true,
         pdr_max_frames: 64,
         prepare,
         ..CheckOptions::default()

@@ -1,6 +1,6 @@
-//! Incremental-session soundness: a BMC session driven through a depth
-//! schedule, as the BMC lane drives it, must be indistinguishable —
-//! verdict for verdict — from solving each depth fresh.
+//! Incremental-session soundness: a BMC session run to ever deeper
+//! depths must be indistinguishable — verdict for verdict — from solving
+//! each depth fresh.
 //!
 //! Property test over random small AIGs (the `invariant_soundness`
 //! generator family): one [`BmcSession`] driven through an escalating

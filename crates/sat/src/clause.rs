@@ -13,7 +13,8 @@
 
 use crate::lit::Lit;
 
-/// A reference to a clause: the index of its header in the [`ClauseDb`].
+/// A reference to a clause: the index of its header in the clause
+/// database.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct ClauseRef(u32);
 

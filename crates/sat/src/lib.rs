@@ -38,8 +38,6 @@ mod heap;
 mod lit;
 mod solver;
 
-pub mod dimacs;
-
 pub use clause::ClauseRef;
 pub use lit::{LBool, Lit, Var};
 pub use solver::{Budget, SolveResult, Solver, SolverStats};

@@ -29,15 +29,12 @@
 //!    solving.
 //!
 //! Every query goes through [`csl_core::api::Query::run_cached`] when a
-//! cache directory is configured, so repeated lattice walks (CI gates,
-//! re-runs, neighbouring designs sharing sub-queries) are served from
-//! disk — with verify-on-load auditing each served verdict. The descent
-//! can also fan its independent drop-queries out over the
-//! [`csl_core::api::Matrix`] worker pool.
+//! cache is configured, so repeated lattice walks (CI gates, re-runs,
+//! neighbouring designs sharing sub-queries) are served from disk — with
+//! verify-on-load auditing each served verdict.
 
 pub mod cex;
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use csl_contracts::{Contract, ObsAtom, ObsSet};
@@ -183,8 +180,7 @@ impl SynthesisResult {
 pub struct Synthesizer {
     base: Verifier,
     scheme: Scheme,
-    cache_dir: Option<PathBuf>,
-    parallel_descent: bool,
+    cache: Option<ReportCache>,
 }
 
 impl Default for Synthesizer {
@@ -192,21 +188,20 @@ impl Default for Synthesizer {
         Synthesizer {
             base: Verifier::new(),
             scheme: Scheme::Shadow,
-            cache_dir: None,
-            parallel_descent: false,
+            cache: None,
         }
     }
 }
 
 impl Synthesizer {
     /// A fresh driver: Contract Shadow Logic scheme, default budget, no
-    /// cache, sequential descent.
+    /// cache.
     pub fn new() -> Synthesizer {
         Synthesizer::default()
     }
 
-    /// Replaces the base verification session (budget, mode, depth,
-    /// certification, ... — design/contract/scheme are overridden per
+    /// Replaces the base verification session (wall clock, mode, depth,
+    /// preparation, ... — design/contract/scheme are overridden per
     /// query).
     pub fn verifier(mut self, base: Verifier) -> Synthesizer {
         self.base = base;
@@ -221,25 +216,10 @@ impl Synthesizer {
         self
     }
 
-    /// Routes every query through a persistent [`ReportCache`] rooted at
-    /// `dir` (verify-on-load audited; see `Query::run_cached`).
-    pub fn cache(mut self, dir: impl Into<PathBuf>) -> Synthesizer {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Drops a previously configured cache.
-    pub fn no_cache(mut self) -> Synthesizer {
-        self.cache_dir = None;
-        self
-    }
-
-    /// Fans each descent round's independent drop-queries out over the
-    /// [`csl_core::api::Matrix`] worker pool instead of solving them one
-    /// by one (default off: sequential is deterministic in its step
-    /// order and cheaper for the common 2–3-atom contracts).
-    pub fn parallel_descent(mut self, on: bool) -> Synthesizer {
-        self.parallel_descent = on;
+    /// Routes every query through the persistent `cache`, its size cap
+    /// included (verify-on-load audited; see `Query::run_cached`).
+    pub fn cache(mut self, cache: ReportCache) -> Synthesizer {
+        self.cache = Some(cache);
         self
     }
 
@@ -254,9 +234,9 @@ impl Synthesizer {
             .expect("design and contract are always set")
     }
 
-    fn run_one(&self, cache: Option<&ReportCache>, design: DesignKind, set: ObsSet) -> Report {
+    fn run_one(&self, design: DesignKind, set: ObsSet) -> Report {
         let query = self.query_for(design, set);
-        match cache {
+        match &self.cache {
             Some(c) => query.run_cached(c),
             None => query.run(),
         }
@@ -265,7 +245,6 @@ impl Synthesizer {
     /// Runs the CEGIS loop for one design to a [`SynthesisResult`].
     pub fn synthesize(&self, design: DesignKind) -> SynthesisResult {
         let start = Instant::now();
-        let cache = self.cache_dir.as_ref().map(ReportCache::new);
         let isa = self
             .query_for(design, ObsSet::EMPTY)
             .config()
@@ -279,7 +258,7 @@ impl Synthesizer {
 
         // -- Grow: weaken until the design proves -------------------------
         let outcome = loop {
-            let report = self.run_one(cache.as_ref(), design, candidate);
+            let report = self.run_one(design, candidate);
             let from_cache = served(&report);
             match &report.verdict {
                 Verdict::Proof(_) => {
@@ -334,7 +313,7 @@ impl Synthesizer {
         if outcome == SynthOutcome::Sound {
             'descent: loop {
                 let drops: Vec<ObsAtom> = candidate.atoms().collect();
-                let mut pending: Vec<(ObsAtom, ObsSet)> = Vec::new();
+                let mut pending: Vec<ObsSet> = Vec::new();
                 for atom in drops {
                     let dropped = candidate.without(atom);
                     if refuted.contains(&dropped) {
@@ -342,18 +321,14 @@ impl Synthesizer {
                         // the drop is refuted without a query.
                         reused += 1;
                     } else {
-                        pending.push((atom, dropped));
+                        pending.push(dropped);
                     }
                 }
-                let reports: Vec<Report> = if self.parallel_descent && pending.len() > 1 {
-                    self.descent_round_parallel(design, &pending)
-                } else {
-                    pending
-                        .iter()
-                        .map(|&(_, set)| self.run_one(cache.as_ref(), design, set))
-                        .collect()
-                };
-                for ((_, dropped), report) in pending.into_iter().zip(reports) {
+                let reports: Vec<Report> = pending
+                    .iter()
+                    .map(|&set| self.run_one(design, set))
+                    .collect();
+                for (dropped, report) in pending.into_iter().zip(reports) {
                     let from_cache = served(&report);
                     let is_attack = report.verdict.is_attack();
                     let is_proof = report.verdict.is_proof();
@@ -398,29 +373,6 @@ impl Synthesizer {
             elapsed: start.elapsed(),
         }
     }
-
-    /// One descent round on the matrix worker pool: the drop-queries are
-    /// independent cells of a `scheme × design × contracts` campaign,
-    /// each contract named `obs:<atoms>`. Reports come back in `pending`
-    /// order.
-    fn descent_round_parallel(
-        &self,
-        design: DesignKind,
-        pending: &[(ObsAtom, ObsSet)],
-    ) -> Vec<Report> {
-        let contracts: Vec<Contract> = pending
-            .iter()
-            .map(|&(_, set)| Contract::from_obs(set))
-            .collect();
-        let mut m = self
-            .base
-            .clone()
-            .into_matrix(&[self.scheme], &[design], &contracts);
-        if let Some(dir) = &self.cache_dir {
-            m = m.cache(dir);
-        }
-        m.run_all().reports
-    }
 }
 
 fn served(report: &Report) -> bool {
@@ -438,7 +390,7 @@ mod tests {
     fn builder_defaults() {
         let s = Synthesizer::new();
         assert_eq!(s.scheme, Scheme::Shadow);
-        assert!(s.cache_dir.is_none());
+        assert!(s.cache.is_none());
         let q = s.query_for(DesignKind::SingleCycle, ObsSet::EMPTY);
         assert_eq!(q.contract(), Contract::Custom(ObsSet::EMPTY));
         assert_eq!(q.scheme(), Scheme::Shadow);

@@ -8,17 +8,13 @@ use std::time::Duration;
 
 use csl_certify::{check_certificate, check_witness, Witness};
 use csl_contracts::Contract;
-use csl_core::api::{Budget, Verifier};
+use csl_core::api::{ReportCache, Verifier};
 use csl_core::DesignKind;
 use csl_mc::Verdict;
 use csl_synth::{SynthOutcome, SynthPhase, SynthesisResult, Synthesizer};
 
 fn synthesizer() -> Synthesizer {
-    Synthesizer::new().verifier(
-        Verifier::new()
-            .budget(Budget::wall(Duration::from_secs(60)))
-            .bmc_depth(10),
-    )
+    Synthesizer::new().verifier(Verifier::new().wall(Duration::from_secs(60)).bmc_depth(10))
 }
 
 /// Re-checks every step's evidence through `csl_certify` against an
@@ -131,7 +127,7 @@ fn in_order_synthesis_is_sound_and_minimal() {
 fn repeated_synthesis_is_served_from_cache() {
     let dir = std::env::temp_dir().join(format!("csl-synth-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let synth = synthesizer().cache(&dir);
+    let synth = synthesizer().cache(ReportCache::new(&dir));
     for design in [DesignKind::SingleCycle, DesignKind::InOrder] {
         let first = synth.synthesize(design);
         assert_eq!(first.outcome, SynthOutcome::Sound);

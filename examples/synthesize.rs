@@ -18,11 +18,8 @@ fn main() {
     );
     println!();
 
-    let synth = Synthesizer::new().verifier(
-        Verifier::new()
-            .budget(Budget::wall(Duration::from_secs(120)))
-            .bmc_depth(12),
-    );
+    let synth =
+        Synthesizer::new().verifier(Verifier::new().wall(Duration::from_secs(120)).bmc_depth(12));
     let result = synth.synthesize(DesignKind::InOrder);
 
     println!("refutation path (each attack forces one atom in):");

@@ -61,8 +61,8 @@ pub mod prelude {
     pub use csl_certify::{check_certificate, check_witness, Rejection, Witness};
     pub use csl_contracts::{Contract, ObsAtom, ObsSet};
     pub use csl_core::api::{
-        Budget, CampaignDiff, CampaignReport, FuzzPlan, FuzzStats, Lane, LaneBudget, Matrix, Mode,
-        PrepareConfig, PreparedInstance, Query, Report, ReportCache, Verifier,
+        CampaignDiff, CampaignReport, FuzzPlan, FuzzStats, Matrix, Mode, PrepareConfig,
+        PreparedInstance, Query, Report, ReportCache, Verifier,
     };
     pub use csl_core::{
         matrix, CampaignCell, DesignKind, ExcludeRule, InstanceConfig, Scheme, ShadowOptions,
