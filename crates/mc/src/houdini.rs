@@ -16,7 +16,7 @@
 //!    candidate some initial state violates.
 //! 2. **Consecution**, on free-initialised instances: assume every
 //!    survivor at frame 0 and drop the ones some successor violates,
-//!    until a round drops nothing. The first round is *speculatively
+//!    until a round drops nothing. Every round is *speculatively
 //!    reduced*: a survivor whose bit is the XNOR of two latch outputs —
 //!    every LEAVE candidate is — is built into the encoding, because
 //!    both latches share one frame-0 literal (`Unroller::with_aliases`)
@@ -25,21 +25,48 @@
 //!    structure instead of rediscovering the copies' equality gate by
 //!    gate. Aliasing is exactly assuming the equalities at frame 0, and
 //!    the greatest inductive subset is unique, so the survivors are the
-//!    plain loop's. If the round refutes, its drops stand and the
-//!    remaining rounds share one incremental instance: rebuilding the
-//!    reduced instance every round loses on runs that drop one candidate
-//!    per round.
+//!    plain loop's. The aliases change with the survivors, so each round
+//!    builds its own instance; simulation between rounds (below) drops
+//!    most non-inductive candidates, so few rounds pay for a rebuild.
 //! 3. **Safety**, on a fresh frame-0 instance aliased the same way: do
 //!    the survivors and the assumes at frame 0 exclude every bad state?
 //!    Assumes at frame 0 only, as the certificate checker's safety
 //!    obligation poses it: assume clauses at frame 1 would hide a bad
 //!    state that has no assume-satisfying successor.
+//!
+//! Between consecution rounds, simulation drops candidates without a SAT
+//! call. Consecution asserts the assumes at frames 0 and 1, so each
+//! candidate of the greatest inductive subset holds at every cycle of a
+//! run whose assumes hold on every cycle up to that one, provided it
+//! holds at the run's first cycle. Two kinds of run qualify:
+//!
+//! * **Reachable pre-filter.** Runs from reset, with symbolic latches and
+//!   inputs drawn from a fixed-seed mixer: initiation puts the subset at
+//!   every reset state whose assumes hold. A live candidate false in a
+//!   lane whose assumes have held on every cycle so far is outside the
+//!   subset. It runs once, after the first round refutes, so a run whose
+//!   first round closes (LEAVE's one-round proofs) pays nothing for it.
+//! * **Walks from counterexamples to induction.** A refuting round's
+//!   model satisfies every live candidate and the assumes at frame 0, so
+//!   the subset — a subset of the live set — holds there too. The walk
+//!   starts from the model's frame-0 latches and its inputs at frames 0
+//!   and 1, and drops every live candidate false at one of the next few
+//!   successors, stopping each lane at its first assume violation. The
+//!   model is read before the round retires its helper variable, since
+//!   adding a clause cancels it.
+//!
+//! Latches outside the cone of influence are free after frame 0 in the
+//! encoding but follow their next-state logic in simulation; a simulated
+//! run is one of the encoding's runs, so every drop stands. Candidate
+//! indices never move, and the stimuli are fixed, so the round and drop
+//! counts repeat exactly.
 
 use csl_hdl::{Aig, Bit, Node};
 use std::sync::Arc;
 
 use csl_sat::{Budget, Lit, SolveResult, SolverStats};
 
+use crate::sim::{BatchSim, BatchState};
 use crate::ts::TransitionSystem;
 use crate::unroll::{InitMode, Unroller};
 
@@ -66,9 +93,12 @@ pub struct HoudiniOutcome {
     pub survivors: Vec<usize>,
     /// How many got dropped by the init-state filter.
     pub dropped_at_init: usize,
+    /// How many the reachable pre-filter dropped (simulation from reset).
+    pub dropped_by_prefilter: usize,
+    /// How many the walks from counterexamples to induction dropped.
+    pub dropped_by_walks: usize,
     /// Consecution rounds performed, counting the one that closes (or
-    /// finds no survivor left). The speculatively reduced round, when it
-    /// runs, is round 1.
+    /// finds no survivor left).
     pub rounds: usize,
     /// Whether the surviving invariants exclude every bad state — i.e.
     /// whether this alone constitutes a safety proof (LEAVE's success case).
@@ -116,48 +146,34 @@ fn filter(
         .collect();
 
     // ---- phase 2: consecution fixpoint ------------------------------------
+    // Built by the first refuting round, which is when the pre-filter runs.
+    let mut sim: Option<Simulation> = None;
     let mut rounds = 0;
-    let mut closed = false;
-    if alive.iter().zip(&pairs).any(|(&a, p)| a && p.is_some()) {
+    loop {
         rounds += 1;
-        let mut reduced = Unroller::with_aliases(ts, &aliases(&alive, &pairs));
-        reduced.set_budget(budget.clone());
-        reduced.assert_assumes_through(1);
+        if !alive.contains(&true) {
+            break;
+        }
+        let mut u = Unroller::with_aliases(ts, &aliases(&alive, &pairs));
+        u.set_budget(budget.clone());
+        u.assert_assumes_through(1);
         let survivors: Vec<(usize, Lit, Lit)> = (0..candidates.len())
             .filter(|&i| alive[i])
             .map(|i| {
                 let bit = candidates[i].bit;
-                (i, reduced.lit_of(bit, 0), reduced.lit_of(bit, 1))
+                (i, u.lit_of(bit, 0), u.lit_of(bit, 1))
             })
             .collect();
-        let result = round(&mut reduced, &survivors, &mut alive);
-        *stats = *stats + reduced.solver.stats;
-        closed = result?;
-    }
-    if !closed {
-        let mut step = Unroller::new(ts, InitMode::Free);
-        step.set_budget(budget.clone());
-        step.assert_assumes_through(1);
-        let lits0: Vec<Lit> = candidates.iter().map(|c| step.lit_of(c.bit, 0)).collect();
-        let lits1: Vec<Lit> = candidates.iter().map(|c| step.lit_of(c.bit, 1)).collect();
-        let result = loop {
-            rounds += 1;
-            let survivors: Vec<(usize, Lit, Lit)> = (0..candidates.len())
-                .filter(|&i| alive[i])
-                .map(|i| (i, lits0[i], lits1[i]))
-                .collect();
-            if survivors.is_empty() {
-                break Some(());
-            }
-            match round(&mut step, &survivors, &mut alive) {
-                Some(true) => break Some(()),
-                Some(false) => {}
-                None => break None,
-            }
+        let result = round(&mut u, &survivors, &mut alive);
+        *stats = *stats + u.solver.stats;
+        let Some(cti) = result? else {
+            break;
         };
-        *stats = *stats + step.solver.stats;
-        result?;
+        sim.get_or_insert_with(|| Simulation::prefiltered(ts, candidates, &mut alive, budget))
+            .walk(&cti, &mut alive);
     }
+    let (dropped_by_prefilter, dropped_by_walks) =
+        sim.map_or((0, 0), |s| (s.by_prefilter, s.by_walks));
 
     // ---- phase 3: do the survivors exclude the bad states? ----------------
     let survivors: Vec<usize> = (0..candidates.len()).filter(|&i| alive[i]).collect();
@@ -180,6 +196,8 @@ fn filter(
     Some(HoudiniOutcome {
         survivors,
         dropped_at_init,
+        dropped_by_prefilter,
+        dropped_by_walks,
         rounds,
         proves_safety,
     })
@@ -208,13 +226,26 @@ fn initiation(
     (alive.len() == candidates.len()).then_some(alive)
 }
 
+/// A counterexample to induction as a consecution model leaves it: each
+/// latch's frame-0 value and each input's value at frames 0 and 1, `None`
+/// where the session never encoded that node.
+struct Cti {
+    latches: Vec<Option<bool>>,
+    inputs: [Vec<Option<bool>>; 2],
+}
+
 /// One consecution round on `u`, whose assumes are asserted through frame
 /// 1: can a state where every survivor holds step to one where some
 /// survivor fails? `survivors` holds each live candidate's index and its
 /// frame-0 and frame-1 literals. On SAT every survivor the model violates
-/// at frame 1 is dropped from `alive`. Returns whether the round closed
-/// (UNSAT), `None` on timeout.
-fn round(u: &mut Unroller, survivors: &[(usize, Lit, Lit)], alive: &mut [bool]) -> Option<bool> {
+/// at frame 1 is dropped from `alive`, and the model's [`Cti`] is
+/// returned; `Some(None)` means the round closed (UNSAT), `None` a
+/// timeout.
+fn round(
+    u: &mut Unroller,
+    survivors: &[(usize, Lit, Lit)],
+    alive: &mut [bool],
+) -> Option<Option<Cti>> {
     // y -> (some surviving candidate is false at frame 1)
     let y = u.solver.new_var().positive();
     let mut clause = vec![!y];
@@ -222,8 +253,8 @@ fn round(u: &mut Unroller, survivors: &[(usize, Lit, Lit)], alive: &mut [bool]) 
     u.solver.add_clause(&clause);
     let mut assumptions: Vec<Lit> = survivors.iter().map(|&(_, l0, _)| l0).collect();
     assumptions.push(y);
-    let closed = match u.solve_with(&assumptions) {
-        SolveResult::Unsat => true,
+    let cti = match u.solve_with(&assumptions) {
+        SolveResult::Unsat => None,
         SolveResult::Sat => {
             let mut dropped_any = false;
             for &(i, _, l1) in survivors {
@@ -233,13 +264,149 @@ fn round(u: &mut Unroller, survivors: &[(usize, Lit, Lit)], alive: &mut [bool]) 
                 }
             }
             debug_assert!(dropped_any, "SAT consecution round must drop something");
-            false
+            // Read the model now: adding a clause cancels it.
+            let aig = u.ts().aig();
+            let value = |b: Bit, t: usize| u.encoded_lit(b, t).and_then(|l| u.solver.value(l));
+            Some(Cti {
+                latches: aig.latches().iter().map(|l| value(l.output, 0)).collect(),
+                inputs: [0, 1].map(|t| aig.inputs().iter().map(|i| value(i.output, t)).collect()),
+            })
         }
         SolveResult::Canceled => return None,
     };
     // Retire the helper variable.
     u.solver.add_clause(&[!y]);
-    Some(closed)
+    Some(cti)
+}
+
+/// Batches of [`BatchSim::LANES`] runs the reachable pre-filter simulates.
+const PREFILTER_BATCHES: usize = 64;
+/// Cycles each pre-filter run lasts.
+const PREFILTER_CYCLES: usize = 24;
+/// Successors a walk visits past its counterexample's frame 0.
+const WALK_STEPS: usize = 8;
+
+/// The simulation side of a Houdini run: one simulator and one stimulus
+/// stream for the pre-filter and every walk, and what each dropped.
+struct Simulation<'a> {
+    aig: &'a Aig,
+    candidates: &'a [Candidate],
+    sim: BatchSim<'a>,
+    rng: Mixer,
+    budget: &'a Budget,
+    by_prefilter: usize,
+    by_walks: usize,
+}
+
+impl<'a> Simulation<'a> {
+    /// Runs the reachable pre-filter: [`PREFILTER_BATCHES`] batches of
+    /// runs from reset, symbolic latches and inputs drawn from the mixer,
+    /// dropping every live candidate some run falsifies while its assumes
+    /// have held on every cycle so far.
+    fn prefiltered(
+        ts: &'a TransitionSystem,
+        candidates: &'a [Candidate],
+        alive: &mut [bool],
+        budget: &'a Budget,
+    ) -> Simulation<'a> {
+        let aig = ts.aig();
+        let mut s = Simulation {
+            aig,
+            candidates,
+            sim: BatchSim::new(aig),
+            rng: Mixer(0x5EED),
+            budget,
+            by_prefilter: 0,
+            by_walks: 0,
+        };
+        for _ in 0..PREFILTER_BATCHES {
+            if budget.out_of_time() {
+                break;
+            }
+            let mut state = BatchState::reset_with(aig, |_, _| s.rng.next());
+            let mut held = !0u64;
+            for _ in 0..PREFILTER_CYCLES {
+                let masks = s.sim.step_masks(&state, |_, _| s.rng.next());
+                held &= !masks.violated_lanes();
+                if held == 0 {
+                    break;
+                }
+                s.by_prefilter += s.drop_false(alive, held);
+                state = masks.next;
+            }
+        }
+        s
+    }
+
+    /// Walks forward from a counterexample to induction: its frame-0
+    /// state in every lane, the model's inputs at frames 0 and 1 where it
+    /// has them and the mixer's elsewhere, dropping every live candidate
+    /// false at one of the next [`WALK_STEPS`] successors in a lane whose
+    /// assumes have held on every cycle so far.
+    fn walk(&mut self, cti: &Cti, alive: &mut [bool]) {
+        let mut state = BatchState::reset(self.aig);
+        for (i, v) in cti.latches.iter().enumerate() {
+            state.set_latch(i, v.map_or_else(|| self.rng.next(), broadcast));
+        }
+        let mut held = !0u64;
+        for t in 0..=WALK_STEPS {
+            if self.budget.out_of_time() {
+                return;
+            }
+            let rng = &mut self.rng;
+            let masks = self.sim.step_masks(&state, |i, _| {
+                match cti.inputs.get(t).and_then(|frame| frame[i]) {
+                    Some(v) => broadcast(v),
+                    None => rng.next(),
+                }
+            });
+            held &= !masks.violated_lanes();
+            if held == 0 {
+                return;
+            }
+            // Frame 0 satisfies every live candidate by construction.
+            if t > 0 {
+                self.by_walks += self.drop_false(alive, held);
+            }
+            state = masks.next;
+        }
+    }
+
+    /// Drops every live candidate false in one of `lanes` in the cycle
+    /// just simulated; returns how many.
+    fn drop_false(&self, alive: &mut [bool], lanes: u64) -> usize {
+        let mut dropped = 0;
+        for (c, a) in self.candidates.iter().zip(alive) {
+            if *a && !self.sim.bit(c.bit) & lanes != 0 {
+                *a = false;
+                dropped += 1;
+            }
+        }
+        dropped
+    }
+}
+
+/// `v` in every lane.
+fn broadcast(v: bool) -> u64 {
+    if v {
+        !0
+    } else {
+        0
+    }
+}
+
+/// SplitMix64: the fixed-seed stimulus stream, so every count a Houdini
+/// run reports repeats exactly.
+struct Mixer(u64);
+
+impl Mixer {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 }
 
 /// The latch pairs the live candidates equate: the frame-0 aliases that
@@ -366,11 +533,11 @@ mod tests {
         assert_eq!(stats.conflicts, 0, "{stats:?}");
     }
 
-    /// A refuting reduced round keeps its drops and hands the rest to the
-    /// incremental loop: `b` skips a value on input `x`, so its low bit
-    /// and then the carries diverge from `a`'s.
+    /// A refuting round keeps its drops and the next round rebuilds the
+    /// instance around the remaining aliases: `b` skips a value on input
+    /// `x`, so its low bit and then the carries diverge from `a`'s.
     #[test]
-    fn refuting_reduced_round_hands_over_to_the_incremental_loop() {
+    fn refuting_round_hands_over_to_a_rebuilt_round() {
         let mut d = Design::new("t");
         let x = d.input_bit("x");
         let a = d.reg("a", 3, Init::Zero);

@@ -374,6 +374,18 @@ impl<'a> BatchSim<'a> {
         }
     }
 
+    /// All lanes' value of `b` in the cycle the last step evaluated: one
+    /// node read after [`BatchSim::step_masks`], without the snapshot.
+    #[inline]
+    pub(crate) fn bit(&self, b: Bit) -> u64 {
+        let v = self.scratch[b.node() as usize];
+        if b.is_complemented() {
+            !v
+        } else {
+            v
+        }
+    }
+
     /// [`BatchSim::step`] without materialising the combinational
     /// snapshot — no per-node allocation or copy, just the next state
     /// and the assume/bad lane masks.

@@ -32,8 +32,8 @@
 //! the caller shares one frame-0 literal, which is exactly assuming the
 //! equalities at frame 0. The gate table then merges the logic the
 //! equated latches feed identically, so the two copies' next-state
-//! functions encode once wherever their inputs agree. Houdini's first
-//! consecution round runs on such a session.
+//! functions encode once wherever their inputs agree. Houdini's
+//! consecution rounds run on such sessions.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -325,6 +325,14 @@ impl Unroller {
         }
     }
 
+    /// Literal for bit `b` at frame `t` if that frame has encoded it.
+    /// Unlike [`Unroller::lit_of`] it adds nothing to the instance, so
+    /// it reads a model without cancelling it.
+    pub(crate) fn encoded_lit(&self, b: Bit, t: usize) -> Option<Lit> {
+        let raw = self.frame_lits.get(t)?[b.node() as usize]?;
+        Some(if b.is_complemented() { !raw } else { raw })
+    }
+
     /// Asserts all assume bits as unit clauses for frames `0..=t`.
     pub fn assert_assumes_through(&mut self, t: usize) {
         self.ensure_frames(t);
@@ -397,11 +405,8 @@ impl Unroller {
             for &ii in ts.active_inputs() {
                 let out = ts.aig().inputs()[ii as usize].output;
                 // Only read inputs the frame actually encoded.
-                if self.frame_lits[t][out.node() as usize].is_some() {
-                    let l = self.lit_of(out, t);
-                    if let Some(v) = self.solver.value(l) {
-                        m.insert(ii, v);
-                    }
+                if let Some(v) = self.encoded_lit(out, t).and_then(|l| self.solver.value(l)) {
+                    m.insert(ii, v);
                 }
             }
             inputs.push(m);
