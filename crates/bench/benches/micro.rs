@@ -50,8 +50,7 @@ fn bench_netlist_build(c: &mut Criterion) {
     c.bench_function("hdl/build_shadow_instance", |b| {
         let query = shadow_query();
         b.iter(|| {
-            // Raw build only: the preparation pipeline's cost is
-            // perfbench's `prepare` layer, not this substrate benchmark's.
+            // Raw build only: preparation is timed apart, below.
             let task = query.raw_instance();
             assert!(task.aig.num_ands() > 1000);
         })
@@ -61,7 +60,7 @@ fn bench_netlist_build(c: &mut Criterion) {
         let raw = query.raw_instance();
         let opts = query.options();
         b.iter(|| {
-            // The four reduction passes alone, on a prebuilt raw instance.
+            // The one-rebuild reduction alone, on a prebuilt raw instance.
             let prepared = prepare(&raw, &opts.prepare, opts.keep_probes);
             assert!(prepared.aig().num_ands() < raw.aig.num_ands());
         })

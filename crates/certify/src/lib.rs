@@ -40,7 +40,7 @@
 //!
 //! # Vocabulary and cone of influence
 //!
-//! Certificates arrive lifted through the preparation pipeline's
+//! Certificates arrive lifted through preparation's
 //! `Reconstruction` (see `csl_hdl::xform`), so latch and candidate indices
 //! refer to the original netlist. The checker clones that netlist and
 //! attaches every referenced bit as a probe before building its transition
@@ -183,7 +183,7 @@ pub struct WitnessCheck {
 }
 
 /// An attack witness: a counterexample [`Trace`] in raw-netlist vocabulary
-/// (already lifted through the preparation pipeline's reconstruction).
+/// (already lifted through preparation's reconstruction).
 /// Checked by concrete replay — no solver involved — via [`check_witness`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Witness {

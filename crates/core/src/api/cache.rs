@@ -487,28 +487,28 @@ mod tests {
                 Scheme::Shadow,
                 DesignKind::SimpleOoo(Defense::None),
                 0x7342_31fb_2dd5_ff37_u64,
-                0x6e5e_7b46_3cfd_015f_u64,
+                0xb2c0_18c9_8f5b_1b2a_u64,
                 0xcd7c_d2e5_6cac_ae3b_u64,
             ),
             (
                 Scheme::Shadow,
                 DesignKind::BigOoo,
                 0x23af_908e_5309_6434,
-                0xbe45_8c3c_0833_0bf3,
+                0x010f_dd59_3fbb_b2f4,
                 0x0d43_2bb3_1ed4_a19b,
             ),
             (
                 Scheme::Leave,
                 DesignKind::SimpleOoo(Defense::DelaySpectre),
                 0x9867_0790_28df_2b27,
-                0xac23_60a6_05f9_e3a5,
+                0xe750_b145_a6bc_91ec,
                 0xdef8_c899_5bb4_b5df,
             ),
             (
                 Scheme::Shadow,
                 DesignKind::SingleCycle,
                 0x35f3_b4ac_4bce_5df6,
-                0xe165_7c21_f757_0680,
+                0x5493_b367_83bc_7afd,
                 0xafbc_077a_5456_ab85,
             ),
         ] {

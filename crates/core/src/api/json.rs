@@ -147,10 +147,15 @@ impl Json {
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected, arrays and objects nested at most 64
+    /// levels deep).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -185,9 +190,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deeply arrays and objects may nest. Reports nest about 8 levels;
+/// the cap keeps the recursive parser from overflowing the stack on a
+/// corrupted or hostile document.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -232,8 +244,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("arrays and objects nest too deeply"));
+                }
+                self.depth += 1;
+                let nested = if c == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -404,6 +427,21 @@ mod tests {
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        // Deep enough to overflow the stack of a parser without the cap.
+        assert!(Json::parse(&nested(1_000_000)).is_err());
+        let objects = "{\"k\": ".repeat(100_000) + "1" + &"}".repeat(100_000);
+        assert!(Json::parse(&objects).is_err());
+        // Depth counts open brackets, not how many were seen.
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 3].join(","));
+        assert!(Json::parse(&wide).is_ok());
     }
 
     #[test]

@@ -64,8 +64,7 @@ use crate::verify::{instance_for, run_instance, Scheme};
 pub use crate::fuzz::FuzzPlan;
 pub use cache::{may_store, CacheStats, ReportCache};
 pub use csl_mc::{
-    ExecMode as Mode, FuzzStats, InconclusiveReason, Lane, PrepareConfig, PrepareStats,
-    PreparedInstance,
+    ExecMode as Mode, FuzzStats, InconclusiveReason, Lane, PrepareConfig, PreparedInstance,
 };
 pub use json::{Json, JsonError};
 pub use report::{CampaignDiff, CampaignReport, ReadError, Report, VerdictChange};
@@ -163,9 +162,9 @@ impl Verifier {
         self
     }
 
-    /// Turns instance preparation — the netlist reduction pipeline every
-    /// engine runs behind (cone-of-influence, constant sweep with
-    /// cross-copy re-strash, dead-latch elimination, compaction) — on or
+    /// Turns instance preparation — the one-rebuild netlist reduction
+    /// every engine runs behind (stuck-at-reset constants folded,
+    /// cross-copy logic re-strashed, only the roots' cone kept) — on or
     /// off. Default on; [`PrepareConfig::off()`] hands the engines the
     /// raw instance. Counterexamples are always expressed in raw-netlist
     /// vocabulary regardless.
@@ -336,7 +335,7 @@ impl Query {
     /// it (the typed replacement for the `build_*_instance` free
     /// functions): the reduced netlist the engines would run on, the
     /// [`csl_hdl::xform::Reconstruction`] that lifts traces back to the
-    /// raw netlist, and the per-pass reduction statistics. With
+    /// raw netlist, and the reduction statistics. With
     /// [`PrepareConfig::off()`] configured this is the raw instance
     /// under an identity reconstruction.
     pub fn instance(&self) -> PreparedInstance {
@@ -353,8 +352,8 @@ impl Query {
     }
 
     /// Stable fingerprint of this query for the session result cache:
-    /// scheme × design × contract × every engine option (the preparation
-    /// pipeline included) × a structural hash of the built netlist and
+    /// scheme × design × contract × every engine option (preparation
+    /// included) × a structural hash of the built netlist and
     /// its invariant candidates. Two queries with the same key decide
     /// the same problem. The raw netlist is hashed — preparation is
     /// deterministic, so raw netlist + prepare config determine the

@@ -69,9 +69,9 @@ pub struct Report {
     pub elapsed: Duration,
     /// Engine-by-engine notes (sizes, intermediate outcomes).
     pub notes: Vec<String>,
-    /// Per-pass node/latch reduction statistics from instance
-    /// preparation (empty when preparation was off or the document
-    /// predates the field).
+    /// Node/latch reduction statistics from instance preparation: one
+    /// `"reduce"` entry (empty when preparation was off or the document
+    /// predates the field; older documents carry one entry per pass).
     pub prepare: Vec<PassStats>,
     /// Fuzzing-lane campaign statistics (`None` when no fuzzing lane
     /// ran or the document predates the field).
@@ -389,7 +389,8 @@ fn fuzz_from_value(v: &Json) -> Result<FuzzStats, ReadError> {
     };
     Ok(FuzzStats {
         trials: usize_of("trials")?,
-        sim_cycles: count("sim_cycles")? as u64,
+        sim_cycles: u64::try_from(count("sim_cycles")?)
+            .map_err(|_| ReadError::Schema("bad fuzz sim_cycles".into()))?,
         wall: duration_from_value(
             v.get("wall")
                 .ok_or_else(|| ReadError::Schema("missing fuzz wall".into()))?,
@@ -1520,11 +1521,18 @@ mod tests {
             Err(ReadError::Json(_))
         ));
         let r = &sample_reports()[0];
-        let tampered = r.to_json().replace("SimpleOoO", "NoSuchDesign");
-        assert!(matches!(
-            Report::from_json(&tampered),
-            Err(ReadError::Schema(_))
-        ));
+        let text = r.to_json();
+        let cycles = "\"sim_cycles\": 19968";
+        assert!(text.contains(cycles));
+        for tampered in [
+            text.replace("SimpleOoO", "NoSuchDesign"),
+            text.replace(cycles, "\"sim_cycles\": -5"),
+        ] {
+            assert!(matches!(
+                Report::from_json(&tampered),
+                Err(ReadError::Schema(_))
+            ));
+        }
     }
 
     #[test]

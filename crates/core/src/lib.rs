@@ -33,7 +33,7 @@
 //!   LRU size caps, and persistable
 //!   [`api::Report`]/[`api::CampaignReport`] results (JSON/CSV writers,
 //!   round-trip parsing, cross-run diffing, per-lane solver counters,
-//!   per-pass preparation stats), with proof certificates and attack
+//!   preparation stats), with proof certificates and attack
 //!   witnesses carried alongside for independent re-checking via
 //!   `csl-certify`.
 //!

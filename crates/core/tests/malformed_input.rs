@@ -4,12 +4,15 @@
 //! note text) are fed to `CampaignReport::from_json`, and the same
 //! mutations of a result-cache entry holding one of its reports to
 //! `ReportCache::load`. Each call must return a value or a typed error.
+//! So must a report, a campaign document and a cache entry nested far
+//! deeper than any real report, where a parser without a depth cap
+//! overflows the stack.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use csl_contracts::Contract;
-use csl_core::api::{CampaignReport, FuzzStats, Report, ReportCache};
+use csl_core::api::{CampaignReport, FuzzStats, ReadError, Report, ReportCache};
 use csl_core::{DesignKind, Scheme};
 use csl_cpu::Defense;
 use csl_mc::{CertKind, Certificate, Lane, LaneSolverStats, ProofEngine, Trace, Verdict};
@@ -165,4 +168,39 @@ fn cache_entry_loading_survives_truncations_and_substitutions() {
         }
     }
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `text` with an array nested 100,000 levels deep (100 KB of brackets)
+/// put first into its first `notes` list.
+fn deeply_nested(text: &str) -> String {
+    const DEPTH: usize = 100_000;
+    let nest = "[".repeat(DEPTH) + &"]".repeat(DEPTH);
+    let notes = "\"notes\": [";
+    assert!(text.contains(notes));
+    text.replacen(notes, &format!("{notes}{nest},"), 1)
+}
+
+#[test]
+fn deeply_nested_documents_are_typed_errors() {
+    let campaign = campaign();
+    let report = &campaign.reports[0];
+    let deep_report = deeply_nested(&report.to_json());
+    assert!(matches!(
+        Report::from_json(&deep_report),
+        Err(ReadError::Json(_))
+    ));
+    assert!(matches!(
+        CampaignReport::from_json(&deeply_nested(&campaign.to_json())),
+        Err(ReadError::Json(_))
+    ));
+
+    // A cache entry nested that deep is a miss, and the cell re-solves.
+    let dir = std::env::temp_dir().join(format!("csl-cache-deep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ReportCache::new(&dir);
+    cache.store(0, report).unwrap();
+    std::fs::write(entry_file(&dir), &deep_report).unwrap();
+    assert_eq!(cache.load(0), None);
+    assert_eq!(cache.stats().misses, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }

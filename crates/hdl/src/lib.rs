@@ -17,10 +17,12 @@
 //!   (add/sub/mul/compare/mux/select/decode).
 //! * [`mem`]: register-file / memory arrays with queued write ports and
 //!   read-only (symbolic constant) sealing for instruction memory.
-//! * [`xform`]: post-build netlist reduction passes (cone-of-influence,
-//!   constant sweep + re-strash, dead-latch elimination, compaction)
-//!   with [`Reconstruction`] back-maps for lifting counterexamples on
-//!   the reduced netlist back to original names.
+//! * [`xform`]: post-build netlist reduction, one rebuild
+//!   ([`xform::reduce`]) that folds stuck-at-reset latches and the logic
+//!   constant under them, re-strashes across the two machine copies and
+//!   keeps only what the verification roots reach, with a
+//!   [`Reconstruction`] back-map for lifting counterexamples on the
+//!   reduced netlist back to original names.
 //!
 //! # Example
 //!
@@ -56,7 +58,4 @@ pub use design::{Design, Reg, RegMark};
 pub use fxhash::FxHashMap;
 pub use mem::MemArray;
 pub use word::Word;
-pub use xform::{
-    CoiPass, CompactPass, ConstSweepPass, DeadLatchPass, Pass, PassOpts, PassStats, Pipeline,
-    PipelineStats, Reconstruction, Rewrite, Shape,
-};
+pub use xform::{PassStats, Reconstruction, Shape};

@@ -1,38 +1,34 @@
-//! Netlist transformation passes with trace back-mapping.
+//! Netlist reduction with trace back-mapping.
 //!
 //! The verification instances this workspace builds are *products*: two
 //! machine copies plus monitor logic, and every engine pays for their
 //! size on every SAT query. [`Aig::and`] already hash-conses at build
 //! time, but build-time hashing cannot fold logic across the two copies
 //! once their latches diverge, and it never removes state that cannot
-//! reach a property. This module adds a post-build reduction layer — a
-//! [`Pass`] trait over [`Aig`] plus a [`Pipeline`] runner — with four
-//! standard passes:
+//! reach a property. [`reduce`] is the post-build reduction, one rebuild
+//! of the netlist:
 //!
-//! * [`CoiPass`] — cone-of-influence reduction w.r.t. the verification
-//!   roots (assume and bad bits, plus probes when configured): latches,
-//!   inputs and gates that cannot affect any root are dropped.
-//! * [`ConstSweepPass`] — stuck-at-reset latch detection to a fixpoint
-//!   (a concretely-initialised latch whose next-state function evaluates
-//!   to its own reset value under the accumulated constants is replaced
-//!   by that constant), followed by a full re-strash rebuild. The
-//!   rebuild is where cross-copy sharing happens: once constants
-//!   propagate, logic in the two machine copies that became structurally
-//!   identical is merged by the construction-time hash-consing that
-//!   missed it the first time.
-//! * [`DeadLatchPass`] — removes latches orphaned by earlier passes
-//!   (no longer reachable from any root through next-state functions),
-//!   re-walking reachability over latches only.
-//! * [`CompactPass`] — probe-preserving node compaction: drops
-//!   unreachable AND nodes and inputs with no remaining fanout and
-//!   renumbers the survivors densely.
+//! * **Constant sweep**: stuck-at-reset latches are found first, to a
+//!   fixpoint. A concretely-initialised latch whose next-state function
+//!   evaluates to its own reset value, under the constants of the other
+//!   candidates, is replaced by that constant. The evaluation is ternary
+//!   and covers the whole netlist, so it also gives every node that is
+//!   constant under those latches its constant.
+//! * **One lazy rebuild** from the verification roots (assume and bad
+//!   bits, probes when kept, extra roots) then translates only what they
+//!   reach through [`Aig::and`], which re-strashes and folds as it goes:
+//!   a node with a known constant maps straight to it without its cone
+//!   being entered, latches and inputs are created on first use, and
+//!   logic in the two machine copies that became structurally identical
+//!   once constants propagated merges. State and logic outside the cone
+//!   of influence, or reachable only through folded logic, is never
+//!   created.
 //!
-//! Every pass emits a [`Rewrite`] — the map from old nodes, latches and
-//! inputs to their images — and the pipeline composes them into a
-//! [`Reconstruction`], which can lift any model-checking artifact on the
-//! reduced netlist (a counterexample's latch/input indices, a probe
-//! value) back to the original netlist's names and indices. The
-//! guarantees the passes maintain:
+//! The rebuild's node map is a [`Reconstruction`], which lifts any
+//! model-checking artifact on the reduced netlist (a counterexample's
+//! latch/input indices) back to the original netlist's names and
+//! indices, and names the constants a certificate must restore. The
+//! guarantees:
 //!
 //! * **Root preservation**: every assume, bad and (when kept) probe of
 //!   the input netlist exists in the output under the same name, even
@@ -44,15 +40,15 @@
 //!   original, and a proof on the reduced netlist implies the original
 //!   is safe (a stuck latch's constant is a true invariant of the
 //!   original).
-//! * **Candidate/root threading**: extra root bits handed to
-//!   [`Pipeline::run`] (e.g. Houdini candidate invariants) are kept
-//!   alive through every pass and returned as their final images.
+//! * **Candidate/root threading**: extra root bits handed to [`reduce`]
+//!   (e.g. Houdini candidate invariants) are kept alive and returned as
+//!   their images.
 
 use std::fmt;
 
 use crate::aig::{Aig, Bit, Init, Node};
 
-/// The size of a netlist, as recorded in per-pass statistics.
+/// The size of a netlist, as recorded in preparation statistics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Shape {
     pub nodes: usize,
@@ -83,18 +79,19 @@ impl fmt::Display for Shape {
     }
 }
 
-/// Before/after sizes for one executed pass.
+/// Before/after sizes of one reduction, as reports record them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PassStats {
-    /// [`Pass::name`] of the pass that ran.
+    /// What ran: `"reduce"` for [`reduce`]. Reports written when
+    /// preparation ran as four passes carry one entry per pass.
     pub pass: String,
     pub before: Shape,
     pub after: Shape,
 }
 
 impl PassStats {
-    /// AND gates removed by this pass (saturating: a pass never grows
-    /// the netlist, but stay defensive).
+    /// AND gates removed (saturating: a reduction never grows the
+    /// netlist, but stay defensive).
     pub fn ands_removed(&self) -> usize {
         self.before.ands.saturating_sub(self.after.ands)
     }
@@ -104,72 +101,29 @@ impl PassStats {
     }
 }
 
-/// The per-pass statistics of one [`Pipeline::run`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PipelineStats {
-    pub passes: Vec<PassStats>,
-}
-
-impl PipelineStats {
-    /// Shape before the first pass ran (None when the pipeline was
-    /// empty).
-    pub fn original(&self) -> Option<Shape> {
-        self.passes.first().map(|p| p.before)
-    }
-
-    /// Shape after the last pass ran.
-    pub fn reduced(&self) -> Option<Shape> {
-        self.passes.last().map(|p| p.after)
-    }
-
-    /// Total AND gates removed across the pipeline.
-    pub fn ands_removed(&self) -> usize {
-        match (self.original(), self.reduced()) {
-            (Some(b), Some(a)) => b.ands.saturating_sub(a.ands),
-            _ => 0,
-        }
-    }
-
-    /// Total latches removed across the pipeline.
-    pub fn latches_removed(&self) -> usize {
-        match (self.original(), self.reduced()) {
-            (Some(b), Some(a)) => b.latches.saturating_sub(a.latches),
-            _ => 0,
-        }
-    }
-
-    /// One-line human summary for notes and logs.
-    pub fn summary(&self) -> String {
-        match (self.original(), self.reduced()) {
-            (Some(b), Some(a)) => format!(
-                "prepare: {} -> {} ({} ands, {} latches removed over {} passes)",
-                b,
-                a,
-                self.ands_removed(),
-                self.latches_removed(),
-                self.passes.len()
-            ),
-            _ => "prepare: no passes ran".to_string(),
-        }
-    }
-}
-
-/// The node/latch/input map one pass emits: where every surviving piece
-/// of the old netlist went.
+/// Where every surviving piece of an original netlist went in its
+/// reduced form, with the lifting-oriented API model-checking layers use
+/// to express reduced-netlist artifacts in original-netlist vocabulary.
+///
+/// Latches and inputs the reduction removed simply have no image: a
+/// lifted counterexample leaves them unconstrained, which is sound
+/// because a removed latch either cannot influence any assume/bad bit
+/// or provably holds its reset value forever — in both cases the
+/// original netlist reproduces the behaviour from reset on its own.
 #[derive(Clone, Debug)]
-pub struct Rewrite {
-    /// Image of each old node's positive literal (`None` = dropped).
+pub struct Reconstruction {
+    /// Image of each original node's positive literal (`None` = dropped).
     forward: Vec<Option<Bit>>,
-    /// New latch index -> old latch index.
+    /// Reduced latch index -> original latch index.
     latch_back: Vec<u32>,
-    /// New input index -> old input index.
+    /// Reduced input index -> original input index.
     input_back: Vec<u32>,
 }
 
-impl Rewrite {
-    /// The identity rewrite over `aig` (every node its own image).
-    pub fn identity(aig: &Aig) -> Rewrite {
-        Rewrite {
+impl Reconstruction {
+    /// The identity reconstruction (preparation disabled).
+    pub fn identity(aig: &Aig) -> Reconstruction {
+        Reconstruction {
             forward: (0..aig.num_nodes() as u32)
                 .map(|n| Some(Bit::from_packed(n << 1)))
                 .collect(),
@@ -178,125 +132,58 @@ impl Rewrite {
         }
     }
 
-    /// The image of an old-netlist bit, composing the edge complement.
-    /// Constants are their own image in every netlist (a pass that no
-    /// longer references the constant node would otherwise drop it from
-    /// the map, breaking composition for bits folded by earlier passes).
-    pub fn forward(&self, b: Bit) -> Option<Bit> {
-        if b.is_const() {
-            return Some(b);
-        }
-        let img = (*self.forward.get(b.node() as usize)?)?;
-        Some(if b.is_complemented() { img.not() } else { img })
-    }
-
-    /// Old latch index behind a new one.
+    /// Original latch index behind reduced latch `new_latch`.
     pub fn original_latch(&self, new_latch: u32) -> Option<u32> {
         self.latch_back.get(new_latch as usize).copied()
     }
 
-    /// Old input index behind a new one.
-    pub fn original_input(&self, new_input: u32) -> Option<u32> {
-        self.input_back.get(new_input as usize).copied()
-    }
-
-    /// `first` applied to the original netlist, then `second` to its
-    /// output.
-    pub fn compose(first: &Rewrite, second: &Rewrite) -> Rewrite {
-        Rewrite {
-            forward: first
-                .forward
-                .iter()
-                .map(|img| img.and_then(|b| second.forward(b)))
-                .collect(),
-            latch_back: second
-                .latch_back
-                .iter()
-                .map(|&mid| first.latch_back[mid as usize])
-                .collect(),
-            input_back: second
-                .input_back
-                .iter()
-                .map(|&mid| first.input_back[mid as usize])
-                .collect(),
-        }
-    }
-}
-
-/// The composed rewrite of a whole pipeline, with the lifting-oriented
-/// API model-checking layers use to express reduced-netlist artifacts in
-/// original-netlist vocabulary.
-///
-/// Latches and inputs the pipeline removed simply have no image: a
-/// lifted counterexample leaves them unconstrained, which is sound
-/// because a removed latch either cannot influence any assume/bad bit
-/// (cone-of-influence, dead-latch, compaction) or provably holds its
-/// reset value forever (constant sweep) — in both cases the original
-/// netlist reproduces the behaviour from reset on its own.
-#[derive(Clone, Debug)]
-pub struct Reconstruction {
-    rewrite: Rewrite,
-}
-
-impl Reconstruction {
-    /// The identity reconstruction (preparation disabled / empty
-    /// pipeline).
-    pub fn identity(aig: &Aig) -> Reconstruction {
-        Reconstruction {
-            rewrite: Rewrite::identity(aig),
-        }
-    }
-
-    pub(crate) fn new(rewrite: Rewrite) -> Reconstruction {
-        Reconstruction { rewrite }
-    }
-
-    /// Original latch index behind reduced latch `new_latch`.
-    pub fn original_latch(&self, new_latch: u32) -> Option<u32> {
-        self.rewrite.original_latch(new_latch)
-    }
-
     /// Original input index behind reduced input `new_input`.
     pub fn original_input(&self, new_input: u32) -> Option<u32> {
-        self.rewrite.original_input(new_input)
+        self.input_back.get(new_input as usize).copied()
     }
 
     /// Image of an original-netlist bit in the reduced netlist, if it
     /// survived.
     pub fn forward(&self, original: Bit) -> Option<Bit> {
-        self.rewrite.forward(original)
+        let img = (*self.forward.get(original.node() as usize)?)?;
+        Some(if original.is_complemented() {
+            img.not()
+        } else {
+            img
+        })
     }
 
     /// Number of latches in the reduced netlist.
     pub fn reduced_latches(&self) -> usize {
-        self.rewrite.latch_back.len()
+        self.latch_back.len()
     }
 
     /// Number of inputs in the reduced netlist.
     pub fn reduced_inputs(&self) -> usize {
-        self.rewrite.input_back.len()
+        self.input_back.len()
     }
 
     /// The restore map for constant-folded state: original latches the
-    /// pipeline replaced by a constant, as `(original_latch_index,
+    /// reduction replaced by a constant, as `(original_latch_index,
     /// constant_value)` pairs.
     ///
-    /// Only [`ConstSweepPass`] folds latches to constants, and only when
-    /// the stuck-at-reset fixpoint proves the latch holds its (concrete)
-    /// reset value in every reachable state — so each returned pair is a
-    /// true invariant of `original`, independently re-checkable by
-    /// induction on the raw netlist. Certificate checkers use this to
-    /// reconstruct the part of an inductive invariant that the
-    /// preparation pipeline discharged before the engines ever ran.
+    /// [`reduce`] folds a latch to a constant only when the stuck-at-reset
+    /// fixpoint proves it holds its (concrete) reset value in every
+    /// reachable state, and restores it when the reduced netlist's
+    /// functions were computed from it — so each returned pair is a true
+    /// invariant of `original`, independently re-checkable by induction
+    /// on the raw netlist. Certificate checkers use this to reconstruct
+    /// the part of an inductive invariant that preparation discharged
+    /// before the engines ever ran.
     ///
-    /// Latches the pipeline merely dropped (cone-of-influence, dead
-    /// latch, compaction) have no image at all and do not appear here.
+    /// Latches the reduction merely dropped have no image at all and do
+    /// not appear here.
     pub fn restored_constants(&self, original: &Aig) -> Vec<(u32, bool)> {
         original
             .latches()
             .iter()
             .enumerate()
-            .filter_map(|(i, l)| match self.rewrite.forward(l.output) {
+            .filter_map(|(i, l)| match self.forward(l.output) {
                 Some(b) if b == Bit::FALSE => Some((i as u32, false)),
                 Some(b) if b == Bit::TRUE => Some((i as u32, true)),
                 _ => None,
@@ -305,133 +192,176 @@ impl Reconstruction {
     }
 }
 
-/// Options shared by every pass of a pipeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PassOpts {
-    /// Treat probes as roots (keep their cones and re-register them on
-    /// the output netlist). With `false`, probes are dropped entirely —
-    /// matching the engines' `keep_probes = false` encoding.
-    pub keep_probes: bool,
+/// What [`reduce`] produced: the reduced netlist, the map back to the
+/// original, the before/after sizes, and the images of the extra roots.
+pub struct Prepared {
+    pub aig: Aig,
+    pub reconstruction: Reconstruction,
+    pub stats: PassStats,
+    /// Image of each bit in [`reduce`]'s `extra_roots`, in order. Roots
+    /// are kept alive, so each has an image (possibly a constant, when
+    /// the reduction folded it).
+    pub root_images: Vec<Bit>,
 }
 
-impl Default for PassOpts {
-    fn default() -> PassOpts {
-        PassOpts { keep_probes: true }
+/// Reduces `aig` in one rebuild: stuck-at-reset latches become their
+/// reset constants, every node constant under them maps straight to its
+/// constant, and only what the roots (assumes, bads, probes when
+/// `keep_probes`, and `extra_roots`) still reach is rebuilt. See the
+/// module docs for the guarantees.
+///
+/// # Panics
+/// Panics if `aig` has unsealed latches.
+pub fn reduce(aig: &Aig, extra_roots: &[Bit], keep_probes: bool) -> Prepared {
+    aig.validate()
+        .unwrap_or_else(|names| panic!("unsealed latches: {names:?}"));
+    let mut r = Rebuilder::new(aig, &node_constants(aig));
+    let root_images = r.finish(keep_probes, extra_roots);
+    // Every stuck latch starts with its constant as image; it keeps it
+    // only when the reduced netlist was computed from it, i.e. when it is
+    // in the combinational fan-in of a root or of a kept latch's
+    // next-state function.
+    let mut stack = std::mem::take(&mut r.seeds);
+    let mut reached = vec![false; aig.num_nodes()];
+    while let Some(n) = stack.pop() {
+        if !std::mem::replace(&mut reached[n as usize], true) {
+            if let Node::And(x, y) = aig.node(Bit::from_packed(n << 1)) {
+                stack.extend([x.node(), y.node()]);
+            }
+        }
+    }
+    for l in aig.latches() {
+        if !reached[l.output.node() as usize] {
+            r.map[l.output.node() as usize] = None;
+        }
+    }
+    let stats = PassStats {
+        pass: "reduce".to_string(),
+        before: Shape::of(aig),
+        after: Shape::of(&r.new),
+    };
+    Prepared {
+        aig: r.new,
+        reconstruction: Reconstruction {
+            forward: r.map,
+            latch_back: r.latch_back,
+            input_back: r.input_back,
+        },
+        stats,
+        root_images,
     }
 }
 
-/// One netlist transformation. Implementations must preserve every
-/// assume/bad (by name, even when folded to a constant), preserve probes
-/// per [`PassOpts::keep_probes`], keep `roots` alive, and emit a
-/// [`Rewrite`] consistent with the output netlist.
-pub trait Pass {
-    /// Short stable name, used in statistics and report JSON.
-    fn name(&self) -> &'static str;
-
-    /// Transforms `aig`, keeping `roots` alive, returning the new
-    /// netlist and the old→new map.
-    fn run(&self, aig: &Aig, roots: &[Bit], opts: &PassOpts) -> (Aig, Rewrite);
+/// The ternary value of `b` given the values of the nodes below it.
+fn value_of(values: &[Option<bool>], b: Bit) -> Option<bool> {
+    values[b.node() as usize].map(|v| v != b.is_complemented())
 }
 
-// ---------------------------------------------------------------------------
-// The shared rebuild engine.
-// ---------------------------------------------------------------------------
-
-/// How a rebuild treats latches/inputs that nothing references: `Lazy`
-/// creates them only on first use (so unreferenced ones vanish), `Eager`
-/// pre-creates every one in original order (so the pass cannot drop
-/// them).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Creation {
-    Lazy,
-    Eager,
+/// Each node's constant under the stuck-at-reset latches (`None` where
+/// it is not constant). Starts from "every concretely-initialised latch
+/// holds its reset value" and drops candidates whose next-state does not
+/// evaluate back to it, until stable. Sound: the surviving set is a
+/// mutual-induction proof that each member never changes. Nodes are
+/// numbered after their operands, so one pass in index order evaluates
+/// the whole netlist, and the last pass gives every node's constant.
+fn node_constants(aig: &Aig) -> Vec<Option<bool>> {
+    let mut stuck: Vec<Option<bool>> = aig
+        .latches()
+        .iter()
+        .map(|l| match l.init {
+            Init::Zero => Some(false),
+            Init::One => Some(true),
+            Init::Symbolic => None,
+        })
+        .collect();
+    let mut values: Vec<Option<bool>> = vec![None; aig.num_nodes()];
+    loop {
+        for n in 0..values.len() {
+            values[n] = match aig.node(Bit::from_packed((n as u32) << 1)) {
+                Node::Const => Some(false),
+                Node::Input(_) => None,
+                Node::Latch(l) => stuck[l as usize],
+                Node::And(x, y) => match (value_of(&values, x), value_of(&values, y)) {
+                    (Some(false), _) | (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                },
+            };
+        }
+        let mut changed = false;
+        for (l, info) in aig.latches().iter().enumerate() {
+            let next = info.next.expect("reduce input must have sealed latches");
+            if stuck[l].is_some() && value_of(&values, next) != stuck[l] {
+                stuck[l] = None;
+                changed = true;
+            }
+        }
+        if !changed {
+            return values;
+        }
+    }
 }
 
 /// Rebuilds a netlist bottom-up through [`Aig::and`] (re-strashing and
 /// constant-folding as it goes), translating only what the roots and
-/// kept latches reach.
+/// created latches reach.
 struct Rebuilder<'a> {
     old: &'a Aig,
     new: Aig,
-    /// Image of each old node's positive literal.
+    /// Image of each old node's positive literal, seeded with every
+    /// node's known constant.
     map: Vec<Option<Bit>>,
     latch_back: Vec<u32>,
     input_back: Vec<u32>,
-    /// Constant substitution per old latch index.
-    subst: Vec<Option<Bit>>,
     /// Latches created whose next-state still needs translation.
     pending: Vec<(u32, Bit)>,
+    /// Old nodes [`Rebuilder::translate`] was asked for: the roots and
+    /// every created latch's next-state.
+    seeds: Vec<u32>,
     /// Work list of [`Rebuilder::translate`], kept to reuse its buffer.
     stack: Vec<u32>,
 }
 
 impl<'a> Rebuilder<'a> {
-    fn new(
-        old: &'a Aig,
-        subst: Vec<Option<Bit>>,
-        latches: Creation,
-        inputs: Creation,
-    ) -> Rebuilder<'a> {
-        // A rebuild creates at most one node per old node.
-        let mut r = Rebuilder {
+    fn new(old: &'a Aig, consts: &[Option<bool>]) -> Rebuilder<'a> {
+        Rebuilder {
             old,
+            // A rebuild creates at most one node per old node.
             new: Aig::with_capacity(old.num_nodes()),
-            map: vec![None; old.num_nodes()],
+            map: consts
+                .iter()
+                .map(|c| c.map(|v| if v { Bit::TRUE } else { Bit::FALSE }))
+                .collect(),
             latch_back: Vec::new(),
             input_back: Vec::new(),
-            subst,
             pending: Vec::new(),
+            seeds: Vec::new(),
             stack: Vec::new(),
-        };
-        if inputs == Creation::Eager {
-            for i in 0..old.num_inputs() as u32 {
-                r.touch_input(i);
-            }
         }
-        if latches == Creation::Eager {
-            for l in 0..old.num_latches() as u32 {
-                if r.subst[l as usize].is_none() {
-                    r.touch_latch(l);
-                }
-            }
-        }
-        r
     }
 
-    fn touch_input(&mut self, idx: u32) -> Bit {
-        let node = self.old.inputs()[idx as usize].output.node();
-        if let Some(b) = self.map[node as usize] {
-            return b;
-        }
-        let name = self.old.inputs()[idx as usize].name.clone();
-        let b = self.new.input(name);
+    fn touch_input(&mut self, idx: u32) {
+        let info = &self.old.inputs()[idx as usize];
+        let node = info.output.node();
+        let b = self.new.input(info.name.clone());
         self.map[node as usize] = Some(b);
         self.input_back.push(idx);
-        b
     }
 
-    fn touch_latch(&mut self, idx: u32) -> Bit {
-        let node = self.old.latches()[idx as usize].output.node();
-        if let Some(b) = self.map[node as usize] {
-            return b;
-        }
-        if let Some(c) = self.subst[idx as usize] {
-            self.map[node as usize] = Some(c);
-            return c;
-        }
+    fn touch_latch(&mut self, idx: u32) {
         let info = &self.old.latches()[idx as usize];
-        let (name, init) = (info.name.clone(), info.init);
-        let b = self.new.latch(name, init);
+        let node = info.output.node();
+        let b = self.new.latch(info.name.clone(), info.init);
         self.map[node as usize] = Some(b);
         self.latch_back.push(idx);
         self.pending.push((idx, b));
-        b
     }
 
     /// Translates an old bit into the new netlist, creating everything
     /// its cone needs. Iterative, so product-machine depth cannot blow
     /// the stack.
     fn translate(&mut self, b: Bit) -> Bit {
+        self.seeds.push(b.node());
         let mut stack = std::mem::take(&mut self.stack);
         stack.push(b.node());
         while let Some(&n) = stack.last() {
@@ -440,10 +370,7 @@ impl<'a> Rebuilder<'a> {
                 continue;
             }
             match self.old.node(Bit::from_packed(n << 1)) {
-                Node::Const => {
-                    self.map[n as usize] = Some(Bit::FALSE);
-                    stack.pop();
-                }
+                Node::Const => unreachable!("the constant node is seeded with its value"),
                 Node::Input(i) => {
                     self.touch_input(i);
                     stack.pop();
@@ -484,329 +411,36 @@ impl<'a> Rebuilder<'a> {
         }
     }
 
-    /// Translates the verification roots and every reached latch's
+    /// Translates the verification roots and every created latch's
     /// next-state, registers assumes/bads/probes on the output, and
-    /// returns the netlist, the rewrite and the images of `extra_roots`.
-    fn finish(mut self, opts: &PassOpts, extra_roots: &[Bit]) -> (Aig, Rewrite, Vec<Bit>) {
-        let assumes: Vec<Bit> = self.old.assumes().to_vec();
-        for a in assumes {
+    /// returns the images of `extra_roots`.
+    fn finish(&mut self, keep_probes: bool, extra_roots: &[Bit]) -> Vec<Bit> {
+        let old = self.old;
+        for &a in old.assumes() {
             let img = self.translate(a);
             self.new.add_assume(img);
         }
-        let bads: Vec<(String, Bit)> = self
-            .old
-            .bads()
-            .iter()
-            .map(|b| (b.name.clone(), b.bit))
-            .collect();
-        for (name, bit) in bads {
-            let img = self.translate(bit);
-            self.new.add_bad(name, img);
+        for b in old.bads() {
+            let img = self.translate(b.bit);
+            self.new.add_bad(b.name.clone(), img);
         }
-        if opts.keep_probes {
-            let probes: Vec<(String, Vec<Bit>)> = self
-                .old
-                .probes()
-                .iter()
-                .map(|p| (p.name.clone(), p.bits.clone()))
-                .collect();
-            for (name, bits) in probes {
-                let imgs: Vec<Bit> = bits.into_iter().map(|b| self.translate(b)).collect();
-                self.new.add_probe(name, imgs);
+        if keep_probes {
+            for p in old.probes() {
+                let imgs: Vec<Bit> = p.bits.iter().map(|&b| self.translate(b)).collect();
+                self.new.add_probe(p.name.clone(), imgs);
             }
         }
         let images: Vec<Bit> = extra_roots.iter().map(|&b| self.translate(b)).collect();
         // Seal every created latch; translating a next-state may create
         // more latches, so drain until quiet.
         while let Some((old_idx, handle)) = self.pending.pop() {
-            let next = self.old.latches()[old_idx as usize]
+            let next = old.latches()[old_idx as usize]
                 .next
-                .expect("pass input must have sealed latches");
+                .expect("reduce input must have sealed latches");
             let img = self.translate(next);
             self.new.set_next(handle, img);
         }
-        let rewrite = Rewrite {
-            forward: self.map,
-            latch_back: self.latch_back,
-            input_back: self.input_back,
-        };
-        (self.new, rewrite, images)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The standard passes.
-// ---------------------------------------------------------------------------
-
-/// Cone-of-influence reduction: latches, inputs and gates that cannot
-/// reach any assume/bad bit (or kept probe, or extra root) are dropped.
-pub struct CoiPass;
-
-impl Pass for CoiPass {
-    fn name(&self) -> &'static str {
-        "coi"
-    }
-
-    fn run(&self, aig: &Aig, roots: &[Bit], opts: &PassOpts) -> (Aig, Rewrite) {
-        let r = Rebuilder::new(
-            aig,
-            vec![None; aig.num_latches()],
-            Creation::Lazy,
-            Creation::Lazy,
-        );
-        let (new, rewrite, _) = r.finish(opts, roots);
-        (new, rewrite)
-    }
-}
-
-/// Constant sweep: stuck-at-reset latches are replaced by their reset
-/// constant (computed to a fixpoint), and the whole netlist is rebuilt
-/// through the hash-consing constructor so logic that became
-/// structurally identical across the two machine copies merges.
-pub struct ConstSweepPass;
-
-/// Partial constant evaluation of `bit` under `latch_consts` (unknown
-/// inputs/latches are `None`); memoised in `memo` per sweep iteration.
-fn const_eval(
-    aig: &Aig,
-    latch_consts: &[Option<bool>],
-    memo: &mut [Option<Option<bool>>],
-    bit: Bit,
-) -> Option<bool> {
-    let mut stack = vec![bit.node()];
-    while let Some(&n) = stack.last() {
-        if memo[n as usize].is_some() {
-            stack.pop();
-            continue;
-        }
-        let value = match aig.node(Bit::from_packed(n << 1)) {
-            Node::Const => Some(Some(false)),
-            Node::Input(_) => Some(None),
-            Node::Latch(l) => Some(latch_consts[l as usize]),
-            Node::And(x, y) => {
-                let ex = memo[x.node() as usize].map(|v| v.map(|b| b != x.is_complemented()));
-                let ey = memo[y.node() as usize].map(|v| v.map(|b| b != y.is_complemented()));
-                match (ex, ey) {
-                    (Some(ex), Some(ey)) => Some(match (ex, ey) {
-                        (Some(false), _) | (_, Some(false)) => Some(false),
-                        (Some(true), Some(true)) => Some(true),
-                        _ => None,
-                    }),
-                    _ => {
-                        if memo[x.node() as usize].is_none() {
-                            stack.push(x.node());
-                        }
-                        if memo[y.node() as usize].is_none() {
-                            stack.push(y.node());
-                        }
-                        None
-                    }
-                }
-            }
-        };
-        if let Some(v) = value {
-            memo[n as usize] = Some(v);
-            stack.pop();
-        }
-    }
-    memo[bit.node() as usize]
-        .expect("just evaluated")
-        .map(|b| b != bit.is_complemented())
-}
-
-/// Latches provably stuck at their reset value: start from "every
-/// concretely-initialised latch holds its reset value" and drop
-/// candidates whose next-state does not evaluate back to it, until
-/// stable. Sound: the surviving set is a mutual-induction proof that
-/// each member never changes.
-fn stuck_latches(aig: &Aig) -> Vec<Option<bool>> {
-    let mut cand: Vec<Option<bool>> = aig
-        .latches()
-        .iter()
-        .map(|l| match l.init {
-            Init::Zero => Some(false),
-            Init::One => Some(true),
-            Init::Symbolic => None,
-        })
-        .collect();
-    // One memo for every iteration, cleared as each one starts.
-    let mut memo: Vec<Option<Option<bool>>> = vec![None; aig.num_nodes()];
-    loop {
-        memo.fill(None);
-        let mut changed = false;
-        for (i, l) in aig.latches().iter().enumerate() {
-            let Some(v) = cand[i] else { continue };
-            let next = l.next.expect("pass input must have sealed latches");
-            if const_eval(aig, &cand, &mut memo, next) != Some(v) {
-                cand[i] = None;
-                changed = true;
-            }
-        }
-        if !changed {
-            return cand;
-        }
-    }
-}
-
-impl Pass for ConstSweepPass {
-    fn name(&self) -> &'static str {
-        "const-sweep"
-    }
-
-    fn run(&self, aig: &Aig, roots: &[Bit], opts: &PassOpts) -> (Aig, Rewrite) {
-        let subst: Vec<Option<Bit>> = stuck_latches(aig)
-            .into_iter()
-            .map(|c| c.map(|v| if v { Bit::TRUE } else { Bit::FALSE }))
-            .collect();
-        // Eager: this pass only substitutes and re-strashes; orphan
-        // removal is DeadLatchPass/CompactPass territory (so the per-pass
-        // stats attribute each reduction to the pass that earned it).
-        let r = Rebuilder::new(aig, subst, Creation::Eager, Creation::Eager);
-        let (new, rewrite, _) = r.finish(opts, roots);
-        (new, rewrite)
-    }
-}
-
-/// Dead-latch elimination: latches no longer reachable from any root
-/// through next-state functions — typically orphaned by the constant
-/// sweep — are removed, along with their private logic cones. Inputs are
-/// left in place ([`CompactPass`] collects dead ones).
-pub struct DeadLatchPass;
-
-impl Pass for DeadLatchPass {
-    fn name(&self) -> &'static str {
-        "dead-latch"
-    }
-
-    fn run(&self, aig: &Aig, roots: &[Bit], opts: &PassOpts) -> (Aig, Rewrite) {
-        let r = Rebuilder::new(
-            aig,
-            vec![None; aig.num_latches()],
-            Creation::Lazy,
-            Creation::Eager,
-        );
-        let (new, rewrite, _) = r.finish(opts, roots);
-        (new, rewrite)
-    }
-}
-
-/// Probe-preserving node compaction: every latch survives, probes are
-/// re-registered, but unreachable AND nodes and fanout-free inputs are
-/// dropped and the survivors renumbered densely.
-pub struct CompactPass;
-
-impl Pass for CompactPass {
-    fn name(&self) -> &'static str {
-        "compact"
-    }
-
-    fn run(&self, aig: &Aig, roots: &[Bit], opts: &PassOpts) -> (Aig, Rewrite) {
-        let r = Rebuilder::new(
-            aig,
-            vec![None; aig.num_latches()],
-            Creation::Eager,
-            Creation::Lazy,
-        );
-        let (new, rewrite, _) = r.finish(opts, roots);
-        (new, rewrite)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The pipeline runner.
-// ---------------------------------------------------------------------------
-
-/// What a [`Pipeline`] run produced: the reduced netlist, the composed
-/// back-map, per-pass statistics, and the images of the extra roots.
-pub struct Prepared {
-    pub aig: Aig,
-    pub reconstruction: Reconstruction,
-    pub stats: PipelineStats,
-    /// Final image of each bit in [`Pipeline::run`]'s `extra_roots`, in
-    /// order. Roots are kept alive by every pass, so each has an image
-    /// (possibly a constant, when the pipeline folded it).
-    pub root_images: Vec<Bit>,
-}
-
-/// An ordered list of [`Pass`]es run back to back, composing their
-/// rewrites.
-pub struct Pipeline {
-    passes: Vec<Box<dyn Pass>>,
-    opts: PassOpts,
-}
-
-impl Pipeline {
-    /// An empty pipeline (runs produce the identity transformation).
-    pub fn new(opts: PassOpts) -> Pipeline {
-        Pipeline {
-            passes: Vec::new(),
-            opts,
-        }
-    }
-
-    /// The standard reduction order: cone-of-influence, constant sweep,
-    /// dead-latch elimination, compaction.
-    pub fn standard(opts: PassOpts) -> Pipeline {
-        Pipeline::new(opts)
-            .with_pass(CoiPass)
-            .with_pass(ConstSweepPass)
-            .with_pass(DeadLatchPass)
-            .with_pass(CompactPass)
-    }
-
-    /// Appends a pass (builder style).
-    pub fn with_pass(mut self, pass: impl Pass + 'static) -> Pipeline {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// The configured passes, in execution order.
-    pub fn passes(&self) -> &[Box<dyn Pass>] {
-        &self.passes
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.passes.is_empty()
-    }
-
-    /// Runs every pass in order. `extra_roots` (e.g. candidate invariant
-    /// bits) are kept alive through the whole pipeline and returned as
-    /// their final images.
-    ///
-    /// # Panics
-    /// Panics if `aig` has unsealed latches.
-    pub fn run(&self, aig: &Aig, extra_roots: &[Bit]) -> Prepared {
-        aig.validate()
-            .unwrap_or_else(|names| panic!("unsealed latches: {names:?}"));
-        // The input is only cloned when no pass runs: each pass reads
-        // the previous output (or `aig` itself for the first) by
-        // reference.
-        let mut current: Option<Aig> = None;
-        let mut rewrite = Rewrite::identity(aig);
-        let mut roots: Vec<Bit> = extra_roots.to_vec();
-        let mut stats = PipelineStats::default();
-        for pass in &self.passes {
-            let input = current.as_ref().unwrap_or(aig);
-            let before = Shape::of(input);
-            let (next, step) = pass.run(input, &roots, &self.opts);
-            roots = roots
-                .into_iter()
-                .map(|b| step.forward(b).expect("passes must keep extra roots alive"))
-                .collect();
-            rewrite = Rewrite::compose(&rewrite, &step);
-            stats.passes.push(PassStats {
-                pass: pass.name().to_string(),
-                before,
-                after: Shape::of(&next),
-            });
-            current = Some(next);
-        }
-        Prepared {
-            aig: current.unwrap_or_else(|| aig.clone()),
-            reconstruction: Reconstruction::new(rewrite),
-            stats,
-            root_images: roots,
-        }
+        images
     }
 }
 
@@ -840,14 +474,16 @@ mod tests {
     #[test]
     fn coi_drops_dead_state_without_probes() {
         let aig = mixed_design();
-        let (reduced, rw) = CoiPass.run(&aig, &[], &PassOpts { keep_probes: false });
+        let prepared = reduce(&aig, &[], false);
+        let (reduced, rc) = (&prepared.aig, &prepared.reconstruction);
         assert!(reduced.validate().is_ok());
-        // The dead counter (4 latches) is gone; live (3) + stuck (1) stay.
-        assert_eq!(reduced.num_latches(), 4);
-        assert!(reduced.latches().iter().all(|l| !l.name.contains("dead")));
+        // The dead counter (4 latches) is gone and `stuck` folded; only
+        // live (3) stays.
+        assert_eq!(reduced.num_latches(), 3);
+        assert!(reduced.latches().iter().all(|l| l.name.starts_with("live")));
         // Back-maps point at the original indices.
         for (new, l) in reduced.latches().iter().enumerate() {
-            let old = rw.original_latch(new as u32).unwrap();
+            let old = rc.original_latch(new as u32).unwrap();
             assert_eq!(aig.latches()[old as usize].name, l.name);
         }
         // Bads/assumes preserved by name.
@@ -858,7 +494,7 @@ mod tests {
     #[test]
     fn coi_keeps_probed_state_when_requested() {
         let aig = mixed_design();
-        let (reduced, _) = CoiPass.run(&aig, &[], &PassOpts { keep_probes: true });
+        let reduced = reduce(&aig, &[], true).aig;
         assert!(reduced.latches().iter().any(|l| l.name.contains("dead")));
         assert_eq!(reduced.probes().len(), 1);
     }
@@ -866,22 +502,18 @@ mod tests {
     #[test]
     fn const_sweep_folds_stuck_latches() {
         let aig = mixed_design();
-        let stuck = stuck_latches(&aig);
+        let consts = node_constants(&aig);
         // `stuck` (hold of Zero) is constant; the counters are not.
-        let names: Vec<(&str, Option<bool>)> = aig
-            .latches()
-            .iter()
-            .zip(&stuck)
-            .map(|(l, s)| (l.name.as_str(), *s))
-            .collect();
-        for (name, s) in names {
-            if name.starts_with("stuck") {
-                assert_eq!(s, Some(false), "{name}");
+        for l in aig.latches() {
+            let c = consts[l.output.node() as usize];
+            if l.name.starts_with("stuck") {
+                assert_eq!(c, Some(false), "{}", l.name);
             } else {
-                assert_eq!(s, None, "{name}");
+                assert_eq!(c, None, "{}", l.name);
             }
         }
-        let (reduced, rw) = ConstSweepPass.run(&aig, &[], &PassOpts { keep_probes: true });
+        let prepared = reduce(&aig, &[], true);
+        let reduced = &prepared.aig;
         assert!(reduced.validate().is_ok());
         assert!(reduced.latches().iter().all(|l| !l.name.contains("stuck")));
         // The gated path folded away: `stuck & x` became FALSE, so the
@@ -895,7 +527,7 @@ mod tests {
             .find(|l| l.name.starts_with("stuck"))
             .unwrap()
             .output;
-        assert_eq!(rw.forward(stuck_out), Some(Bit::FALSE));
+        assert_eq!(prepared.reconstruction.forward(stuck_out), Some(Bit::FALSE));
     }
 
     #[test]
@@ -915,34 +547,48 @@ mod tests {
         let ne = d.xor_bit(m1, m2);
         d.assert_always("diverge", ne);
         let aig = d.finish();
-        let (reduced, _) = ConstSweepPass.run(&aig, &[], &PassOpts { keep_probes: false });
+        let reduced = reduce(&aig, &[], false).aig;
         assert!(reduced.num_ands() < aig.num_ands());
         assert!(reduced.latches().iter().all(|l| l.name != "c2.sel"));
     }
 
     #[test]
-    fn dead_latch_removes_orphans_and_compact_drops_inputs() {
-        let aig = mixed_design();
-        let opts = PassOpts { keep_probes: false };
-        // Const sweep leaves the dead counter in place (eager rebuild)…
-        let (swept, _) = ConstSweepPass.run(&aig, &[], &opts);
-        assert!(swept.latches().iter().any(|l| l.name.contains("dead")));
-        // …dead-latch elimination removes it but keeps input x…
-        let (deadfree, _) = DeadLatchPass.run(&swept, &[], &opts);
-        assert!(deadfree.latches().iter().all(|l| !l.name.contains("dead")));
-        assert_eq!(deadfree.num_inputs(), 1);
-        // …and compaction drops the now-unreferenced input.
-        let (compacted, _) = CompactPass.run(&deadfree, &[], &opts);
-        assert_eq!(compacted.num_inputs(), 0);
-        assert_eq!(compacted.num_latches(), deadfree.num_latches());
+    fn reduce_drops_state_orphaned_by_folding() {
+        // `orphan` and `x` are in the cone, but reach the bad only
+        // through `stuck`, which folds to 0; `idle` is stuck too, but
+        // outside the cone.
+        let mut d = Design::new("t");
+        let stuck = d.reg("stuck", 1, Init::Zero);
+        d.hold(&stuck);
+        let orphan = d.reg("orphan", 1, Init::Symbolic);
+        d.hold(&orphan);
+        let idle = d.reg("idle", 1, Init::One);
+        d.hold(&idle);
+        let x = d.input_bit("x");
+        let gated = d.and_bit(orphan.q().bit(0), x);
+        let hit = d.and_bit(stuck.q().bit(0), gated);
+        d.assert_always("never", hit.not());
+        let aig = d.finish();
+        let prepared = reduce(&aig, &[], false);
+        assert_eq!(prepared.aig.num_latches(), 0);
+        assert_eq!(prepared.aig.num_inputs(), 0);
+        // Only the stuck latch the bad was computed from is restored.
+        let restored = prepared.reconstruction.restored_constants(&aig);
+        let names: Vec<&str> = restored
+            .iter()
+            .map(|&(i, _)| aig.latches()[i as usize].name.as_str())
+            .collect();
+        assert_eq!(names, ["stuck[0]"]);
     }
 
     #[test]
-    fn pipeline_composes_back_maps() {
+    fn reduce_maps_back_to_original_names() {
         let aig = mixed_design();
-        let prepared = Pipeline::standard(PassOpts { keep_probes: false }).run(&aig, &[]);
+        let prepared = reduce(&aig, &[], false);
         assert!(prepared.aig.validate().is_ok());
-        assert_eq!(prepared.stats.passes.len(), 4);
+        assert_eq!(prepared.stats.pass, "reduce");
+        assert_eq!(prepared.stats.before, Shape::of(&aig));
+        assert_eq!(prepared.stats.after, Shape::of(&prepared.aig));
         assert!(prepared.stats.ands_removed() > 0);
         assert!(prepared.stats.latches_removed() > 0);
         // Every surviving latch's back-map resolves to the same name.
@@ -957,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn extra_roots_survive_every_pass() {
+    fn extra_roots_keep_their_cones() {
         let mut d = Design::new("t");
         let a = d.reg("a", 2, Init::Zero);
         let b = d.reg("b", 2, Init::Zero);
@@ -970,7 +616,7 @@ mod tests {
         d.assert_always("hit", hit);
         let cand = d.eq(&a.q(), &b.q());
         let aig = d.finish();
-        let prepared = Pipeline::standard(PassOpts { keep_probes: false }).run(&aig, &[cand]);
+        let prepared = reduce(&aig, &[cand], false);
         assert_eq!(prepared.root_images.len(), 1);
         // `b` only survives because the candidate root kept it alive.
         assert_eq!(prepared.aig.num_latches(), 4);
@@ -986,7 +632,7 @@ mod tests {
         // here is the stuck latch output itself — constant false.
         d.assert_always("never", r.q().bit(0).not());
         let aig = d.finish();
-        let prepared = Pipeline::standard(PassOpts::default()).run(&aig, &[]);
+        let prepared = reduce(&aig, &[], true);
         // The bad folded to constant false but is still present by name.
         assert_eq!(prepared.aig.bads().len(), 1);
         assert_eq!(prepared.aig.bads()[0].name, "never");
@@ -997,10 +643,10 @@ mod tests {
     #[test]
     fn restored_constants_name_swept_latches() {
         let aig = mixed_design();
-        let prepared = Pipeline::standard(PassOpts { keep_probes: false }).run(&aig, &[]);
+        let prepared = reduce(&aig, &[], false);
         let restored = prepared.reconstruction.restored_constants(&aig);
         // Exactly the stuck latch is restored (at its reset value 0);
-        // COI/dead-latch-dropped latches have no image and stay absent.
+        // dropped latches have no image and stay absent.
         assert_eq!(restored.len(), 1);
         let (idx, val) = restored[0];
         assert!(aig.latches()[idx as usize].name.starts_with("stuck"));
@@ -1009,14 +655,5 @@ mod tests {
         assert!(Reconstruction::identity(&aig)
             .restored_constants(&aig)
             .is_empty());
-    }
-
-    #[test]
-    fn empty_pipeline_is_identity() {
-        let aig = mixed_design();
-        let prepared = Pipeline::new(PassOpts::default()).run(&aig, &[]);
-        assert_eq!(prepared.aig.num_nodes(), aig.num_nodes());
-        assert!(prepared.stats.passes.is_empty());
-        assert_eq!(prepared.reconstruction.original_latch(0), Some(0));
     }
 }

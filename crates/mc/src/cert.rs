@@ -4,13 +4,13 @@
 //! an independent checker needs to re-establish a `Proven` verdict
 //! without rerunning the engines: the inductive invariant PDR converged
 //! on (or Houdini's surviving candidates, or k-induction's closing
-//! `k`), plus the constants the preparation pipeline folded away before
+//! `k`), plus the constants preparation folded away before
 //! the engines ever saw the instance.
 //!
 //! The engines *emit* this material (it is free — no extra SAT calls at
 //! proof time); the `csl_certify` crate *checks* it with three fresh SAT
 //! queries (init ⊆ Inv, consecution, Inv ⊆ safe) against the unprepared
-//! netlist, independently auditing the whole transform pipeline end to
+//! netlist, independently auditing preparation and the engines end to
 //! end. Attack verdicts are covered by the dual artifact: the lifted
 //! [`Trace`](crate::Trace) replayed concretely by
 //! [`Sim::replay`](crate::Sim::replay).
@@ -51,7 +51,7 @@ pub enum CertKind {
 /// queries each conjunct's consecution separately.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Certificate {
-    /// Raw latches the preparation pipeline proved stuck at a constant,
+    /// Raw latches preparation proved stuck at a constant,
     /// as `(latch_index, value)` — from
     /// [`Reconstruction::restored_constants`](csl_hdl::xform::Reconstruction::restored_constants).
     pub restored: Vec<(u32, bool)>,

@@ -230,8 +230,8 @@ pub struct CheckOptions {
     pub keep_probes: bool,
     /// Sequential or portfolio schedule.
     pub mode: ExecMode,
-    /// Instance preparation: the netlist reduction pipeline every engine
-    /// runs behind (default on; `PrepareConfig::off()` hands the engines
+    /// Instance preparation: the netlist reduction every engine runs
+    /// behind (default on; `PrepareConfig::off()` hands the engines
     /// the raw instance). Attack traces are lifted back to the raw
     /// netlist's vocabulary before they leave [`check_safety`].
     pub prepare: PrepareConfig,
@@ -267,7 +267,7 @@ impl CheckOptions {
         self
     }
 
-    /// The same options with the preparation pipeline configured
+    /// The same options with preparation configured
     /// (builder style).
     pub fn with_prepare(mut self, prepare: PrepareConfig) -> CheckOptions {
         self.prepare = prepare;
@@ -296,8 +296,8 @@ pub struct CheckReport {
     pub elapsed: Duration,
     /// Engine-by-engine notes (sizes, intermediate outcomes).
     pub notes: Vec<String>,
-    /// Per-pass node/latch reduction statistics from instance
-    /// preparation (empty when preparation was off).
+    /// Node/latch reduction statistics from instance preparation (one
+    /// `"reduce"` entry; empty when preparation was off).
     pub prepare: Vec<PassStats>,
     /// Fuzzing-lane campaign statistics (`None` when no fuzzing lane
     /// ran — the default).
@@ -311,7 +311,7 @@ pub struct CheckReport {
     /// vocabulary of the netlist this report describes (after
     /// preparation lifting: the *raw* netlist). `None` for non-proof
     /// verdicts, for a proof from a caller-supplied lane that supplies
-    /// none, or when lifting through the preparation pipeline failed
+    /// none, or when lifting through preparation's reconstruction failed
     /// (noted in `notes`).
     pub certificate: Option<Certificate>,
 }

@@ -23,9 +23,10 @@
 //!   decisive lane cancels the rest through a stop flag shared via
 //!   `csl_sat::Budget`,
 //! * [`lane`] — the engine lanes and their per-run solver counters,
-//! * [`prepare`](mod@prepare) — instance preparation: the `csl_hdl::xform` reduction
-//!   pipeline (cone-of-influence, constant sweep + cross-copy re-strash,
-//!   dead-latch elimination, compaction) every engine runs behind, with
+//! * [`prepare`](mod@prepare) — instance preparation: the one-rebuild
+//!   `csl_hdl::xform::reduce` (stuck-at-reset constants folded,
+//!   cross-copy logic re-strashed, only the verification roots' cone
+//!   kept) every engine runs behind, with
 //!   [`prepare::PreparedInstance`] carrying the reconstruction that
 //!   lifts counterexamples back to raw-netlist vocabulary.
 //!
@@ -77,7 +78,7 @@ pub use portfolio::{
     race, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneResult,
     LaneRun, PdrBackend, RaceReport,
 };
-pub use prepare::{prepare, PrepareConfig, PrepareStats, PreparedInstance};
+pub use prepare::{prepare, PrepareConfig, PreparedInstance};
 pub use sim::{
     BatchCycleValues, BatchMasks, BatchSim, BatchState, BatchStep, CycleValues, Sim, SimState,
     StepResult,

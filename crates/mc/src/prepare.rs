@@ -1,13 +1,14 @@
 //! Instance preparation: netlist reduction in front of the engines.
 //!
-//! [`prepare`] runs the `csl_hdl::xform` pass pipeline over a
-//! [`SafetyCheck`] — cone-of-influence reduction, constant sweep with
-//! cross-copy re-strash, dead-latch elimination, and probe-preserving
-//! compaction — producing a [`PreparedInstance`]: the reduced task, a
-//! [`Reconstruction`] that lifts counterexample traces back to the
-//! original netlist's latch/input indices, and per-pass statistics.
+//! [`prepare`] runs [`csl_hdl::xform::reduce`] over a [`SafetyCheck`] —
+//! one rebuild that folds stuck-at-reset latches and the logic constant
+//! under them, re-strashes across the two machine copies, and keeps only
+//! what the verification roots reach — producing a [`PreparedInstance`]:
+//! the reduced task, a [`Reconstruction`] that lifts counterexample
+//! traces back to the original netlist's latch/input indices, and the
+//! before/after sizes.
 //!
-//! Houdini candidate invariants are threaded through the pipeline as
+//! Houdini candidate invariants are threaded through the reduction as
 //! extra roots, so their bits stay meaningful (remapped) on the reduced
 //! netlist and the candidate set never silently shrinks.
 //!
@@ -16,19 +17,14 @@
 //! is the escape hatch that reproduces the raw-instance behaviour
 //! exactly.
 
-use csl_hdl::xform::{
-    CoiPass, CompactPass, ConstSweepPass, DeadLatchPass, PassOpts, Pipeline, Reconstruction,
-};
+use csl_hdl::xform::{reduce, PassStats, Reconstruction};
 use csl_hdl::Aig;
 
 use crate::cert::{CertKind, Certificate};
 use crate::engine::{CheckReport, SafetyCheck, Verdict};
 use crate::houdini::Candidate;
 
-pub use csl_hdl::xform::PipelineStats as PrepareStats;
-
-/// Whether the reduction pipeline runs before the engines see an
-/// instance: all four passes, or none.
+/// Whether [`reduce`] runs before the engines see an instance.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PrepareConfig {
     /// `false` hands the engines the raw instance.
@@ -43,7 +39,7 @@ impl Default for PrepareConfig {
 }
 
 impl PrepareConfig {
-    /// The full standard pipeline.
+    /// Preparation enabled.
     pub fn on() -> PrepareConfig {
         PrepareConfig { enabled: true }
     }
@@ -52,35 +48,20 @@ impl PrepareConfig {
     pub fn off() -> PrepareConfig {
         PrepareConfig { enabled: false }
     }
-
-    /// The `csl_hdl::xform` pipeline this configuration describes:
-    /// cone-of-influence reduction, constant sweep with cross-copy
-    /// re-strash, dead-latch elimination and probe-preserving compaction
-    /// (empty when disabled).
-    pub fn pipeline(&self, keep_probes: bool) -> Pipeline {
-        let p = Pipeline::new(PassOpts { keep_probes });
-        if !self.enabled {
-            return p;
-        }
-        p.with_pass(CoiPass)
-            .with_pass(ConstSweepPass)
-            .with_pass(DeadLatchPass)
-            .with_pass(CompactPass)
-    }
 }
 
 /// A verification instance after preparation: the reduced task the
 /// engines run on, the back-map to the original netlist, and the
-/// per-pass reduction statistics.
+/// reduction statistics.
 pub struct PreparedInstance {
     /// The reduced netlist plus candidates remapped into its vocabulary.
     pub task: SafetyCheck,
     /// Lifts reduced-netlist traces back to original latch/input
     /// indices (identity when preparation was off).
     pub reconstruction: Reconstruction,
-    /// Per-pass node/latch reduction statistics (empty when preparation
-    /// was off).
-    pub stats: PrepareStats,
+    /// The reduction's before/after sizes: one `"reduce"` entry, none
+    /// when preparation was off.
+    pub stats: Vec<PassStats>,
 }
 
 impl PreparedInstance {
@@ -89,15 +70,15 @@ impl PreparedInstance {
         &self.task.aig
     }
 
-    /// Whether any pass actually ran.
+    /// Whether the reduction ran.
     pub fn was_prepared(&self) -> bool {
-        !self.stats.passes.is_empty()
+        !self.stats.is_empty()
     }
 
     /// Rewrites `report` into original-netlist vocabulary: attack traces
     /// and proof certificates are lifted through the reconstruction
-    /// (certificates additionally pick up the constants the pipeline
-    /// restored, via
+    /// (certificates additionally pick up the constants the reduction
+    /// folded, via
     /// [`Reconstruction::restored_constants`]), and the preparation
     /// statistics (plus a summary note) are attached. `original` is the
     /// netlist `prepare` ran on. A certificate whose invariant mentions
@@ -115,17 +96,26 @@ impl PreparedInstance {
                     .push("certificate dropped: invariant latch lost in preparation".into()),
             }
         }
-        if self.was_prepared() {
-            report.notes.insert(0, self.stats.summary());
-            report.prepare = self.stats.passes.clone();
+        if let Some(s) = self.stats.first() {
+            report.notes.insert(
+                0,
+                format!(
+                    "prepare: {} -> {} ({} ands, {} latches removed)",
+                    s.before,
+                    s.after,
+                    s.ands_removed(),
+                    s.latches_removed()
+                ),
+            );
         }
+        report.prepare = self.stats.clone();
         report
     }
 
     /// Re-expresses a certificate found on the prepared netlist in the
     /// original netlist's latch indices. Candidate (survivor) indices
     /// are stable — `prepare` rebuilds the candidate list index-aligned
-    /// — so only blocked cubes need mapping; the constants the pipeline
+    /// — so only blocked cubes need mapping; the constants the reduction
     /// folded away join the certificate's `restored` set, restoring the
     /// part of the invariant the engines never saw.
     fn lift_certificate(&self, original: &Aig, mut cert: Certificate) -> Option<Certificate> {
@@ -141,24 +131,23 @@ impl PreparedInstance {
     }
 }
 
-/// Runs the configured reduction pipeline over `task`. Candidate bits
+/// Runs [`reduce`] over `task` when `cfg` enables it. Candidate bits
 /// ride along as extra roots and come back remapped; with preparation
 /// disabled the result is a clone of `task` with an identity
 /// reconstruction.
 pub fn prepare(task: &SafetyCheck, cfg: &PrepareConfig, keep_probes: bool) -> PreparedInstance {
-    let pipeline = cfg.pipeline(keep_probes);
-    if pipeline.is_empty() {
+    if !cfg.enabled {
         return PreparedInstance {
             task: SafetyCheck {
                 aig: task.aig.clone(),
                 candidates: task.candidates.clone(),
             },
             reconstruction: Reconstruction::identity(&task.aig),
-            stats: PrepareStats::default(),
+            stats: Vec::new(),
         };
     }
     let roots: Vec<csl_hdl::Bit> = task.candidates.iter().map(|c| c.bit).collect();
-    let prepared = pipeline.run(&task.aig, &roots);
+    let prepared = reduce(&task.aig, &roots, keep_probes);
     let candidates = task
         .candidates
         .iter()
@@ -174,7 +163,7 @@ pub fn prepare(task: &SafetyCheck, cfg: &PrepareConfig, keep_probes: bool) -> Pr
             candidates,
         },
         reconstruction: prepared.reconstruction,
-        stats: prepared.stats,
+        stats: vec![prepared.stats],
     }
 }
 
@@ -221,7 +210,7 @@ mod tests {
         assert_eq!(p.task.candidates.len(), 1);
         // The candidate's bit now lives in the reduced vocabulary.
         assert!(!p.task.candidates[0].bit.is_const());
-        assert!(p.stats.latches_removed() >= 6);
+        assert!(p.stats[0].latches_removed() >= 6);
         assert!(p.aig().validate().is_ok());
     }
 }

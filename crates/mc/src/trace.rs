@@ -40,7 +40,7 @@ impl Trace {
 
     /// Re-expresses a trace found on a prepared (reduced) netlist in the
     /// original netlist's latch/input indices, via the
-    /// [`Reconstruction`] the preparation pipeline emitted. Latches and
+    /// [`Reconstruction`] preparation emitted. Latches and
     /// inputs the reduction removed are simply unconstrained in the
     /// lifted trace — sound, because a removed latch either cannot
     /// influence any assume/bad bit or provably holds its reset value,
