@@ -72,9 +72,10 @@ fn main() {
             match check_certificate(&task(), cert) {
                 Ok(check) => println!(
                     "{label}: certificate validates against the raw netlist \
-                     ({} conjuncts, {} SAT calls) [{:.3}s]",
+                     ({} conjuncts, {} SAT calls, {} conflicts) [{:.3}s]",
                     check.conjuncts,
                     check.sat_calls,
+                    check.conflicts,
                     check.elapsed.as_secs_f64()
                 ),
                 Err(why) => {

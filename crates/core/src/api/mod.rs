@@ -54,6 +54,7 @@ use std::time::Duration;
 use csl_contracts::Contract;
 use csl_cpu::CpuConfig;
 use csl_mc::{CheckOptions, SafetyCheck};
+use csl_sat::Budget;
 
 use crate::campaign::{matrix, run_cells, CampaignCell};
 use crate::fuzz::fuzz_lane;
@@ -382,16 +383,18 @@ impl Query {
     /// A hit is served only after *verify-on-load*: the stored proof
     /// certificate is re-checked — or the stored attack trace replayed —
     /// against a freshly built instance, so a stale, corrupted, or
-    /// forged entry can never launder an unaudited verdict. A failed
-    /// check evicts the entry (counted in [`CacheStats::rejected`]) and
-    /// the cell re-solves.
+    /// forged entry can never launder an unaudited verdict. The check
+    /// runs under the query's own wall budget, so an entry that is
+    /// costly to check costs no more than a solve. A failed or
+    /// unfinished check evicts the entry (counted in
+    /// [`CacheStats::rejected`]) and the cell re-solves.
     pub fn run_cached(&self, cache: &ReportCache) -> Report {
         // One build serves the key, the audit of a hit and the solve of
         // a miss.
         let task = self.raw_instance();
         let key = self.key_of(&task);
         if let Some(hit) = cache.serve(key) {
-            if cached_report_is_sound(&task, &hit) {
+            if cached_report_is_sound(&task, &hit, self.opts.total_budget) {
                 return hit;
             }
             cache.reject(key);
@@ -407,16 +410,21 @@ impl Query {
 /// The verify-on-load check: does this cache-served report's evidence
 /// re-check against `task`, the query's freshly built raw instance?
 /// Attacks must replay to a bad state with every assume held; proofs
-/// must carry a certificate whose three obligations pass. A proof with
-/// no certificate fails — the cache only trusts what it can audit.
-fn cached_report_is_sound(task: &SafetyCheck, report: &Report) -> bool {
-    use csl_certify::{check_certificate, check_witness, Witness};
+/// must carry a certificate whose three obligations pass within `wall`,
+/// the query's own budget: a certificate too costly to check in that
+/// time (`Rejection::Budget`) fails like a forged one. A proof with no
+/// certificate fails — the cache only trusts what it can audit.
+fn cached_report_is_sound(task: &SafetyCheck, report: &Report, wall: Duration) -> bool {
+    use csl_certify::{check_certificate_with, check_witness, Witness};
     match &report.verdict {
         csl_mc::Verdict::Attack(trace) => {
             check_witness(&task.aig, &Witness::new((**trace).clone())).is_ok()
         }
         csl_mc::Verdict::Proof(_) => match &report.certificate {
-            Some(cert) => check_certificate(task, cert).is_ok(),
+            Some(cert) => {
+                let budget = Budget::until(std::time::Instant::now() + wall);
+                check_certificate_with(task, cert, &budget).is_ok()
+            }
             None => false,
         },
         // Undecided verdicts are never stored; if one slips in, it
@@ -485,7 +493,9 @@ impl Matrix {
                 // entry whose certificate or witness fails to re-check
                 // is evicted and the cell re-solves on the pool.
                 slots[i] = match cache.serve(key) {
-                    Some(hit) if cached_report_is_sound(&task, &hit) => Some(hit),
+                    Some(hit) if cached_report_is_sound(&task, &hit, query.opts.total_budget) => {
+                        Some(hit)
+                    }
                     Some(_) => {
                         cache.reject(key);
                         None

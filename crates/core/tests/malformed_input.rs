@@ -6,13 +6,15 @@
 //! `ReportCache::load`. Each call must return a value or a typed error.
 //! So must a report, a campaign document and a cache entry nested far
 //! deeper than any real report, where a parser without a depth cap
-//! overflows the stack.
+//! overflows the stack. A well-formed entry whose certificate is far too
+//! costly to check is audited under the query's own wall budget, so it
+//! is evicted and re-solved instead of stalling the query.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use csl_contracts::Contract;
-use csl_core::api::{CampaignReport, FuzzStats, ReadError, Report, ReportCache};
+use csl_core::api::{CampaignReport, FuzzStats, Mode, ReadError, Report, ReportCache, Verifier};
 use csl_core::{DesignKind, Scheme};
 use csl_cpu::Defense;
 use csl_mc::{CertKind, Certificate, Lane, LaneSolverStats, ProofEngine, Trace, Verdict};
@@ -202,5 +204,50 @@ fn deeply_nested_documents_are_typed_errors() {
     std::fs::write(entry_file(&dir), &deep_report).unwrap();
     assert_eq!(cache.load(0), None);
     assert_eq!(cache.stats().misses, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shadow/SingleCycle proves by k-induction at k = 1. The same certificate
+/// at k = 8 is valid too, but its base case is an 8-frame reset unrolling
+/// of the raw two-copy product, which takes over a minute to check.
+/// Verify-on-load runs that check under the query's 2 s wall: the check
+/// runs out, the entry is evicted, and the cell re-solves to a PROOF.
+#[test]
+fn costly_cache_entry_is_audited_under_the_query_budget() {
+    let query = Verifier::new()
+        .design(DesignKind::SingleCycle)
+        .contract(Contract::Sandboxing)
+        .scheme(Scheme::Shadow)
+        .mode(Mode::Portfolio)
+        .wall(Duration::from_secs(2))
+        .query()
+        .expect("design and contract are set");
+    let report = query.run();
+    assert!(
+        matches!(
+            report.certificate.as_ref().map(|c| &c.kind),
+            Some(CertKind::KInduction { k: 1 })
+        ),
+        "{report:?}"
+    );
+
+    let dir = std::env::temp_dir().join(format!("csl-cache-costly-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ReportCache::new(&dir);
+    cache.store(query.cache_key(), &report).unwrap();
+    let entry = entry_file(&dir);
+    let text = std::fs::read_to_string(&entry).unwrap();
+    // The certificate's `k`, not the verdict's.
+    let (head, cert) = text.split_at(text.find("\"certificate\"").expect("a certificate"));
+    assert_eq!(cert.matches("\"k\": 1").count(), 1, "{cert}");
+    let forged = head.to_string() + &cert.replacen("\"k\": 1", "\"k\": 8", 1);
+    std::fs::write(&entry, forged).unwrap();
+
+    let start = Instant::now();
+    let again = query.run_cached(&cache);
+    let took = start.elapsed();
+    assert!(again.verdict.is_proof(), "{}", again.cell());
+    assert_eq!(cache.stats().rejected, 1);
+    assert!(took < Duration::from_secs(10), "run_cached took {took:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,16 +18,18 @@
 //!    survivor at frame 0 and drop the ones some successor violates,
 //!    until a round drops nothing. Every round is *speculatively
 //!    reduced*: a survivor whose bit is the XNOR of two latch outputs —
-//!    every LEAVE candidate is — is built into the encoding, because
-//!    both latches share one frame-0 literal (`Unroller::with_aliases`)
-//!    and the XNOR folds to true. The two copies' next-state logic then
-//!    encodes once wherever their inputs agree, and the round decides by
-//!    structure instead of rediscovering the copies' equality gate by
-//!    gate. Aliasing is exactly assuming the equalities at frame 0, and
-//!    the greatest inductive subset is unique, so the survivors are the
-//!    plain loop's. The aliases change with the survivors, so each round
-//!    builds its own instance; simulation between rounds (below) drops
-//!    most non-inductive candidates, so few rounds pay for a rebuild.
+//!    every LEAVE candidate is, and [`equated_latches`] in
+//!    [`crate::unroll`] recognises the shape — is built into the
+//!    encoding, because both latches share one frame-0 literal
+//!    ([`Unroller::with_aliases`]) and the XNOR folds to true. The two
+//!    copies' next-state logic then encodes once wherever their inputs
+//!    agree, and the round decides by structure instead of rediscovering
+//!    the copies' equality gate by gate. Aliasing is exactly assuming the
+//!    equalities at frame 0, and the greatest inductive subset is unique,
+//!    so the survivors are the plain loop's. The aliases change with the
+//!    survivors, so each round builds its own instance; simulation
+//!    between rounds (below) drops most non-inductive candidates, so few
+//!    rounds pay for a rebuild.
 //! 3. **Safety**, on a fresh frame-0 instance aliased the same way: do
 //!    the survivors and the assumes at frame 0 exclude every bad state?
 //!    Assumes at frame 0 only, as the certificate checker's safety
@@ -61,14 +63,14 @@
 //! indices never move, and the stimuli are fixed, so the round and drop
 //! counts repeat exactly.
 
-use csl_hdl::{Aig, Bit, Node};
+use csl_hdl::{Aig, Bit};
 use std::sync::Arc;
 
 use csl_sat::{Budget, Lit, SolveResult, SolverStats};
 
 use crate::sim::{BatchSim, BatchState};
 use crate::ts::TransitionSystem;
-use crate::unroll::{InitMode, Unroller};
+use crate::unroll::{equated_latches, InitMode, Unroller};
 
 /// A named candidate invariant bit.
 #[derive(Clone, Debug)]
@@ -419,33 +421,6 @@ fn aliases(alive: &[bool], pairs: &[Option<(Bit, Bit)>]) -> Vec<(Bit, Bit)> {
         .collect()
 }
 
-/// The two latch outputs a candidate equates, when its bit is their XNOR
-/// `¬(¬(a ∧ b) ∧ ¬(¬a ∧ ¬b))` — the shape `xor(a, b).not()` builds — over
-/// uncomplemented latch outputs `a` and `b`.
-fn equated_latches(aig: &Aig, bit: Bit) -> Option<(Bit, Bit)> {
-    let Node::And(x, y) = aig.node(bit) else {
-        return None;
-    };
-    if !bit.is_complemented() || !x.is_complemented() || !y.is_complemented() {
-        return None;
-    }
-    let (Node::And(p, q), Node::And(r, s)) = (aig.node(x), aig.node(y)) else {
-        return None;
-    };
-    // One operand gate is `a ∧ b`, the other `¬a ∧ ¬b`, in either role.
-    if !((r == p.not() && s == q.not()) || (r == q.not() && s == p.not())) {
-        return None;
-    }
-    let latch = |l: Bit| !l.is_complemented() && matches!(aig.node(l), Node::Latch(_));
-    if latch(p) && latch(q) {
-        Some((p, q))
-    } else if latch(r) && latch(s) {
-        Some((r, s))
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,52 +531,6 @@ mod tests {
         assert!(o.survivors.is_empty(), "{o:?}");
         assert!(o.rounds > 1, "{o:?}");
         assert!(!o.proves_safety);
-    }
-
-    /// Fresh latches `a`, `b`, `c` and an input `i` on their own netlist.
-    fn latches() -> (Aig, [Bit; 4]) {
-        let mut aig = Aig::new();
-        let a = aig.latch("a", Init::Zero);
-        let b = aig.latch("b", Init::Zero);
-        let c = aig.latch("c", Init::Zero);
-        let i = aig.input("i");
-        (aig, [a, b, c, i])
-    }
-
-    #[test]
-    fn recogniser_accepts_an_xnor_of_two_latches_in_either_operand_order() {
-        let (mut aig, [a, b, ..]) = latches();
-        let ab = aig.xnor(a, b);
-        let ba = aig.xnor(b, a);
-        assert_eq!(equated_latches(&aig, ab), Some((a, b)));
-        assert_eq!(equated_latches(&aig, ba), Some((a, b)));
-        // The operand gates built in the other order swap their roles.
-        let neither = aig.and(a.not(), b.not());
-        let both = aig.and(a, b);
-        let swapped = aig.and(neither.not(), both.not()).not();
-        assert_eq!(equated_latches(&aig, swapped), Some((a, b)));
-    }
-
-    #[test]
-    fn recogniser_rejects_everything_else() {
-        let (mut aig, [a, b, c, i]) = latches();
-        let xor = aig.xor(a, b);
-        let ac = aig.and(a, c);
-        let over_gate = aig.xnor(ac, b);
-        let over_input = aig.xnor(a, i);
-        let flipped = aig.xnor(a.not(), b);
-        for bit in [
-            xor,
-            a,
-            a.not(),
-            Bit::TRUE,
-            Bit::FALSE,
-            over_gate,
-            over_input,
-            flipped,
-        ] {
-            assert_eq!(equated_latches(&aig, bit), None, "{bit:?}");
-        }
     }
 
     /// Two identical counters; candidate: they stay equal. Bad: they differ.

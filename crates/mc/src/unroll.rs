@@ -32,13 +32,17 @@
 //! the caller shares one frame-0 literal, which is exactly assuming the
 //! equalities at frame 0. The gate table then merges the logic the
 //! equated latches feed identically, so the two copies' next-state
-//! functions encode once wherever their inputs agree. Houdini's
-//! consecution rounds run on such sessions.
+//! functions encode once wherever their inputs agree. [`equated_latches`]
+//! recognises a candidate that equates two latch outputs. Houdini's
+//! consecution rounds and safety check run on such sessions, and so do
+//! the certificate checker's free-initialised sessions (`csl_certify`),
+//! which alias a pair only after a SAT query on an unaliased frame 0
+//! shows that its conjunct implies the equality.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use csl_hdl::{Bit, FxHashMap, Node};
+use csl_hdl::{Aig, Bit, FxHashMap, Node};
 use csl_sat::{Budget, Lit, SolveResult, Solver, SolverStats};
 
 use crate::trace::Trace;
@@ -89,9 +93,13 @@ impl Unroller {
     /// satisfies the equalities by construction, as if each were assumed.
     /// Latches outside the cone of influence are aliased too.
     ///
+    /// Every query on the session is equisatisfiable with the same query
+    /// on an unaliased free session that asserts the equalities at frame
+    /// 0, so the caller must assert (or have proven implied) each one.
+    ///
     /// # Panics
     /// Panics if a pair member is not an uncomplemented latch output.
-    pub(crate) fn with_aliases(ts: &Arc<TransitionSystem>, aliases: &[(Bit, Bit)]) -> Unroller {
+    pub fn with_aliases(ts: &Arc<TransitionSystem>, aliases: &[(Bit, Bit)]) -> Unroller {
         Unroller::build(ts, InitMode::Free, aliases)
     }
 
@@ -421,5 +429,85 @@ impl Unroller {
     /// Direct access to the solve call with assumptions.
     pub fn solve_with(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.solver.solve_with(assumptions)
+    }
+}
+
+/// The two latch outputs a candidate equates, when its bit is their XNOR
+/// `¬(¬(a ∧ b) ∧ ¬(¬a ∧ ¬b))` — the shape `xor(a, b).not()` builds — over
+/// uncomplemented latch outputs `a` and `b`: the pair
+/// [`Unroller::with_aliases`] shares one frame-0 literal between.
+pub fn equated_latches(aig: &Aig, bit: Bit) -> Option<(Bit, Bit)> {
+    let Node::And(x, y) = aig.node(bit) else {
+        return None;
+    };
+    if !bit.is_complemented() || !x.is_complemented() || !y.is_complemented() {
+        return None;
+    }
+    let (Node::And(p, q), Node::And(r, s)) = (aig.node(x), aig.node(y)) else {
+        return None;
+    };
+    // One operand gate is `a ∧ b`, the other `¬a ∧ ¬b`, in either role.
+    if !((r == p.not() && s == q.not()) || (r == q.not() && s == p.not())) {
+        return None;
+    }
+    let latch = |l: Bit| !l.is_complemented() && matches!(aig.node(l), Node::Latch(_));
+    if latch(p) && latch(q) {
+        Some((p, q))
+    } else if latch(r) && latch(s) {
+        Some((r, s))
+    } else {
+        None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use csl_hdl::Init;
+
+    /// Fresh latches `a`, `b`, `c` and an input `i` on their own netlist.
+    fn latches() -> (Aig, [Bit; 4]) {
+        let mut aig = Aig::new();
+        let a = aig.latch("a", Init::Zero);
+        let b = aig.latch("b", Init::Zero);
+        let c = aig.latch("c", Init::Zero);
+        let i = aig.input("i");
+        (aig, [a, b, c, i])
+    }
+
+    #[test]
+    fn recogniser_accepts_an_xnor_of_two_latches_in_either_operand_order() {
+        let (mut aig, [a, b, ..]) = latches();
+        let ab = aig.xnor(a, b);
+        let ba = aig.xnor(b, a);
+        assert_eq!(equated_latches(&aig, ab), Some((a, b)));
+        assert_eq!(equated_latches(&aig, ba), Some((a, b)));
+        // The operand gates built in the other order swap their roles.
+        let neither = aig.and(a.not(), b.not());
+        let both = aig.and(a, b);
+        let swapped = aig.and(neither.not(), both.not()).not();
+        assert_eq!(equated_latches(&aig, swapped), Some((a, b)));
+    }
+
+    #[test]
+    fn recogniser_rejects_everything_else() {
+        let (mut aig, [a, b, c, i]) = latches();
+        let xor = aig.xor(a, b);
+        let ac = aig.and(a, c);
+        let over_gate = aig.xnor(ac, b);
+        let over_input = aig.xnor(a, i);
+        let flipped = aig.xnor(a.not(), b);
+        for bit in [
+            xor,
+            a,
+            a.not(),
+            Bit::TRUE,
+            Bit::FALSE,
+            over_gate,
+            over_input,
+            flipped,
+        ] {
+            assert_eq!(equated_latches(&aig, bit), None, "{bit:?}");
+        }
     }
 }
