@@ -116,6 +116,9 @@ pub enum Rejection {
     SurvivorOutOfRange { index: usize, candidates: usize },
     /// A witness input assignment names an input the netlist does not have.
     InputOutOfRange { index: u32, inputs: usize },
+    /// A witness starts latch `index`, named `latch`, against its declared
+    /// reset value: the run it describes does not start from reset.
+    LatchOffReset { index: u32, latch: String },
     /// A k-induction certificate with `k = 0` claims nothing.
     ZeroK,
     /// A conjunct does not hold in the reset state (initiation fails).
@@ -165,6 +168,10 @@ impl std::fmt::Display for Rejection {
                     "input index {index} out of range (netlist has {inputs} inputs)"
                 )
             }
+            Rejection::LatchOffReset { index, latch } => write!(
+                f,
+                "witness starts latch {index} ({latch}) against its reset value"
+            ),
             Rejection::ZeroK => write!(f, "k-induction certificate with k = 0 claims nothing"),
             Rejection::InitViolated { conjunct } => {
                 write!(f, "initiation fails: {conjunct} does not hold at reset")
@@ -583,9 +590,10 @@ pub fn check_certificate_with(
 }
 
 /// Validates an attack witness by concrete replay on the raw netlist: the
-/// trace must keep every assume bit satisfied on every cycle and fire a
-/// bad bit on its final cycle. Malformed latch/input indices are rejected
-/// before the simulator runs.
+/// trace must start from the reset state, keep every assume bit satisfied
+/// on every cycle and fire a bad bit on its final cycle. Malformed
+/// latch/input indices and initial values against a latch's declared
+/// reset value are rejected before the simulator runs.
 pub fn check_witness(aig: &Aig, witness: &Witness) -> Result<WitnessCheck, Rejection> {
     let start = Instant::now();
     let trace = &witness.trace;
@@ -599,6 +607,10 @@ pub fn check_witness(aig: &Aig, witness: &Witness) -> Result<WitnessCheck, Rejec
                 latches: aig.num_latches(),
             });
         }
+    }
+    if let Some(index) = trace.latch_off_reset(aig) {
+        let latch = aig.latches()[index as usize].name.clone();
+        return Err(Rejection::LatchOffReset { index, latch });
     }
     for cycle in &trace.inputs {
         for &i in cycle.keys() {
@@ -850,6 +862,33 @@ mod tests {
         truncated.trace.inputs.truncate(1);
         assert_eq!(
             check_witness(&aig, &truncated),
+            Err(Rejection::NoBadReached)
+        );
+    }
+
+    /// A trace from `r == 7` fires the saturating counter's bad bit at
+    /// once, but the counter resets to 0 and never gets there: starting
+    /// latch 0 at 1 is no attack.
+    #[test]
+    fn witness_starting_against_a_reset_value_rejected() {
+        let task = saturating_counter();
+        let from = |r: [bool; 3]| {
+            Witness::new(Trace {
+                initial_latches: (0..3).map(|i| (i, r[i as usize])).collect(),
+                inputs: vec![Default::default()],
+                bad_name: "no7".into(),
+            })
+        };
+        assert_eq!(
+            check_witness(&task.aig, &from([true; 3])),
+            Err(Rejection::LatchOffReset {
+                index: 0,
+                latch: task.aig.latches()[0].name.clone()
+            })
+        );
+        // From reset the same cycle fires nothing.
+        assert_eq!(
+            check_witness(&task.aig, &from([false; 3])),
             Err(Rejection::NoBadReached)
         );
     }

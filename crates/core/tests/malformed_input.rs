@@ -8,7 +8,9 @@
 //! deeper than any real report, where a parser without a depth cap
 //! overflows the stack. A well-formed entry whose certificate is far too
 //! costly to check is audited under the query's own wall budget, so it
-//! is evicted and re-solved instead of stalling the query.
+//! is evicted and re-solved instead of stalling the query. An attack
+//! entry whose trace replays to a bad state from outside the reset state
+//! is evicted and re-solved too.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -17,7 +19,13 @@ use csl_contracts::Contract;
 use csl_core::api::{CampaignReport, FuzzStats, Mode, ReadError, Report, ReportCache, Verifier};
 use csl_core::{DesignKind, Scheme};
 use csl_cpu::Defense;
-use csl_mc::{CertKind, Certificate, Lane, LaneSolverStats, ProofEngine, Trace, Verdict};
+use csl_hdl::Init;
+use csl_mc::unroll::{InitMode, Unroller};
+use csl_mc::{
+    CertKind, Certificate, Lane, LaneSolverStats, ProofEngine, Sim, SimState, Trace,
+    TransitionSystem, Verdict,
+};
+use csl_sat::SolveResult;
 
 fn campaign() -> CampaignReport {
     let trace = Trace {
@@ -249,5 +257,63 @@ fn costly_cache_entry_is_audited_under_the_query_budget() {
     assert!(again.verdict.is_proof(), "{}", again.cell());
     assert_eq!(cache.stats().rejected, 1);
     assert!(took < Duration::from_secs(10), "run_cached took {took:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Shadow/SingleCycle is secure, yet a free-initialised depth-0 query on
+/// its raw instance is SAT: some state outside the reset state fires a
+/// bad bit at once, and the model gives some latches the value against
+/// their reset. Stored as an attack under the cell's key, its trace must
+/// be rejected on load, and the cell re-solves to its PROOF.
+#[test]
+fn attack_entry_starting_outside_the_reset_state_is_rejected() {
+    let query = Verifier::new()
+        .design(DesignKind::SingleCycle)
+        .contract(Contract::Sandboxing)
+        .scheme(Scheme::Shadow)
+        .mode(Mode::Portfolio)
+        .bmc_depth(6)
+        .wall(Duration::from_secs(10))
+        .query()
+        .expect("design and contract are set");
+    let task = query.raw_instance();
+    let ts = TransitionSystem::shared(task.aig.clone(), query.options().keep_probes);
+    let mut u = Unroller::new(&ts, InitMode::Free);
+    u.assert_assumes_through(0);
+    let bad = u.bad_any_at(0);
+    assert_eq!(u.solve_with(&[bad]), SolveResult::Sat);
+    let bad_name = u.fired_bad_name(0).expect("a bad bit fires");
+    let trace = u.extract_trace(1, bad_name);
+    let against_reset = trace
+        .initial_latches
+        .iter()
+        .filter(|&&(i, v)| match task.aig.latches()[i as usize].init {
+            Init::Zero => v,
+            Init::One => !v,
+            Init::Symbolic => false,
+        })
+        .count();
+    assert!(against_reset > 0, "{trace:?}");
+    // From its own start the cycle fires a bad bit with the assumes
+    // holding, but a replay starts from reset and refuses the trace.
+    let mut start = SimState::reset(&task.aig);
+    for &(i, v) in &trace.initial_latches {
+        start.set_latch(i as usize, v);
+    }
+    let cycle = Sim::new(&task.aig).step(&start, |i, _| trace.input(0, i as u32).unwrap_or(false));
+    assert!(cycle.violated_assumes.is_empty() && !cycle.fired_bads.is_empty());
+    assert_eq!(Sim::new(&task.aig).replay(&trace), (false, false));
+
+    let mut forged = query.run();
+    assert!(forged.verdict.is_proof(), "{}", forged.cell());
+    forged.verdict = Verdict::Attack(Box::new(trace));
+    forged.certificate = None;
+    let dir = std::env::temp_dir().join(format!("csl-cache-off-reset-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = ReportCache::new(&dir);
+    cache.store(query.cache_key(), &forged).unwrap();
+    let again = query.run_cached(&cache);
+    assert!(again.verdict.is_proof(), "{}", again.cell());
+    assert_eq!(cache.stats().rejected, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,8 +27,8 @@
 //!    the copies' equality gate by gate. Aliasing is exactly assuming the
 //!    equalities at frame 0, and the greatest inductive subset is unique,
 //!    so the survivors are the plain loop's. The aliases change with the
-//!    survivors, so each round builds its own instance; simulation
-//!    between rounds (below) drops most non-inductive candidates, so few
+//!    survivors, so each round builds its own instance; a walk from each
+//!    refuting round (below) drops most non-inductive candidates, so few
 //!    rounds pay for a rebuild.
 //! 3. **Safety**, on a fresh frame-0 instance aliased the same way: do
 //!    the survivors and the assumes at frame 0 exclude every bad state?
@@ -38,30 +38,34 @@
 //!
 //! Between consecution rounds, simulation drops candidates without a SAT
 //! call. Consecution asserts the assumes at frames 0 and 1, so each
-//! candidate of the greatest inductive subset holds at every cycle of a
-//! run whose assumes hold on every cycle up to that one, provided it
-//! holds at the run's first cycle. Two kinds of run qualify:
+//! candidate of the unique greatest inductive subset holds at every cycle
+//! of a run whose assumes hold on every cycle up to that one, provided the
+//! subset holds at the run's first cycle. Every live candidate holding
+//! there is enough, since the subset is a subset of the live set.
 //!
-//! * **Reachable pre-filter.** Runs from reset, with symbolic latches and
-//!   inputs drawn from a fixed-seed mixer: initiation puts the subset at
-//!   every reset state whose assumes hold. A live candidate false in a
-//!   lane whose assumes have held on every cycle so far is outside the
-//!   subset. It runs once, after the first round refutes, so a run whose
-//!   first round closes (LEAVE's one-round proofs) pays nothing for it.
-//! * **Walks from counterexamples to induction.** A refuting round's
-//!   model satisfies every live candidate and the assumes at frame 0, so
-//!   the subset — a subset of the live set — holds there too. The walk
-//!   starts from the model's frame-0 latches and its inputs at frames 0
-//!   and 1, and drops every live candidate false at one of the next few
-//!   successors, stopping each lane at its first assume violation. The
-//!   model is read before the round retires its helper variable, since
-//!   adding a clause cancels it.
+//! **Neighbourhood walks.** A refuting round's model, its counterexample
+//! to induction, satisfies every live candidate and the assumes at frame
+//! 0. The walk simulates [`BatchSim::LANES`] runs at once from it. Lane 0
+//! starts from the model's frame-0 latches. Every other lane starts from
+//! the same state with whole *alias classes* flipped, each class with
+//! probability 1/8. A class is a set of latches the live latch-pair
+//! candidates equate, the classes [`Unroller::with_aliases`] shares one
+//! literal across (a latch no live pair names is a class of its own), so
+//! a flip keeps every latch-pair candidate true. The model's inputs at
+//! frames 0 and 1 drive every lane. A lane counts only if every live
+//! candidate and every assume holds at its frame 0 (a flip can falsify a
+//! candidate of another shape), and only while its assumes hold; every
+//! live candidate false in a counting lane at one of the next few
+//! successors drops. The model is read before the round retires its
+//! helper variable, since adding a clause cancels it. The real instances
+//! have no primary inputs, so without the flips every lane would simulate
+//! the same run.
 //!
 //! Latches outside the cone of influence are free after frame 0 in the
 //! encoding but follow their next-state logic in simulation; a simulated
 //! run is one of the encoding's runs, so every drop stands. Candidate
-//! indices never move, and the stimuli are fixed, so the round and drop
-//! counts repeat exactly.
+//! indices never move, and the stimuli come from a fixed-seed mixer, so
+//! the round and drop counts repeat exactly.
 
 use csl_hdl::{Aig, Bit};
 use std::sync::Arc;
@@ -70,7 +74,7 @@ use csl_sat::{Budget, Lit, SolveResult, SolverStats};
 
 use crate::sim::{BatchSim, BatchState};
 use crate::ts::TransitionSystem;
-use crate::unroll::{equated_latches, InitMode, Unroller};
+use crate::unroll::{alias_classes, equated_latches, InitMode, Unroller};
 
 /// A named candidate invariant bit.
 #[derive(Clone, Debug)]
@@ -95,8 +99,6 @@ pub struct HoudiniOutcome {
     pub survivors: Vec<usize>,
     /// How many got dropped by the init-state filter.
     pub dropped_at_init: usize,
-    /// How many the reachable pre-filter dropped (simulation from reset).
-    pub dropped_by_prefilter: usize,
     /// How many the walks from counterexamples to induction dropped.
     pub dropped_by_walks: usize,
     /// Consecution rounds performed, counting the one that closes (or
@@ -148,7 +150,7 @@ fn filter(
         .collect();
 
     // ---- phase 2: consecution fixpoint ------------------------------------
-    // Built by the first refuting round, which is when the pre-filter runs.
+    // Built by the first refuting round.
     let mut sim: Option<Simulation> = None;
     let mut rounds = 0;
     loop {
@@ -171,11 +173,10 @@ fn filter(
         let Some(cti) = result? else {
             break;
         };
-        sim.get_or_insert_with(|| Simulation::prefiltered(ts, candidates, &mut alive, budget))
+        sim.get_or_insert_with(|| Simulation::new(ts.aig(), candidates, &pairs, budget))
             .walk(&cti, &mut alive);
     }
-    let (dropped_by_prefilter, dropped_by_walks) =
-        sim.map_or((0, 0), |s| (s.by_prefilter, s.by_walks));
+    let dropped_by_walks = sim.map_or(0, |s| s.by_walks);
 
     // ---- phase 3: do the survivors exclude the bad states? ----------------
     let survivors: Vec<usize> = (0..candidates.len()).filter(|&i| alive[i]).collect();
@@ -198,7 +199,6 @@ fn filter(
     Some(HoudiniOutcome {
         survivors,
         dropped_at_init,
-        dropped_by_prefilter,
         dropped_by_walks,
         rounds,
         proves_safety,
@@ -281,74 +281,56 @@ fn round(
     Some(cti)
 }
 
-/// Batches of [`BatchSim::LANES`] runs the reachable pre-filter simulates.
-const PREFILTER_BATCHES: usize = 64;
-/// Cycles each pre-filter run lasts.
-const PREFILTER_CYCLES: usize = 24;
 /// Successors a walk visits past its counterexample's frame 0.
 const WALK_STEPS: usize = 8;
 
 /// The simulation side of a Houdini run: one simulator and one stimulus
-/// stream for the pre-filter and every walk, and what each dropped.
+/// stream for every walk, and what the walks dropped.
 struct Simulation<'a> {
     aig: &'a Aig,
     candidates: &'a [Candidate],
+    /// The latch pair each candidate equates, as [`equated_latches`]
+    /// recognises it.
+    pairs: &'a [Option<(Bit, Bit)>],
     sim: BatchSim<'a>,
     rng: Mixer,
     budget: &'a Budget,
-    by_prefilter: usize,
     by_walks: usize,
 }
 
 impl<'a> Simulation<'a> {
-    /// Runs the reachable pre-filter: [`PREFILTER_BATCHES`] batches of
-    /// runs from reset, symbolic latches and inputs drawn from the mixer,
-    /// dropping every live candidate some run falsifies while its assumes
-    /// have held on every cycle so far.
-    fn prefiltered(
-        ts: &'a TransitionSystem,
+    fn new(
+        aig: &'a Aig,
         candidates: &'a [Candidate],
-        alive: &mut [bool],
+        pairs: &'a [Option<(Bit, Bit)>],
         budget: &'a Budget,
     ) -> Simulation<'a> {
-        let aig = ts.aig();
-        let mut s = Simulation {
+        Simulation {
             aig,
             candidates,
+            pairs,
             sim: BatchSim::new(aig),
             rng: Mixer(0x5EED),
             budget,
-            by_prefilter: 0,
             by_walks: 0,
-        };
-        for _ in 0..PREFILTER_BATCHES {
-            if budget.out_of_time() {
-                break;
-            }
-            let mut state = BatchState::reset_with(aig, |_, _| s.rng.next());
-            let mut held = !0u64;
-            for _ in 0..PREFILTER_CYCLES {
-                let masks = s.sim.step_masks(&state, |_, _| s.rng.next());
-                held &= !masks.violated_lanes();
-                if held == 0 {
-                    break;
-                }
-                s.by_prefilter += s.drop_false(alive, held);
-                state = masks.next;
-            }
         }
-        s
     }
 
-    /// Walks forward from a counterexample to induction: its frame-0
-    /// state in every lane, the model's inputs at frames 0 and 1 where it
-    /// has them and the mixer's elsewhere, dropping every live candidate
-    /// false at one of the next [`WALK_STEPS`] successors in a lane whose
-    /// assumes have held on every cycle so far.
+    /// Walks forward from a counterexample to induction and its
+    /// neighbours: lane 0 starts from its frame-0 state, every other lane
+    /// from that state with some alias classes flipped (see
+    /// [`Simulation::flips`]). The model's inputs at frames 0 and 1 drive
+    /// every lane where it has them, the mixer's elsewhere. A lane counts
+    /// once every live candidate and every assume holds at its frame 0,
+    /// and while its assumes hold; every live candidate false in a
+    /// counting lane at one of the next [`WALK_STEPS`] successors drops.
     fn walk(&mut self, cti: &Cti, alive: &mut [bool]) {
+        let class = alias_classes(self.aig, &aliases(alive, self.pairs));
+        let flips = self.flips(&class);
         let mut state = BatchState::reset(self.aig);
         for (i, v) in cti.latches.iter().enumerate() {
-            state.set_latch(i, v.map_or_else(|| self.rng.next(), broadcast));
+            let lanes = v.map_or_else(|| self.rng.next(), broadcast);
+            state.set_latch(i, lanes ^ flips[class[i] as usize]);
         }
         let mut held = !0u64;
         for t in 0..=WALK_STEPS {
@@ -363,15 +345,38 @@ impl<'a> Simulation<'a> {
                 }
             });
             held &= !masks.violated_lanes();
+            if t == 0 {
+                // Lane 0 passes by construction, a neighbour only where
+                // every live candidate holds too.
+                for (c, &a) in self.candidates.iter().zip(&*alive) {
+                    if a {
+                        held &= self.sim.bit(c.bit);
+                    }
+                }
+            } else {
+                self.by_walks += self.drop_false(alive, held);
+            }
             if held == 0 {
                 return;
             }
-            // Frame 0 satisfies every live candidate by construction.
-            if t > 0 {
-                self.by_walks += self.drop_false(alive, held);
-            }
             state = masks.next;
         }
+    }
+
+    /// One lane word per alias-class representative (`class` maps each
+    /// latch to its own): the lanes, never lane 0, that flip the class,
+    /// each with probability 1/8. Flipping a whole class keeps every live
+    /// latch-pair candidate true.
+    fn flips(&mut self, class: &[u32]) -> Vec<u64> {
+        (0..class.len())
+            .map(|r| {
+                if class[r] as usize != r {
+                    return 0;
+                }
+                let rng = &mut self.rng;
+                rng.next() & rng.next() & rng.next() & !1
+            })
+            .collect()
     }
 
     /// Drops every live candidate false in one of `lanes` in the cycle

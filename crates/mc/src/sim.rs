@@ -170,8 +170,14 @@ impl<'a> Sim<'a> {
     /// drives its inputs, and reports what happened at each cycle.
     ///
     /// Returns `(all_assumes_held, bad_fired_at_last_cycle)` — a valid
-    /// counterexample must yield `(true, true)`.
+    /// counterexample must yield `(true, true)`. A trace that starts a
+    /// latch against its declared reset value
+    /// ([`Trace::latch_off_reset`]) is no run from reset, so it yields
+    /// `(false, false)` without being simulated.
     pub fn replay(&mut self, trace: &Trace) -> (bool, bool) {
+        if trace.latch_off_reset(self.aig).is_some() {
+            return (false, false);
+        }
         let mut state = SimState::reset(self.aig);
         for (i, v) in &trace.initial_latches {
             state.set_latch(*i as usize, *v);

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use csl_hdl::xform::Reconstruction;
-use csl_hdl::Aig;
+use csl_hdl::{Aig, Init};
 
 use crate::sim::{Sim, SimState};
 
@@ -36,6 +36,22 @@ impl Trace {
     /// Input `idx`'s value at `cycle`, if the solver constrained it.
     pub fn input(&self, cycle: usize, idx: u32) -> Option<bool> {
         self.inputs.get(cycle).and_then(|m| m.get(&idx)).copied()
+    }
+
+    /// The first latch of `aig` whose initial value here contradicts its
+    /// declared reset value: a run from such a state starts outside the
+    /// reset state, so it is no attack even if it reaches a bad state, and
+    /// [`Sim::replay`] refuses it. Symbolic latches may start anywhere,
+    /// and indices `aig` lacks are skipped.
+    pub fn latch_off_reset(&self, aig: &Aig) -> Option<u32> {
+        self.initial_latches.iter().find_map(|&(i, v)| {
+            let reset = match aig.latches().get(i as usize)?.init {
+                Init::Zero => false,
+                Init::One => true,
+                Init::Symbolic => return None,
+            };
+            (v != reset).then_some(i)
+        })
     }
 
     /// Re-expresses a trace found on a prepared (reduced) netlist in the
@@ -119,7 +135,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csl_hdl::{Design, Init};
+    use csl_hdl::Design;
 
     #[test]
     fn render_includes_probe_rows() {
@@ -139,6 +155,26 @@ mod tests {
         let text = tr.render(&aig);
         assert!(text.contains("r"));
         assert!(text.contains("c2"));
+    }
+
+    #[test]
+    fn latch_off_reset_names_the_first_concrete_latch_against_its_reset() {
+        let mut aig = Aig::new();
+        for (name, init) in [("z", Init::Zero), ("o", Init::One), ("s", Init::Symbolic)] {
+            let l = aig.latch(name, init);
+            aig.set_next(l, l);
+        }
+        let starting = |initial_latches: Vec<(u32, bool)>| Trace {
+            initial_latches,
+            ..Trace::default()
+        };
+        let at_reset = starting(vec![(0, false), (1, true), (2, true), (7, true)]);
+        assert_eq!(at_reset.latch_off_reset(&aig), None);
+        assert_eq!(
+            starting(vec![(2, false), (1, false), (0, true)]).latch_off_reset(&aig),
+            Some(1)
+        );
+        assert_eq!(starting(vec![(0, true)]).latch_off_reset(&aig), Some(0));
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //! equalities at frame 0. The gate table then merges the logic the
 //! equated latches feed identically, so the two copies' next-state
 //! functions encode once wherever their inputs agree. [`equated_latches`]
-//! recognises a candidate that equates two latch outputs. Houdini's
+//! recognises a candidate that equates two latch outputs, and
+//! `alias_classes` chains the pairs into classes, for the session and for
+//! Houdini's simulation walks. Houdini's
 //! consecution rounds and safety check run on such sessions, and so do
 //! the certificate checker's free-initialised sessions (`csl_certify`),
 //! which alias a pair only after a SAT query on an unaliased frame 0
@@ -211,30 +213,12 @@ impl Unroller {
     /// alias class share the literal first created for any of them.
     fn push_frame0(&mut self, aliases: &[(Bit, Bit)]) {
         let ts = Arc::clone(&self.ts);
-        // Union-find over latch nodes; a class's root is its lowest node.
-        let mut parent: HashMap<u32, u32> = HashMap::new();
-        let root = |parent: &HashMap<u32, u32>, mut n: u32| {
-            while let Some(&p) = parent.get(&n) {
-                n = p;
-            }
-            n
-        };
-        for &(a, b) in aliases {
-            for x in [a, b] {
-                assert!(
-                    !x.is_complemented() && matches!(ts.aig().node(x), Node::Latch(_)),
-                    "alias {x:?} is not a latch output"
-                );
-            }
-            let (ra, rb) = (root(&parent, a.node()), root(&parent, b.node()));
-            if ra != rb {
-                parent.insert(ra.max(rb), ra.min(rb));
-            }
-        }
+        let latches = ts.aig().latches();
+        let class = alias_classes(ts.aig(), aliases);
         let mut map = self.fresh_map();
-        for (li, latch) in ts.aig().latches().iter().enumerate() {
+        for (li, latch) in latches.iter().enumerate() {
             let node = latch.output.node();
-            let r = root(&parent, node);
+            let r = latches[class[li] as usize].output.node();
             if r == node && !ts.in_coi(latch.output) {
                 continue;
             }
@@ -432,6 +416,35 @@ impl Unroller {
     }
 }
 
+/// The classes of latches the pairs in `aliases` chain together: each
+/// latch's class representative, the lowest latch index in its class. A
+/// latch no pair names is a class of its own.
+///
+/// # Panics
+/// Panics if a pair member is not an uncomplemented latch output.
+pub(crate) fn alias_classes(aig: &Aig, aliases: &[(Bit, Bit)]) -> Vec<u32> {
+    fn root(class: &[u32], mut li: u32) -> u32 {
+        while class[li as usize] != li {
+            li = class[li as usize];
+        }
+        li
+    }
+    let mut class: Vec<u32> = (0..aig.num_latches() as u32).collect();
+    for &(a, b) in aliases {
+        let [ra, rb] = [a, b].map(|x| match aig.node(x) {
+            Node::Latch(li) if !x.is_complemented() => root(&class, li),
+            _ => panic!("alias {x:?} is not a latch output"),
+        });
+        class[ra.max(rb) as usize] = ra.min(rb);
+    }
+    // Links point to lower indices, so in index order each latch's link
+    // already names its representative's final entry.
+    for li in 0..class.len() {
+        class[li] = class[class[li] as usize];
+    }
+    class
+}
+
 /// The two latch outputs a candidate equates, when its bit is their XNOR
 /// `¬(¬(a ∧ b) ∧ ¬(¬a ∧ ¬b))` — the shape `xor(a, b).not()` builds — over
 /// uncomplemented latch outputs `a` and `b`: the pair
@@ -487,6 +500,22 @@ mod tests {
         let both = aig.and(a, b);
         let swapped = aig.and(neither.not(), both.not()).not();
         assert_eq!(equated_latches(&aig, swapped), Some((a, b)));
+    }
+
+    #[test]
+    fn alias_classes_chain_pairs_under_their_lowest_latch() {
+        let (aig, [a, b, c, _]) = latches();
+        assert_eq!(alias_classes(&aig, &[]), vec![0, 1, 2]);
+        assert_eq!(alias_classes(&aig, &[(c, b)]), vec![0, 1, 1]);
+        assert_eq!(alias_classes(&aig, &[(c, b), (b, a)]), vec![0, 0, 0]);
+        assert_eq!(alias_classes(&aig, &[(c, a), (b, c)]), vec![0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a latch output")]
+    fn alias_classes_reject_an_input() {
+        let (aig, [a, _, _, i]) = latches();
+        alias_classes(&aig, &[(a, i)]);
     }
 
     #[test]
