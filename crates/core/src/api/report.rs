@@ -1220,6 +1220,29 @@ mod tests {
         assert!(csv.contains("CEX"), "{csv}");
     }
 
+    /// The writer's bytes are pinned by their FNV-1a fingerprints. The
+    /// round trips above check a writer against the same commit's reader,
+    /// so a format change made on both sides would pass them, but not
+    /// this.
+    #[test]
+    fn campaign_json_and_csv_bytes_are_pinned() {
+        let campaign = CampaignReport {
+            reports: sample_reports(),
+            wall: Duration::new(12, 5),
+        };
+        let fnv = |text: &str| {
+            let mut h = crate::api::cache::Fingerprint::new();
+            h.write(text.as_bytes());
+            h.finish()
+        };
+        let got = (fnv(&campaign.to_json()), fnv(&campaign.to_csv()));
+        assert_eq!(
+            got,
+            (0xab14_e9db_f6f0_addd, 0x2a8b_6a83_0cb1_c0aa),
+            "{got:#018x?}"
+        );
+    }
+
     #[test]
     fn legacy_string_reason_and_missing_exchange_still_parse() {
         // Documents written before the typed-reason/exchange fields must
