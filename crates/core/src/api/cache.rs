@@ -15,9 +15,11 @@
 //! unknown depends on the machine and the budget draw, and caching one
 //! would mask a later, luckier run. The callers also skip proofs without
 //! a certificate, which the load audit would reject (see [`may_store`]).
-//! `Matrix::run_all` consults the cache when one is configured (see
-//! `Matrix::cache`); the bench bins expose the `--no-cache` escape
-//! hatch.
+//! `Query::run_cached` is the one path that serves entries: it audits a
+//! loaded entry before serving it (verify-on-load), and
+//! `Matrix::run_all` runs every cell through it when a cache is
+//! configured (see `Matrix::cache`). The bench bins expose the
+//! `--no-cache` escape hatch.
 //!
 //! The directory is safe to share between concurrent writers (the
 //! `Matrix` worker threads store into one cache, and separate processes
@@ -338,15 +340,6 @@ impl ReportCache {
         for (_, path) in entries.into_iter().take(excess) {
             let _ = std::fs::remove_file(path);
         }
-    }
-
-    /// [`ReportCache::load`] plus the standard cache-hit note — the one
-    /// protocol both `Query::run_cached` and `Matrix::run_all` serve
-    /// hits through.
-    pub(crate) fn serve(&self, key: u64) -> Option<Report> {
-        let mut hit = self.load(key)?;
-        hit.notes.push(format!("served from cache ({key:016x})"));
-        Some(hit)
     }
 
     /// Evicts the entry under `key` after it failed verify-on-load: the

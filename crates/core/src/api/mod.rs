@@ -40,10 +40,12 @@
 //! Decided verdicts carry independently checkable evidence: proofs an
 //! inductive-invariant certificate and attacks a replayable witness,
 //! both in raw-netlist vocabulary, re-validated by the `csl-certify`
-//! crate. The same evidence gates the result cache —
-//! [`Query::run_cached`] and [`Matrix::run_all`] re-check a served
-//! entry against a freshly built instance before trusting it
-//! (verify-on-load), evicting and re-solving anything that fails.
+//! crate. The same evidence gates the result cache: [`Query::run_cached`]
+//! re-checks a stored entry against the instance it builds for the query
+//! before serving it (verify-on-load), evicting and re-solving anything
+//! that fails. A cached [`Matrix::run_all`] runs every cell through it on
+//! the worker pool, so one build of each cell's instance serves its key,
+//! the audit of a hit and the solve of a miss.
 
 pub(crate) mod cache;
 mod json;
@@ -56,7 +58,7 @@ use csl_cpu::CpuConfig;
 use csl_mc::{CheckOptions, SafetyCheck};
 use csl_sat::Budget;
 
-use crate::campaign::{matrix, run_cells, CampaignCell};
+use crate::campaign::{matrix, run_pool, CampaignCell};
 use crate::fuzz::fuzz_lane;
 use crate::harness::{DesignKind, ExcludeRule, InstanceConfig};
 use crate::shadow::ShadowOptions;
@@ -231,8 +233,19 @@ impl Verifier {
     pub fn query(self) -> Result<Query, BuildError> {
         let design = self.design.ok_or(BuildError::MissingDesign)?;
         let contract = self.contract.ok_or(BuildError::MissingContract)?;
-        let cfg = self.instance_config(design, contract);
-        let opts = self.check_options_for(design, contract);
+        let cfg = InstanceConfig {
+            design,
+            cpu_override: self.cpu_override,
+            contract,
+            shadow: self.shadow,
+            excludes: self.excludes,
+            with_candidates: self.with_candidates,
+        };
+        let mut opts = self.opts;
+        // The fuzzing lane's stimulus sizes follow the cell's ISA.
+        if let Some(plan) = self.fuzz {
+            opts.extra_lanes.push(fuzz_lane(cfg.cpu_config().isa, plan));
+        }
         Ok(Query {
             scheme: self.scheme,
             design,
@@ -255,29 +268,6 @@ impl Verifier {
             cells: matrix(schemes, designs, contracts),
             base: self,
             cache: None,
-        }
-    }
-
-    /// The engine options for one resolved cell. The fuzzing lane needs
-    /// the cell's ISA configuration (stimulus sizes follow the design),
-    /// so its factory joins the options here.
-    fn check_options_for(&self, design: DesignKind, contract: Contract) -> CheckOptions {
-        let mut opts = self.opts.clone();
-        if let Some(plan) = &self.fuzz {
-            let isa = self.instance_config(design, contract).cpu_config().isa;
-            opts.extra_lanes.push(fuzz_lane(isa, plan.clone()));
-        }
-        opts
-    }
-
-    fn instance_config(&self, design: DesignKind, contract: Contract) -> InstanceConfig {
-        InstanceConfig {
-            design,
-            cpu_override: self.cpu_override,
-            contract,
-            shadow: self.shadow,
-            excludes: self.excludes.clone(),
-            with_candidates: self.with_candidates,
         }
     }
 }
@@ -393,8 +383,9 @@ impl Query {
         // a miss.
         let task = self.raw_instance();
         let key = self.key_of(&task);
-        if let Some(hit) = cache.serve(key) {
+        if let Some(mut hit) = cache.load(key) {
             if cached_report_is_sound(&task, &hit, self.opts.total_budget) {
+                hit.notes.push(format!("served from cache ({key:016x})"));
                 return hit;
             }
             cache.reject(key);
@@ -450,85 +441,40 @@ impl Matrix {
     }
 
     /// Runs through the session result cache `cache` (its size cap
-    /// included): `run_all` serves cells whose [`Query::cache_key`]
-    /// already has a decided report on disk and stores newly decided
-    /// ones. Timeouts/unknowns always rerun.
+    /// included): `run_all` runs every cell through
+    /// [`Query::run_cached`], so cells whose [`Query::cache_key`] already
+    /// has a decided report on disk are served from it once it re-checks,
+    /// and newly decided ones are stored. Timeouts/unknowns always rerun.
     pub fn cache(mut self, cache: ReportCache) -> Matrix {
         self.cache = Some(cache);
         self
     }
 
-    /// The fully-resolved query one cell of this matrix runs.
-    fn cell_query(&self, cell: &CampaignCell) -> Query {
-        self.base
-            .clone()
-            .design(cell.design)
-            .contract(cell.contract)
-            .scheme(cell.scheme)
-            .query()
-            .expect("matrix cells always carry a design and a contract")
-    }
-
-    /// Runs every cell on the worker pool and returns the reports in
-    /// matrix order (never completion order). With a cache configured
-    /// (see [`Matrix::cache`]), cells whose query fingerprint already has
-    /// a decided report on disk are skipped and served from it.
+    /// Runs every cell's [`Query`] on the worker pool, through
+    /// [`Query::run_cached`] when a cache is configured (see
+    /// [`Matrix::cache`]) and [`Query::run`] otherwise, and returns the
+    /// reports in matrix order (never completion order).
     pub fn run_all(&self) -> CampaignReport {
         let start = std::time::Instant::now();
-        let cache = self.cache.as_ref();
-        let mut slots: Vec<Option<Report>> = vec![None; self.cells.len()];
-        let mut keys: Vec<Option<u64>> = vec![None; self.cells.len()];
-        if let Some(cache) = cache {
-            // Serial key pass: it builds each cell's instance once more
-            // than the pool will. Netlist construction is milliseconds
-            // against multi-second per-cell SAT budgets, so the lookup
-            // stays simple rather than threading key computation through
-            // the worker pool.
-            for (i, cell) in self.cells.iter().enumerate() {
-                let query = self.cell_query(cell);
-                let task = query.raw_instance();
-                let key = query.key_of(&task);
-                keys[i] = Some(key);
-                // Verify-on-load (see `Query::run_cached`): a served
-                // entry whose certificate or witness fails to re-check
-                // is evicted and the cell re-solves on the pool.
-                slots[i] = match cache.serve(key) {
-                    Some(hit) if cached_report_is_sound(&task, &hit, query.opts.total_budget) => {
-                        Some(hit)
-                    }
-                    Some(_) => {
-                        cache.reject(key);
-                        None
-                    }
-                    None => None,
-                };
-            }
-        }
-        let to_run: Vec<usize> = (0..self.cells.len())
-            .filter(|&i| slots[i].is_none())
+        let queries: Vec<Query> = self
+            .cells
+            .iter()
+            .map(|cell| {
+                self.base
+                    .clone()
+                    .design(cell.design)
+                    .contract(cell.contract)
+                    .scheme(cell.scheme)
+                    .query()
+                    .expect("matrix cells always carry a design and a contract")
+            })
             .collect();
-        let pending: Vec<CampaignCell> = to_run.iter().map(|&i| self.cells[i]).collect();
-        let make_cfg = |cell: &CampaignCell| self.base.instance_config(cell.design, cell.contract);
-        // Options are resolved per cell: the fuzzing lane's stimulus
-        // generator is sized from each cell's design configuration.
-        let make_opts =
-            |cell: &CampaignCell| self.base.check_options_for(cell.design, cell.contract);
-        let (checks, _pool_wall) = run_cells(&pending, &make_cfg, &make_opts);
-        for (&i, check) in to_run.iter().zip(checks) {
-            let cell = self.cells[i];
-            let report = Report::from_check(cell.scheme, cell.design, cell.contract, check);
-            if let (Some(cache), Some(key)) = (cache, keys[i]) {
-                if may_store(&report) {
-                    let _ = cache.store(key, &report);
-                }
-            }
-            slots[i] = Some(report);
-        }
+        let reports = run_pool(&queries, |query| match &self.cache {
+            Some(cache) => query.run_cached(cache),
+            None => query.run(),
+        });
         CampaignReport {
-            reports: slots
-                .into_iter()
-                .map(|r| r.expect("every cell either cached or ran"))
-                .collect(),
+            reports,
             wall: start.elapsed(),
         }
     }

@@ -8,12 +8,21 @@
 //! byte for byte, which is what makes archived artifacts diffable with
 //! plain line tools.
 //!
+//! Each type in the format has one writer and one reader, side by side
+//! in its implementation of the private `Persist` trait. Readers take
+//! fields through two accessors, `field` and `opt_field`: an optional
+//! block (`prepare`, `fuzz`, `solver`, `certificate`, a PDR proof's
+//! `fixpoint_level`) that is absent reads as none, so older documents
+//! still load, but one that is present and malformed is an error like
+//! any other. A schema error names the key path, for example
+//! `verdict: fixpoint_level: not an unsigned integer`.
+//!
 //! [`CampaignReport::diff`] is the regression gate: it pairs cells across
 //! two runs and flags every verdict change, marking as regressions the
 //! changes that lose a decisive verdict (a proof or attack that became a
 //! timeout/unknown) or flip one decisive kind into the other.
 
-use std::collections::HashMap;
+use std::fmt::Display;
 use std::time::Duration;
 
 use csl_contracts::Contract;
@@ -52,10 +61,6 @@ impl From<JsonError> for ReadError {
     fn from(e: JsonError) -> ReadError {
         ReadError::Json(e)
     }
-}
-
-fn schema_err<T>(msg: impl Into<String>) -> Result<T, ReadError> {
-    Err(ReadError::Schema(msg.into()))
 }
 
 /// One finished verification cell: the query identity plus the verdict,
@@ -125,12 +130,12 @@ impl Report {
 
     /// Serializes to the canonical `csl-report-v1` JSON document.
     pub fn to_json(&self) -> String {
-        self.to_value().render()
+        self.write().render()
     }
 
     /// Parses a document written by [`Report::to_json`].
     pub fn from_json(text: &str) -> Result<Report, ReadError> {
-        Report::from_value(&Json::parse(text)?)
+        Report::read(&Json::parse(text)?)
     }
 
     /// CSV header matching [`Report::csv_row`].
@@ -156,346 +161,6 @@ impl Report {
         ]
         .join(",")
     }
-
-    /// The report as a [`Json`] value, as nested in a campaign document.
-    fn to_value(&self) -> Json {
-        let mut pairs = vec![
-            ("schema", Json::Str("csl-report-v1".into())),
-            ("scheme", Json::Str(self.scheme.name().into())),
-            ("design", Json::Str(self.design.name())),
-            ("contract", Json::Str(self.contract.name())),
-            ("verdict", verdict_to_value(&self.verdict)),
-            ("elapsed", duration_to_value(self.elapsed)),
-            (
-                "notes",
-                Json::Arr(self.notes.iter().map(|n| Json::Str(n.clone())).collect()),
-            ),
-            (
-                "prepare",
-                Json::Arr(self.prepare.iter().map(pass_stats_to_value).collect()),
-            ),
-        ];
-        // Written only when a fuzzing lane ran, so fuzz-free documents
-        // stay byte-identical to pre-fuzz ones.
-        if let Some(fuzz) = &self.fuzz {
-            pairs.push(("fuzz", fuzz_to_value(fuzz)));
-        }
-        // Same convention for solver stats: written only when a SAT lane
-        // reported, so documents without one stay byte-identical.
-        if !self.solver.is_empty() {
-            pairs.push((
-                "solver",
-                Json::Arr(self.solver.iter().map(solver_to_value).collect()),
-            ));
-        }
-        // And for the certificate: written only alongside a proof that
-        // carries one, so certificate-free documents stay byte-identical.
-        if let Some(cert) = &self.certificate {
-            pairs.push(("certificate", cert_to_value(cert)));
-        }
-        Json::obj(pairs)
-    }
-
-    /// Parses a report value (inverse of [`Report::to_value`]).
-    fn from_value(v: &Json) -> Result<Report, ReadError> {
-        match v.get("schema").and_then(Json::as_str) {
-            Some("csl-report-v1") => {}
-            other => return schema_err(format!("unsupported report schema {other:?}")),
-        }
-        let scheme = parse_with("scheme", v, Scheme::from_name)?;
-        let design = parse_with("design", v, DesignKind::from_name)?;
-        let contract = parse_with("contract", v, Contract::from_name)?;
-        let verdict = verdict_from_value(
-            v.get("verdict")
-                .ok_or_else(|| ReadError::Schema("missing verdict".into()))?,
-        )?;
-        let elapsed = duration_from_value(
-            v.get("elapsed")
-                .ok_or_else(|| ReadError::Schema("missing elapsed".into()))?,
-        )?;
-        let notes = v
-            .get("notes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ReadError::Schema("missing notes".into()))?
-            .iter()
-            .map(|n| {
-                n.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| ReadError::Schema("non-string note".into()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        // Documents from before the exchange bus was removed also carry
-        // an `exchange` array of per-lane traffic, and documents from
-        // before coverage-guided fuzzing was removed may carry a
-        // `coverage` block; both are ignored.
-        //
-        // Absent in pre-preparation documents: default to no stats.
-        let prepare = match v.get("prepare").and_then(Json::as_arr) {
-            Some(items) => items
-                .iter()
-                .map(pass_stats_from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
-        // Absent in pre-fuzzing documents (and in every fuzz-free run):
-        // lenient, like the prepare field.
-        let fuzz = v.get("fuzz").map(fuzz_from_value).transpose()?;
-        // Absent in documents that predate the block: lenient, like fuzz.
-        let solver = match v.get("solver").and_then(Json::as_arr) {
-            Some(items) => items
-                .iter()
-                .map(solver_from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
-        // Absent in pre-certificate documents and every non-proof cell:
-        // lenient, like fuzz and solver.
-        let certificate = v.get("certificate").map(cert_from_value).transpose()?;
-        Ok(Report {
-            scheme,
-            design,
-            contract,
-            verdict,
-            elapsed,
-            notes,
-            prepare,
-            fuzz,
-            solver,
-            certificate,
-        })
-    }
-}
-
-/// Canonical certificate encoding: restored constants and blocked-cube
-/// literals as `[index, bool]` pairs (matching the trace encoding),
-/// survivors as plain indices, the kind tagged like verdicts.
-fn cert_to_value(c: &Certificate) -> Json {
-    let pair = |&(i, v): &(u32, bool)| Json::Arr(vec![Json::Int(i as i64), Json::Bool(v)]);
-    let kind = match &c.kind {
-        CertKind::Inductive { blocked } => Json::obj(vec![
-            ("kind", Json::Str("inductive".into())),
-            (
-                "blocked",
-                Json::Arr(
-                    blocked
-                        .iter()
-                        .map(|cube| Json::Arr(cube.iter().map(pair).collect()))
-                        .collect(),
-                ),
-            ),
-        ]),
-        CertKind::KInduction { k } => Json::obj(vec![
-            ("kind", Json::Str("k-induction".into())),
-            ("k", Json::Int(*k as i64)),
-        ]),
-    };
-    Json::obj(vec![
-        ("restored", Json::Arr(c.restored.iter().map(pair).collect())),
-        (
-            "survivors",
-            Json::Arr(c.survivors.iter().map(|&s| Json::Int(s as i64)).collect()),
-        ),
-        ("kind", kind),
-    ])
-}
-
-fn cert_from_value(v: &Json) -> Result<Certificate, ReadError> {
-    let restored = v
-        .get("restored")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ReadError::Schema("missing certificate restored".into()))?
-        .iter()
-        .map(index_bool_pair)
-        .collect::<Result<Vec<_>, _>>()?;
-    let survivors = v
-        .get("survivors")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ReadError::Schema("missing certificate survivors".into()))?
-        .iter()
-        .map(|s| {
-            s.as_int()
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| ReadError::Schema("bad certificate survivor".into()))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let kind = v
-        .get("kind")
-        .ok_or_else(|| ReadError::Schema("missing certificate kind".into()))?;
-    let kind = match kind.get("kind").and_then(Json::as_str) {
-        Some("inductive") => CertKind::Inductive {
-            blocked: kind
-                .get("blocked")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| ReadError::Schema("missing certificate blocked".into()))?
-                .iter()
-                .map(|cube| {
-                    cube.as_arr()
-                        .ok_or_else(|| ReadError::Schema("cube is not an array".into()))?
-                        .iter()
-                        .map(index_bool_pair)
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        },
-        Some("k-induction") => CertKind::KInduction {
-            k: kind
-                .get("k")
-                .and_then(Json::as_int)
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| ReadError::Schema("bad certificate k".into()))?,
-        },
-        other => return schema_err(format!("unknown certificate kind {other:?}")),
-    };
-    Ok(Certificate {
-        restored,
-        survivors,
-        kind,
-    })
-}
-
-fn fuzz_to_value(s: &FuzzStats) -> Json {
-    let mut pairs = vec![
-        ("trials", Json::Int(s.trials as i64)),
-        ("sim_cycles", Json::Int(s.sim_cycles as i64)),
-        ("wall", duration_to_value(s.wall)),
-    ];
-    if let Some(cycle) = s.leak_cycle {
-        pairs.push(("leak_cycle", Json::Int(cycle as i64)));
-    }
-    pairs.push(("seed", Json::Int(s.seed as i64)));
-    pairs.push(("lanes", Json::Int(s.lanes as i64)));
-    Json::obj(pairs)
-}
-
-/// Documents from before coverage-guided fuzzing was removed also split
-/// `trials` into corpus mutants and fresh random draws; the split is
-/// ignored.
-fn fuzz_from_value(v: &Json) -> Result<FuzzStats, ReadError> {
-    let count = |key: &str| -> Result<i64, ReadError> {
-        v.get(key)
-            .and_then(Json::as_int)
-            .ok_or_else(|| ReadError::Schema(format!("bad fuzz {key}")))
-    };
-    let usize_of = |key: &str| -> Result<usize, ReadError> {
-        usize::try_from(count(key)?).map_err(|_| ReadError::Schema(format!("bad fuzz {key}")))
-    };
-    let leak_cycle = match v.get("leak_cycle") {
-        None => None,
-        Some(c) => Some(
-            c.as_int()
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| ReadError::Schema("bad fuzz leak_cycle".into()))?,
-        ),
-    };
-    Ok(FuzzStats {
-        trials: usize_of("trials")?,
-        sim_cycles: u64::try_from(count("sim_cycles")?)
-            .map_err(|_| ReadError::Schema("bad fuzz sim_cycles".into()))?,
-        wall: duration_from_value(
-            v.get("wall")
-                .ok_or_else(|| ReadError::Schema("missing fuzz wall".into()))?,
-        )?,
-        leak_cycle,
-        // Seeds round-trip through the signed JSON integer by casting.
-        seed: count("seed")? as u64,
-        lanes: usize_of("lanes")?,
-    })
-}
-
-fn solver_to_value(s: &LaneSolverStats) -> Json {
-    Json::obj(vec![
-        ("lane", Json::Str(s.lane.name().into())),
-        ("propagations", Json::Int(s.propagations as i64)),
-        ("conflicts", Json::Int(s.conflicts as i64)),
-        ("decisions", Json::Int(s.decisions as i64)),
-        ("restarts", Json::Int(s.restarts as i64)),
-        ("reduced_clauses", Json::Int(s.reduced_clauses as i64)),
-    ])
-}
-
-/// Reads one `solver` entry. Keys it does not know are ignored: older
-/// documents carry two warm-start counters in every entry.
-fn solver_from_value(v: &Json) -> Result<LaneSolverStats, ReadError> {
-    let lane = v
-        .get("lane")
-        .and_then(Json::as_str)
-        .and_then(Lane::from_name)
-        .ok_or_else(|| ReadError::Schema("bad solver lane".into()))?;
-    let count = |key: &str| -> Result<u64, ReadError> {
-        v.get(key)
-            .and_then(Json::as_int)
-            .and_then(|n| u64::try_from(n).ok())
-            .ok_or_else(|| ReadError::Schema(format!("bad solver {key}")))
-    };
-    Ok(LaneSolverStats {
-        lane,
-        propagations: count("propagations")?,
-        conflicts: count("conflicts")?,
-        decisions: count("decisions")?,
-        restarts: count("restarts")?,
-        reduced_clauses: count("reduced_clauses")?,
-    })
-}
-
-fn shape_to_value(s: &Shape) -> Json {
-    Json::obj(vec![
-        ("nodes", Json::Int(s.nodes as i64)),
-        ("ands", Json::Int(s.ands as i64)),
-        ("latches", Json::Int(s.latches as i64)),
-        ("inputs", Json::Int(s.inputs as i64)),
-    ])
-}
-
-fn shape_from_value(v: &Json) -> Result<Shape, ReadError> {
-    let count = |key: &str| -> Result<usize, ReadError> {
-        v.get(key)
-            .and_then(Json::as_int)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| ReadError::Schema(format!("bad shape {key}")))
-    };
-    Ok(Shape {
-        nodes: count("nodes")?,
-        ands: count("ands")?,
-        latches: count("latches")?,
-        inputs: count("inputs")?,
-    })
-}
-
-fn pass_stats_to_value(p: &PassStats) -> Json {
-    Json::obj(vec![
-        ("pass", Json::Str(p.pass.clone())),
-        ("before", shape_to_value(&p.before)),
-        ("after", shape_to_value(&p.after)),
-    ])
-}
-
-fn pass_stats_from_value(v: &Json) -> Result<PassStats, ReadError> {
-    let pass = v
-        .get("pass")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ReadError::Schema("missing pass name".into()))?
-        .to_string();
-    let before = shape_from_value(
-        v.get("before")
-            .ok_or_else(|| ReadError::Schema("missing pass before".into()))?,
-    )?;
-    let after = shape_from_value(
-        v.get("after")
-            .ok_or_else(|| ReadError::Schema("missing pass after".into()))?,
-    )?;
-    Ok(PassStats {
-        pass,
-        before,
-        after,
-    })
-}
-
-fn parse_with<T>(key: &str, v: &Json, parse: impl Fn(&str) -> Option<T>) -> Result<T, ReadError> {
-    let name = v
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| ReadError::Schema(format!("missing {key}")))?;
-    parse(name).ok_or_else(|| ReadError::Schema(format!("unknown {key} `{name}`")))
 }
 
 fn proof_detail(p: &ProofEngine) -> String {
@@ -516,279 +181,6 @@ fn csv_field(s: &str) -> String {
     } else {
         s.to_string()
     }
-}
-
-fn duration_to_value(d: Duration) -> Json {
-    Json::obj(vec![
-        ("secs", Json::Int(d.as_secs() as i64)),
-        ("nanos", Json::Int(d.subsec_nanos() as i64)),
-    ])
-}
-
-fn duration_from_value(v: &Json) -> Result<Duration, ReadError> {
-    let secs = v.get("secs").and_then(Json::as_int);
-    let nanos = v.get("nanos").and_then(Json::as_int);
-    match (secs, nanos) {
-        (Some(s), Some(n)) if s >= 0 && (0..1_000_000_000).contains(&n) => {
-            Ok(Duration::new(s as u64, n as u32))
-        }
-        _ => schema_err("malformed duration"),
-    }
-}
-
-fn verdict_to_value(v: &Verdict) -> Json {
-    match v {
-        Verdict::Attack(trace) => Json::obj(vec![
-            ("kind", Json::Str("attack".into())),
-            ("bad", Json::Str(trace.bad_name.clone())),
-            ("trace", trace_to_value(trace)),
-        ]),
-        Verdict::Proof(ProofEngine::Houdini { invariants }) => Json::obj(vec![
-            ("kind", Json::Str("proof".into())),
-            ("engine", Json::Str("houdini".into())),
-            ("invariants", Json::Int(*invariants as i64)),
-        ]),
-        Verdict::Proof(ProofEngine::KInduction { k }) => Json::obj(vec![
-            ("kind", Json::Str("proof".into())),
-            ("engine", Json::Str("k-induction".into())),
-            ("k", Json::Int(*k as i64)),
-        ]),
-        Verdict::Proof(ProofEngine::Pdr {
-            frames,
-            clauses,
-            fixpoint_level,
-        }) => Json::obj(vec![
-            ("kind", Json::Str("proof".into())),
-            ("engine", Json::Str("pdr".into())),
-            ("frames", Json::Int(*frames as i64)),
-            ("clauses", Json::Int(*clauses as i64)),
-            ("fixpoint_level", Json::Int(*fixpoint_level as i64)),
-        ]),
-        Verdict::Timeout => Json::obj(vec![("kind", Json::Str("timeout".into()))]),
-        Verdict::Unknown { reason } => Json::obj(vec![
-            ("kind", Json::Str("unknown".into())),
-            ("reason", reason_to_value(reason)),
-        ]),
-    }
-}
-
-fn reason_to_value(r: &InconclusiveReason) -> Json {
-    let usize_obj = |kind: &str, key: &'static str, n: usize| {
-        Json::obj(vec![
-            ("kind", Json::Str(kind.into())),
-            (key, Json::Int(n as i64)),
-        ])
-    };
-    match r {
-        InconclusiveReason::BoundedClean { depth } => usize_obj("bounded-clean", "depth", *depth),
-        InconclusiveReason::InductionGap { max_k } => usize_obj("induction-gap", "max_k", *max_k),
-        InconclusiveReason::FrameCap { frames } => usize_obj("frame-cap", "frames", *frames),
-        InconclusiveReason::ReplayFailed { engine } => Json::obj(vec![
-            ("kind", Json::Str("replay-failed".into())),
-            ("engine", Json::Str(engine.clone())),
-        ]),
-        InconclusiveReason::NoInvariants => {
-            Json::obj(vec![("kind", Json::Str("no-invariants".into()))])
-        }
-        InconclusiveReason::InvariantsInsufficient { survivors } => {
-            usize_obj("invariants-insufficient", "survivors", *survivors)
-        }
-        InconclusiveReason::NoAttackWithinDepth { depth } => {
-            usize_obj("no-attack-within-depth", "depth", *depth)
-        }
-        InconclusiveReason::FuzzExhausted { trials } => {
-            usize_obj("fuzz-exhausted", "trials", *trials)
-        }
-        InconclusiveReason::AllInconclusive => {
-            Json::obj(vec![("kind", Json::Str("all-inconclusive".into()))])
-        }
-        InconclusiveReason::Other(text) => Json::obj(vec![
-            ("kind", Json::Str("other".into())),
-            ("text", Json::Str(text.clone())),
-        ]),
-    }
-}
-
-fn reason_from_value(v: &Json) -> Result<InconclusiveReason, ReadError> {
-    // Pre-typed documents stored the reason as a plain string.
-    if let Some(text) = v.as_str() {
-        return Ok(InconclusiveReason::Other(text.to_string()));
-    }
-    let usize_field = |key: &str| -> Result<usize, ReadError> {
-        v.get(key)
-            .and_then(Json::as_int)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| ReadError::Schema(format!("missing reason {key}")))
-    };
-    match v.get("kind").and_then(Json::as_str) {
-        Some("bounded-clean") => Ok(InconclusiveReason::BoundedClean {
-            depth: usize_field("depth")?,
-        }),
-        Some("induction-gap") => Ok(InconclusiveReason::InductionGap {
-            max_k: usize_field("max_k")?,
-        }),
-        Some("frame-cap") => Ok(InconclusiveReason::FrameCap {
-            frames: usize_field("frames")?,
-        }),
-        Some("replay-failed") => Ok(InconclusiveReason::ReplayFailed {
-            engine: v
-                .get("engine")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ReadError::Schema("missing reason engine".into()))?
-                .to_string(),
-        }),
-        Some("no-invariants") => Ok(InconclusiveReason::NoInvariants),
-        Some("invariants-insufficient") => Ok(InconclusiveReason::InvariantsInsufficient {
-            survivors: usize_field("survivors")?,
-        }),
-        Some("no-attack-within-depth") => Ok(InconclusiveReason::NoAttackWithinDepth {
-            depth: usize_field("depth")?,
-        }),
-        Some("fuzz-exhausted") => Ok(InconclusiveReason::FuzzExhausted {
-            trials: usize_field("trials")?,
-        }),
-        // Written by the retired campaign daemon when a worker process
-        // died; read back as free text that displays the same.
-        Some("worker-crashed") => Ok(InconclusiveReason::Other(format!(
-            "worker crashed ({})",
-            v.get("detail")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ReadError::Schema("missing reason detail".into()))?
-        ))),
-        Some("all-inconclusive") => Ok(InconclusiveReason::AllInconclusive),
-        Some("other") => Ok(InconclusiveReason::Other(
-            v.get("text")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ReadError::Schema("missing reason text".into()))?
-                .to_string(),
-        )),
-        other => schema_err(format!("unknown reason kind {other:?}")),
-    }
-}
-
-fn verdict_from_value(v: &Json) -> Result<Verdict, ReadError> {
-    let int_field = |key: &str| -> Result<usize, ReadError> {
-        v.get(key)
-            .and_then(Json::as_int)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| ReadError::Schema(format!("missing {key}")))
-    };
-    match v.get("kind").and_then(Json::as_str) {
-        Some("attack") => {
-            let bad = v
-                .get("bad")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ReadError::Schema("missing bad".into()))?;
-            let mut trace = trace_from_value(
-                v.get("trace")
-                    .ok_or_else(|| ReadError::Schema("missing trace".into()))?,
-            )?;
-            trace.bad_name = bad.to_string();
-            Ok(Verdict::Attack(Box::new(trace)))
-        }
-        Some("proof") => match v.get("engine").and_then(Json::as_str) {
-            Some("houdini") => Ok(Verdict::Proof(ProofEngine::Houdini {
-                invariants: int_field("invariants")?,
-            })),
-            Some("k-induction") => Ok(Verdict::Proof(ProofEngine::KInduction {
-                k: int_field("k")?,
-            })),
-            Some("pdr") => {
-                let frames = int_field("frames")?;
-                Ok(Verdict::Proof(ProofEngine::Pdr {
-                    frames,
-                    clauses: int_field("clauses")?,
-                    // Absent in pre-certificate documents: the fixpoint is
-                    // then at most the frame count, which is the lenient
-                    // stand-in closest to the truth.
-                    fixpoint_level: int_field("fixpoint_level").unwrap_or(frames),
-                }))
-            }
-            other => schema_err(format!("unknown proof engine {other:?}")),
-        },
-        Some("timeout") => Ok(Verdict::Timeout),
-        Some("unknown") => Ok(Verdict::Unknown {
-            reason: reason_from_value(
-                v.get("reason")
-                    .ok_or_else(|| ReadError::Schema("missing reason".into()))?,
-            )?,
-        }),
-        other => schema_err(format!("unknown verdict kind {other:?}")),
-    }
-}
-
-/// Canonical trace encoding: latch pairs in solver order, inputs per
-/// cycle sorted by index (HashMap iteration order must not leak into the
-/// byte stream).
-fn trace_to_value(t: &Trace) -> Json {
-    let latches = t
-        .initial_latches
-        .iter()
-        .map(|&(i, v)| Json::Arr(vec![Json::Int(i as i64), Json::Bool(v)]))
-        .collect();
-    let inputs = t
-        .inputs
-        .iter()
-        .map(|cycle| {
-            let mut pairs: Vec<(&u32, &bool)> = cycle.iter().collect();
-            pairs.sort_by_key(|(i, _)| **i);
-            Json::Arr(
-                pairs
-                    .into_iter()
-                    .map(|(&i, &v)| Json::Arr(vec![Json::Int(i as i64), Json::Bool(v)]))
-                    .collect(),
-            )
-        })
-        .collect();
-    Json::obj(vec![
-        ("initial_latches", Json::Arr(latches)),
-        ("inputs", Json::Arr(inputs)),
-    ])
-}
-
-fn index_bool_pair(v: &Json) -> Result<(u32, bool), ReadError> {
-    match v.as_arr() {
-        Some([i, b]) => {
-            let i = i
-                .as_int()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| ReadError::Schema("bad index in trace pair".into()))?;
-            let b = b
-                .as_bool()
-                .ok_or_else(|| ReadError::Schema("bad value in trace pair".into()))?;
-            Ok((i, b))
-        }
-        _ => schema_err("trace pair is not [index, bool]"),
-    }
-}
-
-fn trace_from_value(v: &Json) -> Result<Trace, ReadError> {
-    let initial_latches = v
-        .get("initial_latches")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ReadError::Schema("missing initial_latches".into()))?
-        .iter()
-        .map(index_bool_pair)
-        .collect::<Result<Vec<_>, _>>()?;
-    let inputs = v
-        .get("inputs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ReadError::Schema("missing inputs".into()))?
-        .iter()
-        .map(|cycle| {
-            cycle
-                .as_arr()
-                .ok_or_else(|| ReadError::Schema("cycle is not an array".into()))?
-                .iter()
-                .map(index_bool_pair)
-                .collect::<Result<HashMap<u32, bool>, _>>()
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Trace {
-        initial_latches,
-        inputs,
-        bad_name: String::new(),
-    })
 }
 
 /// A finished campaign under the session API: one [`Report`] per cell, in
@@ -815,60 +207,83 @@ impl CampaignReport {
 
     /// Renders the paper-style result table: one block per contract, one
     /// row per scheme, one column per design, cells as `VERDICT(elapsed)`.
-    /// Every column is padded to its own widest entry (label or cell), so
+    /// Row and column order follow first appearance in the reports, and
+    /// every column is padded to its own widest entry (label or cell), so
     /// mixed-length design/scheme names stay aligned.
     pub fn render_table(&self) -> String {
-        let cells: Vec<TableCell> = self
-            .reports
+        use std::fmt::Write as _;
+
+        let mut contracts: Vec<Contract> = Vec::new();
+        let mut schemes: Vec<Scheme> = Vec::new();
+        let mut designs: Vec<DesignKind> = Vec::new();
+        for r in &self.reports {
+            if !contracts.contains(&r.contract) {
+                contracts.push(r.contract);
+            }
+            if !schemes.contains(&r.scheme) {
+                schemes.push(r.scheme);
+            }
+            if !designs.contains(&r.design) {
+                designs.push(r.design);
+            }
+        }
+        let text_of = |scheme: Scheme, design: DesignKind, contract: Contract| -> String {
+            self.get(scheme, design, contract).map_or_else(
+                || "-".to_string(),
+                |r| format!("{}({:.1}s)", r.cell(), r.elapsed.as_secs_f64()),
+            )
+        };
+        let scheme_w = schemes
             .iter()
-            .map(|r| TableCell {
-                scheme: r.scheme,
-                design: r.design,
-                contract: r.contract,
-                text: format!("{}({:.1}s)", r.cell(), r.elapsed.as_secs_f64()),
+            .map(|s| s.name().len())
+            .max()
+            .unwrap_or(0)
+            .max("scheme".len());
+        let design_w: Vec<usize> = designs
+            .iter()
+            .map(|&d| {
+                contracts
+                    .iter()
+                    .flat_map(|&ct| schemes.iter().map(move |&s| text_of(s, d, ct).len()))
+                    .max()
+                    .unwrap_or(0)
+                    .max(d.name().len())
             })
             .collect();
-        render_matrix_table(&cells, self.wall, self.cpu_time(), self.reports.len())
+        let mut out = String::new();
+        for &contract in &contracts {
+            let _ = writeln!(out, "contract: {}", contract.name());
+            let _ = write!(out, "{:<scheme_w$}", "scheme");
+            for (&design, w) in designs.iter().zip(&design_w) {
+                let _ = write!(out, " {:<w$}", design.name());
+            }
+            let _ = writeln!(out);
+            for &scheme in &schemes {
+                let _ = write!(out, "{:<scheme_w$}", scheme.name());
+                for (&design, w) in designs.iter().zip(&design_w) {
+                    let _ = write!(out, " {:<w$}", text_of(scheme, design, contract));
+                }
+                let _ = writeln!(out);
+            }
+        }
+        let _ = writeln!(
+            out,
+            "wall {:.1}s, cpu {:.1}s, {} cells",
+            self.wall.as_secs_f64(),
+            self.cpu_time().as_secs_f64(),
+            self.reports.len()
+        );
+        out
     }
 
     /// Serializes to the canonical `csl-campaign-v1` JSON document.
     pub fn to_json(&self) -> String {
-        self.to_value().render()
-    }
-
-    fn to_value(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::Str("csl-campaign-v1".into())),
-            ("wall", duration_to_value(self.wall)),
-            (
-                "reports",
-                Json::Arr(self.reports.iter().map(Report::to_value).collect()),
-            ),
-        ])
+        self.write().render()
     }
 
     /// Parses a document written by [`CampaignReport::to_json`].
     pub fn from_json(text: &str) -> Result<CampaignReport, ReadError> {
-        CampaignReport::from_value(&Json::parse(text)?)
-    }
-
-    fn from_value(v: &Json) -> Result<CampaignReport, ReadError> {
-        match v.get("schema").and_then(Json::as_str) {
-            Some("csl-campaign-v1") => {}
-            other => return schema_err(format!("unsupported campaign schema {other:?}")),
-        }
-        let wall = duration_from_value(
-            v.get("wall")
-                .ok_or_else(|| ReadError::Schema("missing wall".into()))?,
-        )?;
-        let reports = v
-            .get("reports")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ReadError::Schema("missing reports".into()))?
-            .iter()
-            .map(Report::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CampaignReport { reports, wall })
+        CampaignReport::read(&Json::parse(text)?)
     }
 
     /// Flat CSV: header plus one row per cell.
@@ -982,89 +397,522 @@ impl CampaignDiff {
     }
 }
 
-/// One positioned cell of a rendered result table.
-pub(crate) struct TableCell {
-    pub scheme: Scheme,
-    pub design: DesignKind,
-    pub contract: Contract,
-    pub text: String,
+/// One type's place in the JSON format: `read` inverts `write`, and
+/// also accepts the older shapes the implementation names.
+trait Persist: Sized {
+    fn write(&self) -> Json;
+    fn read(v: &Json) -> Result<Self, ReadError>;
 }
 
-/// Shared renderer for the paper-style table behind
-/// [`CampaignReport::render_table`]. Row and
-/// column order follow first appearance in `cells` — deterministic for
-/// matrix-ordered input — and every column is padded to its own widest
-/// entry rather than a fixed width.
-pub(crate) fn render_matrix_table(
-    cells: &[TableCell],
-    wall: Duration,
-    cpu: Duration,
-    cell_count: usize,
-) -> String {
-    use std::fmt::Write as _;
+/// Reads the required field `key` of the object `v`.
+fn field<T: Persist>(v: &Json, key: &str) -> Result<T, ReadError> {
+    opt_field(v, key)?.ok_or_else(|| ReadError::Schema(format!("{key}: missing")))
+}
 
-    let mut contracts: Vec<Contract> = Vec::new();
-    let mut schemes: Vec<Scheme> = Vec::new();
-    let mut designs: Vec<DesignKind> = Vec::new();
-    for c in cells {
-        if !contracts.contains(&c.contract) {
-            contracts.push(c.contract);
-        }
-        if !schemes.contains(&c.scheme) {
-            schemes.push(c.scheme);
-        }
-        if !designs.contains(&c.design) {
-            designs.push(c.design);
-        }
+/// Reads the optional field `key` of the object `v`: absent is `None`,
+/// present but malformed an error.
+fn opt_field<T: Persist>(v: &Json, key: &str) -> Result<Option<T>, ReadError> {
+    v.get(key)
+        .map(|x| T::read(x).map_err(|e| within(key, e)))
+        .transpose()
+}
+
+/// Prefixes a schema error with the key or index it was read under.
+fn within(at: impl Display, e: ReadError) -> ReadError {
+    match e {
+        ReadError::Schema(msg) => ReadError::Schema(format!("{at}: {msg}")),
+        json => json,
     }
-    let text_of = |scheme: Scheme, design: DesignKind, contract: Contract| -> String {
-        cells
-            .iter()
-            .find(|c| c.scheme == scheme && c.design == design && c.contract == contract)
-            .map_or_else(|| "-".to_string(), |c| c.text.clone())
-    };
-    // Pad every column to its own widest entry (header or cell).
-    let scheme_w = schemes
-        .iter()
-        .map(|s| s.name().len())
-        .max()
-        .unwrap_or(0)
-        .max("scheme".len());
-    let design_w: Vec<usize> = designs
-        .iter()
-        .map(|&d| {
-            contracts
-                .iter()
-                .flat_map(|&ct| schemes.iter().map(move |&s| text_of(s, d, ct).len()))
-                .max()
-                .unwrap_or(0)
-                .max(d.name().len())
-        })
-        .collect();
-    let mut out = String::new();
-    for &contract in &contracts {
-        let _ = writeln!(out, "contract: {}", contract.name());
-        let _ = write!(out, "{:<scheme_w$}", "scheme");
-        for (&design, w) in designs.iter().zip(&design_w) {
-            let _ = write!(out, " {:<w$}", design.name());
-        }
-        let _ = writeln!(out);
-        for &scheme in &schemes {
-            let _ = write!(out, "{:<scheme_w$}", scheme.name());
-            for (&design, w) in designs.iter().zip(&design_w) {
-                let _ = write!(out, " {:<w$}", text_of(scheme, design, contract));
+}
+
+fn schema_err<T>(msg: impl Into<String>) -> Result<T, ReadError> {
+    Err(ReadError::Schema(msg.into()))
+}
+
+/// An enum variant's `key` tag that names no variant.
+fn unknown<T>(key: &str, name: &str) -> Result<T, ReadError> {
+    schema_err(format!("{key}: unknown `{name}`"))
+}
+
+/// A document's `schema` tag must be `name`.
+fn expect_schema(v: &Json, name: &str) -> Result<(), ReadError> {
+    match field::<String>(v, "schema")? {
+        tag if tag == name => Ok(()),
+        tag => unknown("schema", &tag),
+    }
+}
+
+/// The `kind` tag of an enum variant's object.
+fn kind(name: &str) -> (&'static str, Json) {
+    ("kind", Json::Str(name.into()))
+}
+
+macro_rules! persist_unsigned {
+    ($($t:ty),*) => {$(
+        impl Persist for $t {
+            fn write(&self) -> Json {
+                Json::Int(*self as i64)
             }
-            let _ = writeln!(out);
+            fn read(v: &Json) -> Result<$t, ReadError> {
+                v.as_int()
+                    .and_then(|n| <$t>::try_from(n).ok())
+                    .ok_or_else(|| ReadError::Schema("not an unsigned integer".into()))
+            }
+        }
+    )*};
+}
+
+persist_unsigned!(u32, u64, usize);
+
+/// Only fuzz seeds are signed: a `u64` seed round-trips through the JSON
+/// integer by casting.
+impl Persist for i64 {
+    fn write(&self) -> Json {
+        Json::Int(*self)
+    }
+    fn read(v: &Json) -> Result<i64, ReadError> {
+        v.as_int()
+            .ok_or_else(|| ReadError::Schema("not an integer".into()))
+    }
+}
+
+impl Persist for bool {
+    fn write(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn read(v: &Json) -> Result<bool, ReadError> {
+        v.as_bool()
+            .ok_or_else(|| ReadError::Schema("not a bool".into()))
+    }
+}
+
+impl Persist for String {
+    fn write(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn read(v: &Json) -> Result<String, ReadError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| ReadError::Schema("not a string".into()))
+    }
+}
+
+impl<T: Persist> Persist for Vec<T> {
+    fn write(&self) -> Json {
+        Json::Arr(self.iter().map(T::write).collect())
+    }
+    fn read(v: &Json) -> Result<Vec<T>, ReadError> {
+        let items = v
+            .as_arr()
+            .ok_or_else(|| ReadError::Schema("not an array".into()))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::read(item).map_err(|e| within(i, e)))
+            .collect()
+    }
+}
+
+/// Trace and certificate literals: `[latch or input index, value]`.
+impl Persist for (u32, bool) {
+    fn write(&self) -> Json {
+        Json::Arr(vec![self.0.write(), self.1.write()])
+    }
+    fn read(v: &Json) -> Result<(u32, bool), ReadError> {
+        match v.as_arr() {
+            Some([i, b]) => Ok((u32::read(i)?, bool::read(b)?)),
+            _ => schema_err("not an [index, bool] pair"),
         }
     }
-    let _ = writeln!(
-        out,
-        "wall {:.1}s, cpu {:.1}s, {} cells",
-        wall.as_secs_f64(),
-        cpu.as_secs_f64(),
-        cell_count
-    );
-    out
+}
+
+impl Persist for Duration {
+    fn write(&self) -> Json {
+        Json::obj(vec![
+            ("secs", self.as_secs().write()),
+            ("nanos", self.subsec_nanos().write()),
+        ])
+    }
+    fn read(v: &Json) -> Result<Duration, ReadError> {
+        let nanos = field(v, "nanos")?;
+        if nanos >= 1_000_000_000 {
+            return schema_err("nanos: out of range");
+        }
+        Ok(Duration::new(field(v, "secs")?, nanos))
+    }
+}
+
+/// Scheme, design, contract and lane names.
+macro_rules! persist_name {
+    ($($t:ty),*) => {$(
+        impl Persist for $t {
+            fn write(&self) -> Json {
+                Json::Str(self.name().into())
+            }
+            fn read(v: &Json) -> Result<$t, ReadError> {
+                let name = String::read(v)?;
+                <$t>::from_name(&name).map_or_else(|| unknown("name", &name), Ok)
+            }
+        }
+    )*};
+}
+
+persist_name!(Scheme, DesignKind, Contract, Lane);
+
+impl Persist for Shape {
+    fn write(&self) -> Json {
+        Json::obj(vec![
+            ("nodes", self.nodes.write()),
+            ("ands", self.ands.write()),
+            ("latches", self.latches.write()),
+            ("inputs", self.inputs.write()),
+        ])
+    }
+    fn read(v: &Json) -> Result<Shape, ReadError> {
+        Ok(Shape {
+            nodes: field(v, "nodes")?,
+            ands: field(v, "ands")?,
+            latches: field(v, "latches")?,
+            inputs: field(v, "inputs")?,
+        })
+    }
+}
+
+impl Persist for PassStats {
+    fn write(&self) -> Json {
+        Json::obj(vec![
+            ("pass", self.pass.write()),
+            ("before", self.before.write()),
+            ("after", self.after.write()),
+        ])
+    }
+    fn read(v: &Json) -> Result<PassStats, ReadError> {
+        Ok(PassStats {
+            pass: field(v, "pass")?,
+            before: field(v, "before")?,
+            after: field(v, "after")?,
+        })
+    }
+}
+
+/// Keys the reader does not know are ignored: older documents carry two
+/// warm-start counters in every entry.
+impl Persist for LaneSolverStats {
+    fn write(&self) -> Json {
+        Json::obj(vec![
+            ("lane", self.lane.write()),
+            ("propagations", self.propagations.write()),
+            ("conflicts", self.conflicts.write()),
+            ("decisions", self.decisions.write()),
+            ("restarts", self.restarts.write()),
+            ("reduced_clauses", self.reduced_clauses.write()),
+        ])
+    }
+    fn read(v: &Json) -> Result<LaneSolverStats, ReadError> {
+        Ok(LaneSolverStats {
+            lane: field(v, "lane")?,
+            propagations: field(v, "propagations")?,
+            conflicts: field(v, "conflicts")?,
+            decisions: field(v, "decisions")?,
+            restarts: field(v, "restarts")?,
+            reduced_clauses: field(v, "reduced_clauses")?,
+        })
+    }
+}
+
+/// Documents from before coverage-guided fuzzing was removed also split
+/// `trials` into corpus mutants and fresh random draws; the split is
+/// ignored.
+impl Persist for FuzzStats {
+    fn write(&self) -> Json {
+        let mut pairs = vec![
+            ("trials", self.trials.write()),
+            ("sim_cycles", self.sim_cycles.write()),
+            ("wall", self.wall.write()),
+        ];
+        if let Some(cycle) = self.leak_cycle {
+            pairs.push(("leak_cycle", cycle.write()));
+        }
+        pairs.push(("seed", (self.seed as i64).write()));
+        pairs.push(("lanes", self.lanes.write()));
+        Json::obj(pairs)
+    }
+    fn read(v: &Json) -> Result<FuzzStats, ReadError> {
+        Ok(FuzzStats {
+            trials: field(v, "trials")?,
+            sim_cycles: field(v, "sim_cycles")?,
+            wall: field(v, "wall")?,
+            leak_cycle: opt_field(v, "leak_cycle")?,
+            seed: field::<i64>(v, "seed")? as u64,
+            lanes: field(v, "lanes")?,
+        })
+    }
+}
+
+/// Canonical certificate encoding: restored constants and blocked-cube
+/// literals as `[index, bool]` pairs (matching the trace encoding),
+/// survivors as plain indices, the kind tagged like verdicts.
+impl Persist for Certificate {
+    fn write(&self) -> Json {
+        Json::obj(vec![
+            ("restored", self.restored.write()),
+            ("survivors", self.survivors.write()),
+            ("kind", self.kind.write()),
+        ])
+    }
+    fn read(v: &Json) -> Result<Certificate, ReadError> {
+        Ok(Certificate {
+            restored: field(v, "restored")?,
+            survivors: field(v, "survivors")?,
+            kind: field(v, "kind")?,
+        })
+    }
+}
+
+impl Persist for CertKind {
+    fn write(&self) -> Json {
+        Json::obj(match self {
+            CertKind::Inductive { blocked } => {
+                vec![kind("inductive"), ("blocked", blocked.write())]
+            }
+            CertKind::KInduction { k } => vec![kind("k-induction"), ("k", k.write())],
+        })
+    }
+    fn read(v: &Json) -> Result<CertKind, ReadError> {
+        match field::<String>(v, "kind")?.as_str() {
+            "inductive" => Ok(CertKind::Inductive {
+                blocked: field(v, "blocked")?,
+            }),
+            "k-induction" => Ok(CertKind::KInduction { k: field(v, "k")? }),
+            other => unknown("kind", other),
+        }
+    }
+}
+
+/// Canonical trace encoding: latch pairs in solver order, inputs per
+/// cycle sorted by index (HashMap iteration order must not leak into the
+/// byte stream). The bad's name is written with the verdict.
+impl Persist for Trace {
+    fn write(&self) -> Json {
+        let inputs: Vec<Vec<(u32, bool)>> = self
+            .inputs
+            .iter()
+            .map(|cycle| {
+                let mut pairs: Vec<(u32, bool)> = cycle.iter().map(|(&i, &b)| (i, b)).collect();
+                pairs.sort_unstable();
+                pairs
+            })
+            .collect();
+        Json::obj(vec![
+            ("initial_latches", self.initial_latches.write()),
+            ("inputs", inputs.write()),
+        ])
+    }
+    fn read(v: &Json) -> Result<Trace, ReadError> {
+        let initial_latches = field(v, "initial_latches")?;
+        let inputs: Vec<Vec<(u32, bool)>> = field(v, "inputs")?;
+        Ok(Trace {
+            initial_latches,
+            inputs: inputs
+                .into_iter()
+                .map(|cycle| cycle.into_iter().collect())
+                .collect(),
+            bad_name: String::new(),
+        })
+    }
+}
+
+/// Pre-typed documents stored the reason as a plain string; it reads back
+/// as free text.
+impl Persist for InconclusiveReason {
+    fn write(&self) -> Json {
+        use InconclusiveReason::*;
+        Json::obj(match self {
+            BoundedClean { depth } => vec![kind("bounded-clean"), ("depth", depth.write())],
+            InductionGap { max_k } => vec![kind("induction-gap"), ("max_k", max_k.write())],
+            FrameCap { frames } => vec![kind("frame-cap"), ("frames", frames.write())],
+            ReplayFailed { engine } => vec![kind("replay-failed"), ("engine", engine.write())],
+            NoInvariants => vec![kind("no-invariants")],
+            InvariantsInsufficient { survivors } => vec![
+                kind("invariants-insufficient"),
+                ("survivors", survivors.write()),
+            ],
+            NoAttackWithinDepth { depth } => {
+                vec![kind("no-attack-within-depth"), ("depth", depth.write())]
+            }
+            FuzzExhausted { trials } => vec![kind("fuzz-exhausted"), ("trials", trials.write())],
+            AllInconclusive => vec![kind("all-inconclusive")],
+            Other(text) => vec![kind("other"), ("text", text.write())],
+        })
+    }
+    fn read(v: &Json) -> Result<InconclusiveReason, ReadError> {
+        use InconclusiveReason::*;
+        if let Some(text) = v.as_str() {
+            return Ok(Other(text.to_string()));
+        }
+        Ok(match field::<String>(v, "kind")?.as_str() {
+            "bounded-clean" => BoundedClean {
+                depth: field(v, "depth")?,
+            },
+            "induction-gap" => InductionGap {
+                max_k: field(v, "max_k")?,
+            },
+            "frame-cap" => FrameCap {
+                frames: field(v, "frames")?,
+            },
+            "replay-failed" => ReplayFailed {
+                engine: field(v, "engine")?,
+            },
+            "no-invariants" => NoInvariants,
+            "invariants-insufficient" => InvariantsInsufficient {
+                survivors: field(v, "survivors")?,
+            },
+            "no-attack-within-depth" => NoAttackWithinDepth {
+                depth: field(v, "depth")?,
+            },
+            "fuzz-exhausted" => FuzzExhausted {
+                trials: field(v, "trials")?,
+            },
+            // Written by the retired campaign daemon when a worker process
+            // died; read back as free text that displays the same.
+            "worker-crashed" => Other(format!(
+                "worker crashed ({})",
+                field::<String>(v, "detail")?
+            )),
+            "all-inconclusive" => AllInconclusive,
+            "other" => Other(field(v, "text")?),
+            other => return unknown("kind", other),
+        })
+    }
+}
+
+impl Persist for Verdict {
+    fn write(&self) -> Json {
+        let engine = |name: &str| ("engine", Json::Str(name.into()));
+        Json::obj(match self {
+            Verdict::Attack(trace) => vec![
+                kind("attack"),
+                ("bad", trace.bad_name.write()),
+                ("trace", trace.write()),
+            ],
+            Verdict::Proof(ProofEngine::Houdini { invariants }) => vec![
+                kind("proof"),
+                engine("houdini"),
+                ("invariants", invariants.write()),
+            ],
+            Verdict::Proof(ProofEngine::KInduction { k }) => {
+                vec![kind("proof"), engine("k-induction"), ("k", k.write())]
+            }
+            Verdict::Proof(ProofEngine::Pdr {
+                frames,
+                clauses,
+                fixpoint_level,
+            }) => vec![
+                kind("proof"),
+                engine("pdr"),
+                ("frames", frames.write()),
+                ("clauses", clauses.write()),
+                ("fixpoint_level", fixpoint_level.write()),
+            ],
+            Verdict::Timeout => vec![kind("timeout")],
+            Verdict::Unknown { reason } => vec![kind("unknown"), ("reason", reason.write())],
+        })
+    }
+    fn read(v: &Json) -> Result<Verdict, ReadError> {
+        Ok(match field::<String>(v, "kind")?.as_str() {
+            "attack" => {
+                let mut trace: Trace = field(v, "trace")?;
+                trace.bad_name = field(v, "bad")?;
+                Verdict::Attack(Box::new(trace))
+            }
+            "proof" => Verdict::Proof(match field::<String>(v, "engine")?.as_str() {
+                "houdini" => ProofEngine::Houdini {
+                    invariants: field(v, "invariants")?,
+                },
+                "k-induction" => ProofEngine::KInduction { k: field(v, "k")? },
+                "pdr" => {
+                    let frames = field(v, "frames")?;
+                    ProofEngine::Pdr {
+                        frames,
+                        clauses: field(v, "clauses")?,
+                        // Absent in pre-certificate documents: the
+                        // fixpoint is then at most the frame count, the
+                        // lenient stand-in closest to the truth.
+                        fixpoint_level: opt_field(v, "fixpoint_level")?.unwrap_or(frames),
+                    }
+                }
+                other => return unknown("engine", other),
+            }),
+            "timeout" => Verdict::Timeout,
+            "unknown" => Verdict::Unknown {
+                reason: field(v, "reason")?,
+            },
+            other => return unknown("kind", other),
+        })
+    }
+}
+
+/// The optional blocks are written only when present, so documents
+/// without them stay byte-identical to those written before each block
+/// existed. Documents from before the exchange bus was removed also carry
+/// an `exchange` array of per-lane traffic, and documents from before
+/// coverage-guided fuzzing was removed may carry a `coverage` block; the
+/// reader ignores both.
+impl Persist for Report {
+    fn write(&self) -> Json {
+        let mut pairs = vec![
+            ("schema", Json::Str("csl-report-v1".into())),
+            ("scheme", self.scheme.write()),
+            ("design", self.design.write()),
+            ("contract", self.contract.write()),
+            ("verdict", self.verdict.write()),
+            ("elapsed", self.elapsed.write()),
+            ("notes", self.notes.write()),
+            ("prepare", self.prepare.write()),
+        ];
+        if let Some(fuzz) = &self.fuzz {
+            pairs.push(("fuzz", fuzz.write()));
+        }
+        if !self.solver.is_empty() {
+            pairs.push(("solver", self.solver.write()));
+        }
+        if let Some(cert) = &self.certificate {
+            pairs.push(("certificate", cert.write()));
+        }
+        Json::obj(pairs)
+    }
+    fn read(v: &Json) -> Result<Report, ReadError> {
+        expect_schema(v, "csl-report-v1")?;
+        Ok(Report {
+            scheme: field(v, "scheme")?,
+            design: field(v, "design")?,
+            contract: field(v, "contract")?,
+            verdict: field(v, "verdict")?,
+            elapsed: field(v, "elapsed")?,
+            notes: field(v, "notes")?,
+            prepare: opt_field(v, "prepare")?.unwrap_or_default(),
+            fuzz: opt_field(v, "fuzz")?,
+            solver: opt_field(v, "solver")?.unwrap_or_default(),
+            certificate: opt_field(v, "certificate")?,
+        })
+    }
+}
+
+impl Persist for CampaignReport {
+    fn write(&self) -> Json {
+        Json::obj(vec![
+            ("schema", Json::Str("csl-campaign-v1".into())),
+            ("wall", self.wall.write()),
+            ("reports", self.reports.write()),
+        ])
+    }
+    fn read(v: &Json) -> Result<CampaignReport, ReadError> {
+        expect_schema(v, "csl-campaign-v1")?;
+        Ok(CampaignReport {
+            reports: field(v, "reports")?,
+            wall: field(v, "wall")?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1547,14 +1395,39 @@ mod tests {
         let text = r.to_json();
         let cycles = "\"sim_cycles\": 19968";
         assert!(text.contains(cycles));
+        // Only an absent optional block may default: one that is present
+        // with the wrong type is an error, not an empty block, and so is
+        // a PDR proof's `fixpoint_level` that is not an unsigned integer.
+        let proof = sample_reports()[1].to_json();
+        let prepare = "\"prepare\": []";
+        assert!(proof.contains(prepare));
+        let pdr = |level: &str| {
+            format!(
+                "{{\"schema\": \"csl-report-v1\", \"scheme\": \"LEAVE\", \
+                 \"design\": \"SingleCycle(ISA)\", \"contract\": \"sandboxing\", \
+                 \"verdict\": {{\"kind\": \"proof\", \"engine\": \"pdr\", \
+                  \"frames\": 9, \"clauses\": 31, \"fixpoint_level\": {level}}}, \
+                 \"elapsed\": {{\"secs\": 1, \"nanos\": 0}}, \"notes\": []}}"
+            )
+        };
+        assert!(Report::from_json(&pdr("7")).is_ok());
+        let err = Report::from_json(&pdr("-1")).unwrap_err().to_string();
+        assert!(
+            err.ends_with("verdict: fixpoint_level: not an unsigned integer"),
+            "{err}"
+        );
         for tampered in [
             text.replace("SimpleOoO", "NoSuchDesign"),
             text.replace(cycles, "\"sim_cycles\": -5"),
+            proof.replace(prepare, "\"prepare\": 5"),
+            proof.replace(prepare, "\"prepare\": [], \"solver\": {}"),
+            pdr("-1"),
+            pdr("\"x\""),
         ] {
-            assert!(matches!(
-                Report::from_json(&tampered),
-                Err(ReadError::Schema(_))
-            ));
+            assert!(
+                matches!(Report::from_json(&tampered), Err(ReadError::Schema(_))),
+                "{tampered}"
+            );
         }
     }
 

@@ -3,21 +3,23 @@
 //! Table 2 of the paper evaluates every verification scheme against every
 //! processor design under a contract, each cell with its own wall-clock
 //! budget. The cells are independent, so a campaign is embarrassingly
-//! parallel: `run_cells` (driving `api::Matrix::run_all`) executes them
-//! on a pool of worker threads (each cell may itself be a portfolio race
-//! — the per-cell [`CheckOptions::mode`] controls that) and reassembles
-//! the results in matrix order, so the output table is deterministic
-//! regardless of which worker finished first.
+//! parallel: `api::Matrix::run_all` resolves each cell to an
+//! [`api::Query`](crate::api::Query) and hands them to a pool of worker
+//! threads, each running one query at a time (through the result cache
+//! when one is configured; a query in portfolio mode is itself a race of
+//! engine lanes). The pool puts the reports back in matrix order, so the
+//! output table is deterministic regardless of which worker finished
+//! first.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use csl_contracts::Contract;
-use csl_mc::{CheckOptions, CheckReport, ExecMode};
+use csl_mc::ExecMode;
 
-use crate::harness::{DesignKind, InstanceConfig};
-use crate::verify::{run_scheme, Scheme};
+use crate::api::{Query, Report};
+use crate::harness::DesignKind;
+use crate::verify::Scheme;
 
 /// One cell of the evaluation matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,53 +76,37 @@ fn worker_count(mode: ExecMode, cells: usize) -> usize {
     n.clamp(1, cells.max(1))
 }
 
-/// The worker-pool core behind `api::Matrix::run_all`: runs every cell,
-/// returns the engine reports in input order plus the measured wall
-/// clock. Options are
-/// resolved per cell (`make_opts`) because extra lanes — the fuzzing
-/// backend — are configured against each cell's design.
-pub(crate) fn run_cells(
-    cells: &[CampaignCell],
-    make_cfg: &(dyn Fn(&CampaignCell) -> InstanceConfig + Sync),
-    make_opts: &(dyn Fn(&CampaignCell) -> CheckOptions + Sync),
-) -> (Vec<CheckReport>, Duration) {
-    let start = Instant::now();
-    let mode = cells
+/// The worker pool behind `api::Matrix::run_all`: runs `run` on every
+/// query and returns the reports in input order.
+pub(crate) fn run_pool(queries: &[Query], run: impl Fn(&Query) -> Report + Sync) -> Vec<Report> {
+    let mode = queries
         .first()
-        .map_or(ExecMode::default(), |c| make_opts(c).mode);
-    let workers = worker_count(mode, cells.len());
+        .map_or(ExecMode::default(), |q| q.options().mode);
     let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<CheckReport>>> =
-        Mutex::new((0..cells.len()).map(|_| None).collect());
-
+    let slots: Mutex<Vec<Option<Report>>> = Mutex::new(vec![None; queries.len()]);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..worker_count(mode, queries.len()) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let cell = cells[i];
-                let cfg = make_cfg(&cell);
-                let report = run_scheme(cell.scheme, &cfg, &make_opts(&cell));
-                slots.lock().unwrap()[i] = Some(report);
+                let Some(query) = queries.get(i) else { break };
+                let report = run(query);
+                slots.lock().expect("no worker panics holding the slots")[i] = Some(report);
             });
         }
     });
-
-    let reports = slots
+    slots
         .into_inner()
-        .unwrap()
+        .expect("no worker panics holding the slots")
         .into_iter()
-        .map(|r| r.expect("every cell ran"))
-        .collect();
-    (reports, start.elapsed())
+        .map(|r| r.expect("every query ran"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use csl_mc::ExecMode;
+    use std::time::Duration;
 
     fn smoke_cells() -> Vec<CampaignCell> {
         matrix(
@@ -154,15 +140,27 @@ mod tests {
     #[test]
     fn campaign_results_follow_input_order_regardless_of_workers() {
         let cells = smoke_cells();
-        let opts = CheckOptions {
-            total_budget: Duration::from_secs(8),
-            bmc_depth: 4,
-            mode: ExecMode::Portfolio,
-            ..Default::default()
-        };
-        let make_cfg = |cell: &CampaignCell| InstanceConfig::new(cell.design, cell.contract);
-        let make_opts = |_: &CampaignCell| opts.clone();
-        let (reports, _wall) = run_cells(&cells, &make_cfg, &make_opts);
+        let queries: Vec<Query> = cells
+            .iter()
+            .map(|cell| {
+                crate::api::Verifier::new()
+                    .wall(Duration::from_secs(8))
+                    .bmc_depth(4)
+                    .mode(ExecMode::Portfolio)
+                    .design(cell.design)
+                    .contract(cell.contract)
+                    .scheme(cell.scheme)
+                    .query()
+                    .unwrap()
+            })
+            .collect();
+        let reports = run_pool(&queries, Query::run);
         assert_eq!(reports.len(), cells.len());
+        for (cell, report) in cells.iter().zip(&reports) {
+            assert_eq!(
+                (report.scheme, report.design, report.contract),
+                (cell.scheme, cell.design, cell.contract)
+            );
+        }
     }
 }

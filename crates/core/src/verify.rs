@@ -72,15 +72,10 @@ pub(crate) fn instance_for(scheme: Scheme, cfg: &InstanceConfig) -> SafetyCheck 
     }
 }
 
-/// Runs a scheme to a verdict (internal form; the public surface is
+/// Runs a scheme to a verdict on its raw instance, built by
+/// [`instance_for`] (internal form; the public surface is
 /// `api::Query::run`). LEAVE and UPEC ignore the execution mode and the
 /// extra lanes.
-pub(crate) fn run_scheme(scheme: Scheme, cfg: &InstanceConfig, opts: &CheckOptions) -> CheckReport {
-    run_instance(scheme, &instance_for(scheme, cfg), opts)
-}
-
-/// [`run_scheme`] on the scheme's raw instance, already built by
-/// [`instance_for`].
 pub(crate) fn run_instance(scheme: Scheme, task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
     let schedule = match scheme {
         Scheme::Shadow | Scheme::Baseline => Schedule::for_options(task, opts),

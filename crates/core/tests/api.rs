@@ -11,7 +11,8 @@
 //! 3. **Regression diffing** — `CampaignReport::diff` flags an injected
 //!    verdict flip and stays clean on an identical run.
 //! 4. **Caching** — `Query::cache_key` is stable and option-sensitive,
-//!    and a cached matrix serves decided cells from disk on the rerun.
+//!    and a cached matrix serves decided cells from disk on the rerun,
+//!    after re-checking them: a forged entry is rejected and re-solved.
 
 use std::time::Duration;
 
@@ -333,5 +334,40 @@ fn matrix_rerun_serves_decided_cells_from_cache() {
         !bypass.reports[0].notes.iter().any(|n| n.contains("cache")),
         "an uncached matrix must run fresh"
     );
+
+    // Verify-on-load inside a campaign: the proof stored without its
+    // certificate is rejected, the cell re-solves, and the fresh entry
+    // is served on the next run.
+    let cache = ReportCache::new(&dir);
+    let mut forged = first.reports[0].clone();
+    forged.certificate = None;
+    let key = builder(Scheme::Leave).query().unwrap().cache_key();
+    cache.store(key, &forged).unwrap();
+    let resolved = matrix().cache(cache.clone()).run_all();
+    assert_eq!(
+        cache.stats().rejected,
+        1,
+        "the forged entry must be rejected"
+    );
+    assert!(resolved.reports[0].verdict.is_proof());
+    assert!(resolved.reports[0].certificate.is_some());
+    assert!(
+        !resolved.reports[0]
+            .notes
+            .iter()
+            .any(|n| n.contains("cache")),
+        "a rejected entry must not be served: {:?}",
+        resolved.reports[0].notes
+    );
+    let third = matrix().cache(cache.clone()).run_all();
+    assert!(
+        third.reports[0]
+            .notes
+            .iter()
+            .any(|n| n.starts_with("served from cache")),
+        "the re-solved entry must be served: {:?}",
+        third.reports[0].notes
+    );
+    assert_eq!(cache.stats().rejected, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
