@@ -58,11 +58,11 @@ fn json_row(r: &SynthesisResult) -> Json {
             Json::Str(position(r.contract, Contract::constant_time_set()).into()),
         ),
         ("minimal_confirmed", Json::Bool(r.minimal_confirmed)),
-        ("steps", Json::Int(r.steps.len() as i64)),
-        ("solved", Json::Int(r.solved as i64)),
-        ("cache_hits", Json::Int(r.cache_hits as i64)),
-        ("reused", Json::Int(r.reused as i64)),
-        ("elapsed_ms", Json::Int(r.elapsed.as_millis() as i64)),
+        ("steps", Json::Int(r.steps.len() as i128)),
+        ("solved", Json::Int(r.solved as i128)),
+        ("cache_hits", Json::Int(r.cache_hits as i128)),
+        ("reused", Json::Int(r.reused as i128)),
+        ("elapsed_ms", Json::Int(r.elapsed.as_millis() as i128)),
         (
             "path",
             Json::Arr(
@@ -144,7 +144,7 @@ fn main() {
     if let Some(path) = &args.json {
         let doc = Json::obj(vec![
             ("probe", Json::Str("csl-synth".into())),
-            ("budget_secs", Json::Int(budget as i64)),
+            ("budget_secs", Json::Int(budget as i128)),
             ("designs", Json::Arr(results.iter().map(json_row).collect())),
         ]);
         std::fs::write(path, doc.render()).expect("write json report");

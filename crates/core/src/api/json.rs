@@ -11,6 +11,8 @@
 //! * **Integers only** — every number a report carries is an integer
 //!   (depths, counts, split `secs`/`nanos` durations), so the parser
 //!   rejects floats outright rather than round-tripping them lossily.
+//!   Integers are 128-bit, so every `u64` and `i64` a report carries
+//!   round-trips; a reader narrows each to its field's type.
 
 use std::fmt::Write as _;
 
@@ -21,7 +23,7 @@ pub enum Json {
     Null,
     Bool(bool),
     /// All report numbers are integers; floats are rejected by the parser.
-    Int(i64),
+    Int(i128),
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
@@ -65,7 +67,7 @@ impl Json {
     }
 
     /// The value as an integer, if it is one.
-    pub fn as_int(&self) -> Option<i64> {
+    pub fn as_int(&self) -> Option<i128> {
         match self {
             Json::Int(n) => Some(*n),
             _ => None,
@@ -275,7 +277,7 @@ impl<'a> Parser<'a> {
             return Err(self.err("floating-point numbers are not part of the report format"));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<i64>()
+        text.parse::<i128>()
             .map(Json::Int)
             .map_err(|_| self.err("integer out of range"))
     }

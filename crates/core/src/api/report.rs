@@ -451,7 +451,7 @@ macro_rules! persist_unsigned {
     ($($t:ty),*) => {$(
         impl Persist for $t {
             fn write(&self) -> Json {
-                Json::Int(*self as i64)
+                Json::Int(*self as i128)
             }
             fn read(v: &Json) -> Result<$t, ReadError> {
                 v.as_int()
@@ -468,11 +468,12 @@ persist_unsigned!(u32, u64, usize);
 /// integer by casting.
 impl Persist for i64 {
     fn write(&self) -> Json {
-        Json::Int(*self)
+        Json::Int(i128::from(*self))
     }
     fn read(v: &Json) -> Result<i64, ReadError> {
         v.as_int()
-            .ok_or_else(|| ReadError::Schema("not an integer".into()))
+            .and_then(|n| i64::try_from(n).ok())
+            .ok_or_else(|| ReadError::Schema("not a 64-bit integer".into()))
     }
 }
 
@@ -1227,19 +1228,22 @@ mod tests {
     fn fuzz_block_round_trips_with_and_without_leak() {
         // With a leak cycle (sample 0) the block is exercised by the
         // canonical round-trip test above; here the exhausted shape.
-        let mut r = sample_reports()[1].clone();
-        r.fuzz = Some(FuzzStats {
-            trials: 2000,
-            sim_cycles: 48_000,
-            wall: Duration::from_secs(2),
-            leak_cycle: None,
-            seed: u64::MAX - 3, // exercises the signed-integer cast
-            lanes: 1,
-        });
-        let text = r.to_json();
-        let parsed = Report::from_json(&text).unwrap();
-        assert_eq!(parsed, r);
-        assert_eq!(parsed.to_json(), text);
+        // Counters above `i64::MAX` round-trip too.
+        for sim_cycles in [48_000, 1 << 63, u64::MAX] {
+            let mut r = sample_reports()[1].clone();
+            r.fuzz = Some(FuzzStats {
+                trials: 2000,
+                sim_cycles,
+                wall: Duration::from_secs(2),
+                leak_cycle: None,
+                seed: u64::MAX - 3, // exercises the signed-integer cast
+                lanes: 1,
+            });
+            let text = r.to_json();
+            let parsed = Report::from_json(&text).unwrap();
+            assert_eq!(parsed, r);
+            assert_eq!(parsed.to_json(), text);
+        }
     }
 
     #[test]
@@ -1419,6 +1423,7 @@ mod tests {
         for tampered in [
             text.replace("SimpleOoO", "NoSuchDesign"),
             text.replace(cycles, "\"sim_cycles\": -5"),
+            text.replace(cycles, "\"sim_cycles\": 18446744073709551616"),
             proof.replace(prepare, "\"prepare\": 5"),
             proof.replace(prepare, "\"prepare\": [], \"solver\": {}"),
             pdr("-1"),

@@ -121,9 +121,10 @@ impl PdrState {
     fn new(ts: &Arc<TransitionSystem>, opts: &PdrOptions) -> PdrState {
         let mut u = Unroller::new(ts, InitMode::Free);
         u.set_budget(opts.budget.clone());
-        u.assert_assumes_through(1);
-        let bad0 = u.bad_any_at(0);
-        let bad1 = u.bad_any_at(1);
+        // Every latch's frame-1 literal first, in latch order, so that the
+        // variable numbering (and with it the search) follows the latches
+        // rather than whatever the assumes and bads happen to read.
+        u.ensure_frames(1);
         let mut lit0 = Vec::new();
         let mut lit1 = Vec::new();
         let mut latch_pos = vec![usize::MAX; ts.aig().num_latches()];
@@ -133,6 +134,9 @@ impl PdrState {
             lit1.push(u.lit_of(out, 1));
             latch_pos[li as usize] = pos;
         }
+        u.assert_assumes_through(1);
+        let bad0 = u.bad_any_at(0);
+        let bad1 = u.bad_any_at(1);
         // Level-0 activation literal gates the initial values.
         let act0 = u.solver.new_var().positive();
         for (pos, &li) in ts.active_latches().iter().enumerate() {

@@ -8,6 +8,16 @@
 //! (BMC); with [`InitMode::Free`] frame-0 latches are unconstrained
 //! (induction-step and Houdini-consecution queries).
 //!
+//! Frames past 0 encode on demand: a new frame encodes nothing, and a
+//! query (an assume, a bad, a candidate) encodes only the cone it reads,
+//! across frames, so a latch's next state at frame `t` is encoded only
+//! when some query reads that latch at frame `t + 1`. On the benchmark's
+//! `attack` cells that halves BMC's formula against encoding every
+//! cone-of-influence latch's next state at every frame. Frame 0 still
+//! encodes every cone-of-influence latch up front. After a SAT answer,
+//! read the model only through nodes encoded before the solve: encoding
+//! anything new discards it.
+//!
 //! The encoder simplifies as it goes, so every engine that unrolls gets
 //! the smaller formula:
 //! * under [`InitMode::Reset`], a latch with a concrete init value *is*
@@ -74,8 +84,9 @@ pub struct Unroller {
     /// frames. Only ever looked up, never iterated, so the encoding (and
     /// with it every solver counter) is deterministic.
     gates: FxHashMap<(Lit, Lit), Lit>,
-    /// Work list of [`Unroller::lit_of`], kept to reuse its buffer.
-    stack: Vec<u32>,
+    /// Work list of [`Unroller::lit_of`]: `(frame, node)` pairs, kept to
+    /// reuse its buffer.
+    stack: Vec<(usize, u32)>,
     /// Frames whose assume bits have been asserted.
     assumes_added: usize,
     /// Cached per-frame "some bad fired" indicator literals.
@@ -232,24 +243,10 @@ impl Unroller {
         self.frame_lits.push(map);
     }
 
-    /// Adds frame `num_frames()`: latch literals alias the previous frame's
-    /// next-state encodings.
+    /// Adds frame `num_frames()` with nothing encoded yet: its literals
+    /// come on demand through [`Unroller::lit_of`].
     pub fn push_frame(&mut self) {
-        let prev = self.frame_lits.len() - 1;
-        let ts = Arc::clone(&self.ts);
-        let mut nexts: Vec<(u32, Lit)> = Vec::with_capacity(ts.active_latches().len());
-        for &li in ts.active_latches() {
-            let next_bit = ts.aig().latches()[li as usize]
-                .next
-                .expect("unsealed latch");
-            let l = self.lit_of(next_bit, prev);
-            nexts.push((li, l));
-        }
-        let mut map = self.fresh_map();
-        for (li, l) in nexts {
-            let latch = &self.ts.aig().latches()[li as usize];
-            map[latch.output.node() as usize] = Some(l);
-        }
+        let map = self.fresh_map();
         self.frame_lits.push(map);
     }
 
@@ -260,23 +257,44 @@ impl Unroller {
         }
     }
 
-    /// Solver literal for bit `b` at frame `t`, encoding the cone on demand.
+    /// Solver literal for bit `b` at frame `t`, encoding on demand the
+    /// cone it reads across frames: a latch in the cone of influence at
+    /// frame `t > 0` is its next-state literal at frame `t - 1`, so a
+    /// latch's next state at frame `t - 1` is encoded only once some query
+    /// reads the latch at frame `t`. Anything this encodes after a solve
+    /// discards the model, so read a model only through nodes encoded
+    /// before the solve.
     ///
     /// # Panics
     /// Panics if `t` is not yet unrolled.
     pub fn lit_of(&mut self, b: Bit, t: usize) -> Lit {
         assert!(t < self.frame_lits.len(), "frame {t} not unrolled yet");
-        // Iterative DFS over the combinational cone at frame t.
+        // Iterative DFS over (frame, node) pairs.
         let mut stack = std::mem::take(&mut self.stack);
-        stack.push(b.node());
-        while let Some(n) = stack.pop() {
-            if self.frame_lits[t][n as usize].is_some() {
+        stack.push((t, b.node()));
+        while let Some((f, n)) = stack.pop() {
+            if self.frame_lits[f][n as usize].is_some() {
                 continue;
             }
             let nb = Bit::from_packed(n << 1);
             let lit = match self.ts.aig().node(nb) {
                 Node::Const => !self.const_true,
                 Node::Input(_) => self.solver.new_var().positive(),
+                Node::Latch(li) if f > 0 && self.ts.in_coi(nb) => {
+                    let next = self.ts.aig().latches()[li as usize]
+                        .next
+                        .expect("unsealed latch");
+                    let Some(l) = self.frame_lits[f - 1][next.node() as usize] else {
+                        stack.push((f, n));
+                        stack.push((f - 1, next.node()));
+                        continue;
+                    };
+                    if next.is_complemented() {
+                        !l
+                    } else {
+                        l
+                    }
+                }
                 // A latch outside the cone of influence, referenced by an
                 // auxiliary query (e.g. a Houdini candidate). Its
                 // next-state function is not part of the encoded
@@ -285,19 +303,19 @@ impl Unroller {
                 // value still applies. Sound: candidates over such latches
                 // can only be *dropped* by consecution.
                 Node::Latch(li) => match self.reset_const(li) {
-                    Some(c) if t == 0 => c,
+                    Some(c) if f == 0 => c,
                     _ => self.solver.new_var().positive(),
                 },
                 Node::And(x, y) => {
-                    let lx = self.frame_lits[t][x.node() as usize];
-                    let ly = self.frame_lits[t][y.node() as usize];
+                    let lx = self.frame_lits[f][x.node() as usize];
+                    let ly = self.frame_lits[f][y.node() as usize];
                     let (Some(lx), Some(ly)) = (lx, ly) else {
-                        stack.push(n);
+                        stack.push((f, n));
                         if lx.is_none() {
-                            stack.push(x.node());
+                            stack.push((f, x.node()));
                         }
                         if ly.is_none() {
-                            stack.push(y.node());
+                            stack.push((f, y.node()));
                         }
                         continue;
                     };
@@ -306,7 +324,7 @@ impl Unroller {
                     self.and_lit(lx, ly)
                 }
             };
-            self.frame_lits[t][n as usize] = Some(lit);
+            self.frame_lits[f][n as usize] = Some(lit);
         }
         self.stack = stack;
         let raw = self.frame_lits[t][b.node() as usize].unwrap();
@@ -362,47 +380,34 @@ impl Unroller {
         y
     }
 
-    /// Which bad bit is true at frame `t` in the current model.
-    pub fn fired_bad_name(&mut self, t: usize) -> Option<String> {
-        let bads: Vec<(String, Bit)> = self
-            .ts
-            .aig()
-            .bads()
-            .iter()
-            .map(|b| (b.name.clone(), b.bit))
-            .collect();
-        for (name, bit) in bads {
-            let l = self.lit_of(bit, t);
-            if self.solver.value(l) == Some(true) {
-                return Some(name);
-            }
-        }
-        None
+    /// Which bad bit is true at frame `t` in the current model, among
+    /// those [`Unroller::bad_any_at`] encoded there.
+    pub fn fired_bad_name(&self, t: usize) -> Option<String> {
+        self.ts.aig().bads().iter().find_map(|b| {
+            let l = self.encoded_lit(b.bit, t)?;
+            (self.solver.value(l) == Some(true)).then(|| b.name.clone())
+        })
     }
 
-    /// Extracts a trace of `depth` cycles from the current SAT model.
-    pub fn extract_trace(&mut self, depth: usize, bad_name: String) -> Trace {
-        let ts = Arc::clone(&self.ts);
-        let mut initial_latches = Vec::new();
-        for &li in ts.active_latches() {
-            let out = ts.aig().latches()[li as usize].output;
-            let l = self.lit_of(out, 0);
-            if let Some(v) = self.solver.value(l) {
-                initial_latches.push((li, v));
-            }
-        }
-        let mut inputs = Vec::with_capacity(depth);
-        for t in 0..depth {
-            let mut m = HashMap::new();
-            for &ii in ts.active_inputs() {
-                let out = ts.aig().inputs()[ii as usize].output;
-                // Only read inputs the frame actually encoded.
-                if let Some(v) = self.encoded_lit(out, t).and_then(|l| self.solver.value(l)) {
-                    m.insert(ii, v);
-                }
-            }
-            inputs.push(m);
-        }
+    /// Extracts a trace of `depth` cycles from the current SAT model: the
+    /// frame-0 latches in the cone of influence and every input a frame
+    /// encoded. It encodes nothing, so the model stays.
+    pub fn extract_trace(&self, depth: usize, bad_name: String) -> Trace {
+        let ts = &self.ts;
+        let value = |b: Bit, t: usize| self.encoded_lit(b, t).and_then(|l| self.solver.value(l));
+        let initial_latches = ts
+            .active_latches()
+            .iter()
+            .filter_map(|&li| Some((li, value(ts.aig().latches()[li as usize].output, 0)?)))
+            .collect();
+        let inputs = (0..depth)
+            .map(|t| {
+                ts.active_inputs()
+                    .iter()
+                    .filter_map(|&ii| Some((ii, value(ts.aig().inputs()[ii as usize].output, t)?)))
+                    .collect()
+            })
+            .collect();
         Trace {
             initial_latches,
             inputs,
@@ -476,7 +481,8 @@ pub fn equated_latches(aig: &Aig, bit: Bit) -> Option<(Bit, Bit)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csl_hdl::Init;
+    use csl_hdl::{Design, Init};
+    use std::collections::HashSet;
 
     /// Fresh latches `a`, `b`, `c` and an input `i` on their own netlist.
     fn latches() -> (Aig, [Bit; 4]) {
@@ -538,5 +544,70 @@ mod tests {
         ] {
             assert_eq!(equated_latches(&aig, bit), None, "{bit:?}");
         }
+    }
+
+    /// Variables an unrolling that encodes only the bad at frame `k`
+    /// needs, by a walk over `(frame, node)` pairs: one per AND gate and
+    /// input it reaches (a latch at frame `t > 0` reads its next state at
+    /// `t - 1`), one per frame-0 latch in the cone of influence, the
+    /// constant, and the indicator of [`Unroller::bad_any_at`]. Exact when
+    /// no two reached gates fold or share a literal.
+    fn bad_cone_vars(ts: &TransitionSystem, k: usize) -> usize {
+        let aig = ts.aig();
+        let mut seen = HashSet::new();
+        let mut stack: Vec<(usize, Bit)> = aig.bads().iter().map(|b| (k, b.bit)).collect();
+        let mut vars = 0;
+        while let Some((t, b)) = stack.pop() {
+            if !seen.insert((t, b.node())) {
+                continue;
+            }
+            match aig.node(b) {
+                Node::And(x, y) => {
+                    vars += 1;
+                    stack.extend([(t, x), (t, y)]);
+                }
+                Node::Input(_) => vars += 1,
+                Node::Latch(li) if t > 0 => {
+                    stack.push((t - 1, aig.latches()[li as usize].next.unwrap()))
+                }
+                Node::Latch(_) | Node::Const => {}
+            }
+        }
+        vars + ts.active_latches().len() + 2
+    }
+
+    /// A counter `c` reaches the bad only through a one-cycle delay `q`:
+    /// the bad at frame k reads `q` at k, which is `c` at k − 1, so no
+    /// query reads `c`'s next state at k − 1.
+    #[test]
+    fn frames_encode_only_the_cone_a_query_reads() {
+        let mut d = Design::new("delay");
+        let c = d.reg("c", 3, Init::Symbolic);
+        let q = d.reg("q", 3, Init::Symbolic);
+        let inc = d.add_const(&c.q(), 1);
+        d.set_next(&c, inc.clone());
+        d.set_next(&q, c.q());
+        let hit = d.eq_const(&q.q(), 5);
+        d.assert_always("q_hits", hit.not());
+        let ts = TransitionSystem::shared(d.finish(), false);
+        let k = 3;
+        let mut u = Unroller::new(&ts, InitMode::Free);
+        u.bad_any_at(k);
+        let gates: Vec<Bit> = inc
+            .bits()
+            .iter()
+            .copied()
+            .filter(|&b| matches!(ts.aig().node(b), Node::And(..)))
+            .collect();
+        assert!(!gates.is_empty(), "the counter has no next-state gate");
+        for b in gates {
+            assert_eq!(u.encoded_lit(b, k - 1), None, "{b:?} at frame {}", k - 1);
+            assert!(
+                u.encoded_lit(b, k - 2).is_some(),
+                "{b:?} at frame {}",
+                k - 2
+            );
+        }
+        assert_eq!(u.solver.num_vars(), bad_cone_vars(&ts, k));
     }
 }

@@ -9,7 +9,13 @@
 //! * (b) on SAT, every node's model value at every frame equals concrete
 //!   simulation from the model's initial latches and inputs;
 //! * (c) every two `(frame, node)` pairs the production encoder maps to
-//!   one literal are proven equal by the reference encoder.
+//!   one literal are proven equal by the reference encoder;
+//! * (d) on an unrolling that encodes only what the query reads — the
+//!   assumes through k and the bad at k, as BMC asks — SAT? still agrees
+//!   with the reference at every depth, and under [`InitMode::Reset`]
+//!   every SAT answer's extracted trace replays on the simulator with
+//!   the assumes held and the bad fired. (a) and (b) encode every node of
+//!   every frame before solving, so only (d) sees a partial unrolling.
 
 mod common;
 
@@ -142,6 +148,33 @@ fn check_depths(ts: &Arc<TransitionSystem>, mode: InitMode, label: &str) -> usiz
     sat
 }
 
+/// (d) at every depth `0..=DEPTH`; returns how many traces replayed.
+fn check_query_only(ts: &Arc<TransitionSystem>, mode: InitMode, label: &str) -> usize {
+    let mut new = Unroller::new(ts, mode);
+    let mut reference = NaiveUnroller::new(ts, mode);
+    let mut replayed = 0;
+    for k in 0..=DEPTH {
+        new.assume_through(k);
+        reference.assume_through(k);
+        let new_bad = new.bad_any_at(k);
+        let reference_bad = bad_at(&mut reference, ts, k);
+        let got = new.solver.solve_with(&[new_bad]);
+        let want = reference.solver.solve_with(&[reference_bad]);
+        assert_eq!(got, want, "{label}: query-only bad at depth {k}");
+        if got == SolveResult::Sat && mode == InitMode::Reset {
+            let name = new.fired_bad_name(k).expect("a bad fires in the model");
+            let trace = new.extract_trace(k + 1, name);
+            assert_eq!(
+                Sim::new(ts.aig()).replay(&trace),
+                (true, true),
+                "{label}: query-only trace at depth {k} does not replay"
+            );
+            replayed += 1;
+        }
+    }
+    replayed
+}
+
 /// (c): every `(frame, node)` whose production literal shares a variable
 /// with an earlier one must equal it (or its complement, as the literals
 /// say) under the reference encoding — with no assumes, since sharing is
@@ -182,7 +215,7 @@ fn check_shared_literals(ts: &Arc<TransitionSystem>, mode: InitMode, label: &str
 
 #[test]
 fn random_designs_encode_equivalently() {
-    let (mut sat, mut unsat, mut shared) = (0, 0, 0);
+    let (mut sat, mut unsat, mut shared, mut replayed) = (0, 0, 0, 0);
     for seed in 0..18u64 {
         let inits = [INITS[seed as usize % 3], INITS[seed as usize / 3 % 3]];
         let two_copy = seed >= 9;
@@ -193,6 +226,7 @@ fn random_designs_encode_equivalently() {
             sat += s;
             unsat += DEPTH + 1 - s;
             shared += check_shared_literals(&ts, mode, &label);
+            replayed += check_query_only(&ts, mode, &label);
         }
     }
     assert!(
@@ -202,6 +236,10 @@ fn random_designs_encode_equivalently() {
     assert!(
         shared > 0,
         "no node ever shared a literal — (c) checked nothing"
+    );
+    assert!(
+        replayed > 0,
+        "no query-only trace replayed — (d) checked nothing"
     );
 }
 
@@ -227,6 +265,7 @@ fn shift_register_frames_share_logic_equivalently() {
         for mode in MODES {
             let label = format!("shift register {init:?} {mode:?}");
             check_depths(&ts, mode, &label);
+            check_query_only(&ts, mode, &label);
             let shared = check_shared_literals(&ts, mode, &label);
             assert!(shared > 0, "{label}: no gate was shared across frames");
         }
