@@ -166,11 +166,14 @@ impl Verifier {
     }
 
     /// Turns instance preparation — the one-rebuild netlist reduction
-    /// every engine runs behind (stuck-at-reset constants folded,
+    /// the engines run behind (stuck-at-reset constants folded,
     /// cross-copy logic re-strashed, only the roots' cone kept) — on or
     /// off. Default on; [`PrepareConfig::off()`] hands the engines the
-    /// raw instance. Counterexamples are always expressed in raw-netlist
-    /// vocabulary regardless.
+    /// raw instance. A stage of BMC lanes alone runs on the raw
+    /// instance either way: preparation runs when the first stage
+    /// holding another engine starts, so a check BMC decides in such a
+    /// stage never prepares. Counterexamples are always expressed in
+    /// raw-netlist vocabulary regardless.
     pub fn prepare(mut self, prepare: PrepareConfig) -> Verifier {
         self.opts.prepare = prepare;
         self

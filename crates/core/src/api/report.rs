@@ -75,8 +75,9 @@ pub struct Report {
     /// Engine-by-engine notes (sizes, intermediate outcomes).
     pub notes: Vec<String>,
     /// Node/latch reduction statistics from instance preparation: one
-    /// `"reduce"` entry (empty when preparation was off or the document
-    /// predates the field; older documents carry one entry per pass).
+    /// `"reduce"` entry (empty when preparation was off, never ran
+    /// because BMC decided the check, or the document predates the
+    /// field; older documents carry one entry per pass).
     pub prepare: Vec<PassStats>,
     /// Fuzzing-lane campaign statistics (`None` when no fuzzing lane
     /// ran or the document predates the field).

@@ -27,6 +27,12 @@
 //!
 //! The nine `attack` cells (Baseline, UPEC and Shadow on SimpleOoO,
 //! SuperOoO and BigOoO) summed to 162,439; they now sum to 86,613.
+//!
+//! The raw instance's unrolling takes exactly the pinned count too: the
+//! encoder folds the reset constants and shares the gates the reduction
+//! would, which is why the engine driver runs BMC on the raw netlist and
+//! prepares only for the other engines. A change that makes the encoder
+//! fold less than `reduce` fails here.
 
 use std::sync::Arc;
 
@@ -93,7 +99,8 @@ fn preparation_removes_the_pinned_logic_on_every_cell() {
         let raw = query.raw_instance();
         let prepared = query.instance();
         let aig = prepared.aig();
-        let ts = TransitionSystem::shared(aig.clone(), query.options().keep_probes);
+        let keep_probes = query.options().keep_probes;
+        let ts = TransitionSystem::shared(aig.clone(), keep_probes);
         let got = (
             raw.aig.num_ands(),
             aig.num_ands(),
@@ -106,6 +113,14 @@ fn preparation_removes_the_pinned_logic_on_every_cell() {
             got,
             (raw_ands, ands, latches, inputs, restored, vars),
             "{}/{}: (raw ANDs, ANDs, latches, inputs, restored, variables)",
+            scheme.name(),
+            design.name()
+        );
+        let raw_ts = TransitionSystem::shared(raw.aig.clone(), keep_probes);
+        assert_eq!(
+            encoded_vars(&raw_ts),
+            vars,
+            "{}/{}: the raw instance's BMC encoding must take the prepared one's variables",
             scheme.name(),
             design.name()
         );

@@ -25,9 +25,16 @@
 //! * LEAVE: `[Houdini]` alone; UPEC: `[BMC] → [k-induction with k ≤ 1]`
 //!   (built in `csl-core` and run through [`check_schedule`]).
 //!
-//! Every attack replays on the unstrengthened instance before it counts
-//! (BMC's count regardless, with the failure noted), and a proof on a
-//! strengthened instance carries the survivors in its certificate.
+//! [Preparation](mod@crate::prepare) runs on demand: a stage of BMC
+//! lanes alone runs on the netlist as given, because BMC's reset
+//! unrolling already folds the reset constants and shares the gates
+//! preparation would. The [`PreparedInstance`] is built once, when the
+//! first stage holding any other engine starts, and the later stages
+//! run on it. An attack from a prepared stage is lifted back to the
+//! given netlist where its lane returns; every attack then replays on
+//! the given, unstrengthened netlist before it counts (BMC's count
+//! regardless, with the failure noted), and a proof on a strengthened
+//! instance carries the survivors in its certificate.
 
 use std::time::{Duration, Instant};
 
@@ -42,7 +49,7 @@ use crate::portfolio::{
     race, Backend, BmcBackend, EngineOutcome, HoudiniBackend, KindBackend, LaneFactory, LaneResult,
     PdrBackend,
 };
-use crate::prepare::{prepare, PrepareConfig};
+use crate::prepare::{prepare, PrepareConfig, PreparedInstance};
 use crate::sim::Sim;
 use crate::trace::Trace;
 
@@ -230,9 +237,12 @@ pub struct CheckOptions {
     pub keep_probes: bool,
     /// Sequential or portfolio schedule.
     pub mode: ExecMode,
-    /// Instance preparation: the netlist reduction every engine runs
-    /// behind (default on; `PrepareConfig::off()` hands the engines
-    /// the raw instance). Attack traces are lifted back to the raw
+    /// Instance preparation: the netlist reduction the engines run
+    /// behind (default on; `PrepareConfig::off()` hands the engines the
+    /// raw instance). A stage of BMC lanes alone runs on the raw
+    /// instance either way: preparation runs when the first stage
+    /// holding another engine starts, so a check BMC decides in such a
+    /// stage never prepares. Attack traces are lifted back to the raw
     /// netlist's vocabulary before they leave [`check_safety`].
     pub prepare: PrepareConfig,
     /// Additional attack-finding lanes beyond the built-in engines —
@@ -297,7 +307,8 @@ pub struct CheckReport {
     /// Engine-by-engine notes (sizes, intermediate outcomes).
     pub notes: Vec<String>,
     /// Node/latch reduction statistics from instance preparation (one
-    /// `"reduce"` entry; empty when preparation was off).
+    /// `"reduce"` entry; empty when preparation was off or never ran
+    /// because only BMC stages did).
     pub prepare: Vec<PassStats>,
     /// Fuzzing-lane campaign statistics (`None` when no fuzzing lane
     /// ran — the default).
@@ -318,7 +329,7 @@ pub struct CheckReport {
 
 /// One lane of a [`Schedule`] stage: which engine runs. The driver
 /// builds each step into a fresh [`Backend`] when its stage starts, from
-/// the check's options and the prepared instance's candidates.
+/// the check's options and the candidates of the stage's instance.
 #[derive(Clone, Debug)]
 pub enum Step {
     /// BMC to [`CheckOptions::bmc_depth`].
@@ -470,36 +481,24 @@ fn proof_stages(opts: &CheckOptions, houdini: bool) -> Vec<Vec<Step>> {
 /// Runs the Baseline/Shadow engine schedule of [`CheckOptions::mode`]
 /// ([`Schedule::for_options`]).
 ///
-/// The instance is prepared first (see [`CheckOptions::prepare`]): every
-/// engine runs on the reduced netlist, and any attack trace or proof
-/// certificate is lifted back to the input netlist's vocabulary before
-/// the report is returned.
+/// Stages of BMC alone run on the input netlist; the other stages run
+/// on the prepared one (see [`CheckOptions::prepare`]), and any attack
+/// trace or proof certificate they find is lifted back to the input
+/// netlist's vocabulary before the report is returned.
 pub fn check_safety(task: &SafetyCheck, opts: &CheckOptions) -> CheckReport {
     check_schedule(task, opts, &Schedule::for_options(task, opts))
 }
 
 /// [`check_safety`] with an explicit schedule — how the LEAVE and UPEC
-/// schemes run their own engine sets.
+/// schemes run their own engine sets. Nothing is prepared up front: the
+/// driver prepares when the first stage that is not BMC alone starts.
 pub fn check_schedule(task: &SafetyCheck, opts: &CheckOptions, schedule: &Schedule) -> CheckReport {
-    let solve = |t: &SafetyCheck| {
-        let budget = Budget::until(Instant::now() + opts.total_budget);
-        drive(t, schedule, opts, &budget)
-    };
-    if !opts.prepare.enabled {
-        return solve(task);
-    }
-    // Preparation is linear in netlist size — milliseconds against
-    // multi-second SAT budgets — so it runs outside the budget, but its
-    // wall time counts in the report.
-    let start = Instant::now();
-    let prepared = prepare(task, &opts.prepare, opts.keep_probes);
-    let mut report = prepared.finalize_report(&task.aig, solve(&prepared.task));
-    report.elapsed = start.elapsed();
-    report
+    let budget = Budget::until(Instant::now() + opts.total_budget);
+    drive(task, schedule, opts, &budget)
 }
 
 /// The engine driver: runs `schedule` on `task` under `budget` and builds
-/// the report from the lane runs.
+/// the report from the lane runs, preparing the instance on demand.
 pub(crate) fn drive(
     task: &SafetyCheck,
     schedule: &Schedule,
@@ -538,26 +537,54 @@ fn run_stages(
     budget: &Budget,
     report: &mut CheckReport,
 ) -> (Verdict, Option<Certificate>) {
-    // The instance the stages run on: the task's, strengthened by the
-    // Houdini survivors once a Houdini stage has found some.
+    let mut budget = budget.clone();
+    // The task the stages other than BMC alone run on: prepared when
+    // the first of them starts, strengthened by the Houdini survivors
+    // once a Houdini stage has found some.
+    let mut prepared: Option<PreparedInstance> = None;
     let mut strengthened: Option<Aig> = None;
     let mut survivors: Vec<usize> = Vec::new();
     let mut bmc_clean = None;
     for stage in &schedule.stages {
+        let bmc_only = stage.iter().all(|step| matches!(step, Step::Bmc));
+        if !bmc_only && opts.prepare.enabled && prepared.is_none() {
+            // Preparation is linear in netlist size — milliseconds
+            // against multi-second SAT budgets — so it runs outside the
+            // budget (the deadline moves by its wall time), but its wall
+            // time counts in the report.
+            let start = Instant::now();
+            let p = prepare(task, &opts.prepare, opts.keep_probes);
+            if let Some(deadline) = &mut budget.deadline {
+                *deadline += start.elapsed();
+            }
+            report.notes.extend(p.note());
+            report.prepare = p.stats.clone();
+            prepared = Some(p);
+        }
+        let stage_prep = prepared.as_ref().filter(|_| !bmc_only);
+        let base = stage_prep.map_or(task, |p| &p.task);
+        let instance = match &strengthened {
+            Some(aig) if !bmc_only => aig,
+            _ => &base.aig,
+        };
         let lanes = stage
             .iter()
-            .map(|step| step.backend(&task.candidates, opts))
+            .map(|step| step.backend(&base.candidates, opts))
             .collect();
         let mut attack: Option<Box<Trace>> = None;
         let mut proof = None;
         let mut invariants = None;
         let mut timed_out = false;
-        let instance = strengthened.as_ref().unwrap_or(&task.aig);
-        for mut lane in race(lanes, instance, opts.keep_probes, budget).lanes {
-            // Every attack must replay on the unstrengthened instance.
-            // BMC's still count when they do not (the failure is noted).
+        for mut lane in race(lanes, instance, opts.keep_probes, &budget).lanes {
+            // An attack on the prepared instance is lifted to the task's
+            // vocabulary, and every attack must replay on the task's
+            // unstrengthened netlist. BMC's still count when they do not
+            // (the failure is noted).
             let mut replay_failed = false;
-            if let EngineOutcome::Attack(trace) = &lane.run.outcome {
+            if let EngineOutcome::Attack(trace) = &mut lane.run.outcome {
+                if let Some(p) = stage_prep {
+                    **trace = trace.lifted(&p.reconstruction);
+                }
                 let (assumes_ok, bad) = Sim::new(&task.aig).replay(trace);
                 replay_failed = !(assumes_ok && bad);
                 if replay_failed && lane.lane != Lane::Bmc {
@@ -593,12 +620,22 @@ fn run_stages(
         }
         if let Some((engine, cert)) = proof {
             // A proof on the strengthened instance stands on the plain one
-            // together with the survivors.
-            let cert = cert.map(|mut c| {
+            // together with the survivors, and one on the prepared
+            // instance is lifted to the task's vocabulary.
+            let cert = cert.and_then(|mut c| {
                 if !survivors.is_empty() {
                     c.survivors = survivors.clone();
                 }
-                *c
+                let Some(p) = stage_prep else {
+                    return Some(*c);
+                };
+                let lifted = p.lift_certificate(&task.aig, *c);
+                if lifted.is_none() {
+                    report
+                        .notes
+                        .push("certificate dropped: invariant latch lost in preparation".into());
+                }
+                lifted
             });
             return (Verdict::Proof(engine), cert);
         }
@@ -613,9 +650,9 @@ fn run_stages(
             Some(found) => {
                 if !found.is_empty() {
                     // Sound: the survivors are inductive invariants.
-                    let mut aig = task.aig.clone();
+                    let mut aig = base.aig.clone();
                     for &i in &found {
-                        aig.add_assume(task.candidates[i].bit);
+                        aig.add_assume(base.candidates[i].bit);
                     }
                     strengthened = Some(aig);
                 }
@@ -915,6 +952,73 @@ mod tests {
         );
         let report = check_safety(&task, &CheckOptions::default());
         assert!(report.verdict.is_attack(), "{:?}", report.notes);
+    }
+
+    /// A 4-bit counter `r` that advances on input `x` and fires at 5,
+    /// behind a latch stuck at reset that gates input `junk` into the
+    /// bad. `junk` and the stuck latch come first, so preparation, which
+    /// folds both away, renumbers the counter's latches and `x`.
+    fn stuck_latch_task() -> SafetyCheck {
+        let mut d = Design::new("t");
+        let junk = d.input_bit("junk");
+        let stuck = d.reg("stuck", 1, Init::Zero);
+        d.hold(&stuck);
+        let x = d.input_bit("x");
+        let r = d.reg("r", 4, Init::Zero);
+        let inc = d.add_const(&r.q(), 1);
+        let nxt = d.mux(x, &inc, &r.q());
+        d.set_next(&r, nxt);
+        let noise = d.and_bit(stuck.q().bit(0), junk);
+        let hit = d.eq_const(&r.q(), 5);
+        let bad = d.or_bit(hit, noise);
+        d.assert_always("hit", bad.not());
+        SafetyCheck {
+            aig: d.finish(),
+            candidates: vec![],
+        }
+    }
+
+    /// A sequential check that BMC decides runs on the raw netlist and
+    /// prepares nothing; with the bad beyond `bmc_depth`, a later stage
+    /// finds the attack on the prepared netlist and the driver lifts it.
+    /// Both traces replay on the raw netlist, which an unlifted trace
+    /// does not: it would drive `junk` instead of `x`.
+    #[test]
+    fn bmc_attacks_come_from_the_raw_netlist_and_later_attacks_are_lifted() {
+        let task = stuck_latch_task();
+        let attack = |report: &CheckReport| match &report.verdict {
+            Verdict::Attack(trace) => (**trace).clone(),
+            other => panic!("{other:?} {:?}", report.notes),
+        };
+
+        let report = check_safety(&task, &CheckOptions::default());
+        let trace = attack(&report);
+        assert!(report.prepare.is_empty(), "{:?}", report.notes);
+        assert_eq!(Sim::new(&task.aig).replay(&trace), (true, true));
+
+        let opts = CheckOptions {
+            bmc_depth: 2,
+            kind_max_k: 8,
+            ..Default::default()
+        };
+        let report = check_safety(&task, &opts);
+        let trace = attack(&report);
+        assert!(
+            report
+                .notes
+                .iter()
+                .any(|n| n.starts_with("bmc [") && n.ends_with("bmc clean to depth 2")),
+            "{:?}",
+            report.notes
+        );
+        assert_eq!(
+            Sim::new(&task.aig).replay(&trace),
+            (true, true),
+            "the later stage's attack must be lifted: {:?}",
+            report.notes
+        );
+        let passes: Vec<&str> = report.prepare.iter().map(|s| s.pass.as_str()).collect();
+        assert_eq!(passes, ["reduce"]);
     }
 
     /// The portfolio prefers an attack over a proof when both lanes report

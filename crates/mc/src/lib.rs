@@ -26,7 +26,7 @@
 //! * [`prepare`](mod@prepare) — instance preparation: the one-rebuild
 //!   `csl_hdl::xform::reduce` (stuck-at-reset constants folded,
 //!   cross-copy logic re-strashed, only the verification roots' cone
-//!   kept) every engine runs behind, with
+//!   kept) the engines run behind, except in a stage of BMC alone, with
 //!   [`prepare::PreparedInstance`] carrying the reconstruction that
 //!   lifts counterexamples back to raw-netlist vocabulary.
 //!

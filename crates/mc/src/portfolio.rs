@@ -44,6 +44,7 @@ use crate::houdini::{houdini_with_stats, Candidate, HoudiniResult};
 use crate::kind::{KindResult, KindSession};
 use crate::lane::{Lane, LaneSolverStats, SharedContext};
 use crate::pdr::{pdr_with_stats, PdrOptions, PdrResult};
+use crate::prepare::PrepareConfig;
 use crate::sim::Sim;
 use crate::trace::Trace;
 use crate::ts::TransitionSystem;
@@ -349,10 +350,12 @@ impl HoudiniBackend {
         }
     }
 
-    /// Runs the strengthened tail under `opts` (builder style). The tail
-    /// lanes share this lane's clock.
+    /// Runs the strengthened tail under `opts` (builder style), with
+    /// preparation off: the lane's instance is the stage's, already
+    /// prepared when `opts` prepares. The tail lanes share this lane's
+    /// clock.
     pub fn tail(mut self, opts: &CheckOptions) -> HoudiniBackend {
-        self.tail = Some(opts.clone());
+        self.tail = Some(opts.clone().with_prepare(PrepareConfig::off()));
         self
     }
 

@@ -13,15 +13,19 @@
 //! netlist and the candidate set never silently shrinks.
 //!
 //! [`check_safety`](crate::check_safety) prepares by default
-//! ([`CheckOptions::prepare`](crate::CheckOptions)); `PrepareConfig::off()`
-//! is the escape hatch that reproduces the raw-instance behaviour
-//! exactly.
+//! ([`CheckOptions::prepare`](crate::CheckOptions)), on demand: the
+//! engine driver builds the [`PreparedInstance`] when the first stage
+//! holding an engine other than BMC starts. BMC's reset unrolling folds
+//! the same reset constants and shares the same gates on the raw
+//! netlist, so a check that BMC decides never prepares.
+//! `PrepareConfig::off()` is the escape hatch that reproduces the
+//! raw-instance behaviour exactly.
 
 use csl_hdl::xform::{reduce, PassStats, Reconstruction};
 use csl_hdl::Aig;
 
 use crate::cert::{CertKind, Certificate};
-use crate::engine::{CheckReport, SafetyCheck, Verdict};
+use crate::engine::SafetyCheck;
 use crate::houdini::Candidate;
 
 /// Whether [`reduce`] runs before the engines see an instance.
@@ -75,50 +79,34 @@ impl PreparedInstance {
         !self.stats.is_empty()
     }
 
-    /// Rewrites `report` into original-netlist vocabulary: attack traces
-    /// and proof certificates are lifted through the reconstruction
-    /// (certificates additionally pick up the constants the reduction
-    /// folded, via
-    /// [`Reconstruction::restored_constants`]), and the preparation
-    /// statistics (plus a summary note) are attached. `original` is the
-    /// netlist `prepare` ran on. A certificate whose invariant mentions
-    /// a latch with no original image cannot be lifted; it is dropped
-    /// with a note rather than shipped wrong.
-    pub fn finalize_report(&self, original: &Aig, mut report: CheckReport) -> CheckReport {
-        if let Verdict::Attack(trace) = report.verdict {
-            report.verdict = Verdict::Attack(Box::new(trace.lifted(&self.reconstruction)));
-        }
-        if let Some(cert) = report.certificate.take() {
-            match self.lift_certificate(original, cert) {
-                Some(lifted) => report.certificate = Some(lifted),
-                None => report
-                    .notes
-                    .push("certificate dropped: invariant latch lost in preparation".into()),
-            }
-        }
-        if let Some(s) = self.stats.first() {
-            report.notes.insert(
-                0,
-                format!(
-                    "prepare: {} -> {} ({} ands, {} latches removed)",
-                    s.before,
-                    s.after,
-                    s.ands_removed(),
-                    s.latches_removed()
-                ),
-            );
-        }
-        report.prepare = self.stats.clone();
-        report
+    /// The report's `prepare:` note line: the reduction's before/after
+    /// sizes (`None` when preparation was off).
+    pub(crate) fn note(&self) -> Option<String> {
+        self.stats.first().map(|s| {
+            format!(
+                "prepare: {} -> {} ({} ands, {} latches removed)",
+                s.before,
+                s.after,
+                s.ands_removed(),
+                s.latches_removed()
+            )
+        })
     }
 
     /// Re-expresses a certificate found on the prepared netlist in the
-    /// original netlist's latch indices. Candidate (survivor) indices
-    /// are stable — `prepare` rebuilds the candidate list index-aligned
-    /// — so only blocked cubes need mapping; the constants the reduction
-    /// folded away join the certificate's `restored` set, restoring the
-    /// part of the invariant the engines never saw.
-    fn lift_certificate(&self, original: &Aig, mut cert: Certificate) -> Option<Certificate> {
+    /// vocabulary of `original`, the netlist `prepare` ran on. Candidate
+    /// (survivor) indices are stable — `prepare` rebuilds the candidate
+    /// list index-aligned — so only blocked cubes need mapping; the
+    /// constants the reduction folded away join the certificate's
+    /// `restored` set, restoring the part of the invariant the engines
+    /// never saw. A certificate whose invariant mentions a latch with no
+    /// original image cannot be lifted: `None`, rather than one shipped
+    /// wrong. (Attack traces lift through [`crate::Trace::lifted`].)
+    pub(crate) fn lift_certificate(
+        &self,
+        original: &Aig,
+        mut cert: Certificate,
+    ) -> Option<Certificate> {
         cert.restored = self.reconstruction.restored_constants(original);
         if let CertKind::Inductive { blocked } = &mut cert.kind {
             for cube in blocked.iter_mut() {

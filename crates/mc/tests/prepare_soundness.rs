@@ -4,6 +4,9 @@
 //!   with preparation on must reach the same verdict kind as with
 //!   preparation off — the reduction may only make engines faster,
 //!   never change what they conclude.
+//! * **On-demand preparation**: an attack the BMC stage decides comes
+//!   from the raw netlist and carries no `prepare` entry; every proof
+//!   carries one.
 //! * **Trace back-mapping**: every attack found on the prepared
 //!   (reduced) netlist is returned lifted through the
 //!   [`csl_hdl::xform::Reconstruction`]; replaying the lifted trace on
@@ -24,20 +27,16 @@ use csl_sat::Budget;
 /// counters (live logic), a latch provably stuck at reset (constant
 /// sweep), a free-running counter nothing observes (cone-of-influence /
 /// dead-latch), an optional assume, and a bad value that may or may not
-/// be reachable.
+/// be reachable. The stuck and dead latches, and the input only the
+/// stuck latch and the assume read, are declared ahead of the live
+/// logic, so the reduction renumbers what survives and a trace found on
+/// the reduced netlist replays on the original only once lifted.
 fn random_design(seed: u64) -> Aig {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut d = Design::new("rand");
     let width = rng.gen_range(3usize..=4);
-    let x = d.input_bit("x");
     let y = d.input_bit("y");
-
-    // Live: a advances on x.
-    let a = d.reg("a", width, Init::Zero);
-    let a_step = rng.gen_range(1u64..=2);
-    let a_inc = d.add_const(&a.q(), a_step);
-    let a_next = d.mux(x, &a_inc, &a.q());
-    d.set_next(&a, a_next);
+    let x = d.input_bit("x");
 
     // Stuck: holds its reset value forever, but gates some live logic so
     // the constant sweep has something to fold.
@@ -49,6 +48,13 @@ fn random_design(seed: u64) -> Aig {
     let dead = d.reg("dead", 5, Init::Zero);
     let dn = d.add_const(&dead.q(), 3);
     d.set_next(&dead, dn);
+
+    // Live: a advances on x.
+    let a = d.reg("a", width, Init::Zero);
+    let a_step = rng.gen_range(1u64..=2);
+    let a_inc = d.add_const(&a.q(), a_step);
+    let a_next = d.mux(x, &a_inc, &a.q());
+    d.set_next(&a, a_next);
 
     if rng.gen_bool(0.5) {
         let imp = d.implies_bit(y, x);
@@ -98,16 +104,34 @@ fn prepared_verdicts_match_unprepared_across_random_designs() {
             on.notes
         );
         assert!(
-            !on.prepare.is_empty(),
-            "seed {seed}: prepared run must record pass stats"
-        );
-        assert!(
             off.prepare.is_empty(),
             "seed {seed}: unprepared run must not record pass stats"
         );
         match on.verdict {
-            Verdict::Attack(_) => attacks += 1,
-            Verdict::Proof(_) => proofs += 1,
+            Verdict::Attack(_) => {
+                // BMC runs on the raw netlist: only a later stage
+                // prepares.
+                let by_bmc = on
+                    .notes
+                    .iter()
+                    .any(|n| n.starts_with("bmc [") && n.contains("attack"));
+                assert_eq!(
+                    on.prepare.is_empty(),
+                    by_bmc,
+                    "seed {seed}: an attack carries a prepare entry iff a stage after BMC \
+                     decided it\nnotes: {:?}",
+                    on.notes
+                );
+                attacks += 1;
+            }
+            Verdict::Proof(_) => {
+                assert_eq!(
+                    on.prepare.len(),
+                    1,
+                    "seed {seed}: a proof must record the reduction"
+                );
+                proofs += 1;
+            }
             ref other => panic!("seed {seed}: tiny instance failed to decide: {other:?}"),
         }
     }
@@ -117,28 +141,49 @@ fn prepared_verdicts_match_unprepared_across_random_designs() {
     assert!(proofs > 0, "no seed produced a proof");
 }
 
+/// Every attack `check_safety` returns replays on the original netlist:
+/// first with BMC deep enough to find them all on the raw netlist, then
+/// with `bmc_depth: 0`, so k-induction's base case or PDR find them on
+/// the prepared netlist and the driver lifts them.
 #[test]
 fn lifted_attack_traces_replay_on_the_original_netlist() {
-    let mut replayed = 0usize;
-    for seed in 0..24u64 {
-        let aig = random_design(seed);
-        let task = SafetyCheck {
-            aig: aig.clone(),
-            candidates: vec![],
-        };
-        // Through check_safety: the report's trace is already lifted.
-        let report = check_safety(&task, &opts(PrepareConfig::on()));
-        if let Verdict::Attack(trace) = &report.verdict {
-            let (assumes_ok, bad) = Sim::new(&aig).replay(trace);
-            assert!(
-                assumes_ok && bad,
-                "seed {seed}: lifted trace must replay to a bad-state hit \
-                 on the original netlist (assumes_ok={assumes_ok}, bad={bad})"
-            );
-            replayed += 1;
+    for bmc_depth in [24, 0] {
+        let mut replayed = 0usize;
+        for seed in 0..24u64 {
+            let aig = random_design(seed);
+            let task = SafetyCheck {
+                aig: aig.clone(),
+                candidates: vec![],
+            };
+            // Through check_safety: the report's trace is already lifted.
+            let opts = CheckOptions {
+                bmc_depth,
+                ..opts(PrepareConfig::on())
+            };
+            let report = check_safety(&task, &opts);
+            if let Verdict::Attack(trace) = &report.verdict {
+                if bmc_depth == 0 {
+                    assert_eq!(
+                        report.prepare.len(),
+                        1,
+                        "seed {seed}: the attack must come from a prepared stage\nnotes: {:?}",
+                        report.notes
+                    );
+                }
+                let (assumes_ok, bad) = Sim::new(&aig).replay(trace);
+                assert!(
+                    assumes_ok && bad,
+                    "seed {seed}, bmc_depth {bmc_depth}: lifted trace must replay to a \
+                     bad-state hit on the original netlist (assumes_ok={assumes_ok}, bad={bad})"
+                );
+                replayed += 1;
+            }
         }
+        assert!(
+            replayed > 0,
+            "bmc_depth {bmc_depth}: no seed produced an attack to lift"
+        );
     }
-    assert!(replayed > 0, "no seed produced an attack to lift");
 }
 
 /// The same property at the pipeline level, without `check_safety` in
